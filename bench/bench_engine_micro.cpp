@@ -427,7 +427,7 @@ bool run_pipelined_quick_check() {
     std::map<StageId, StageBinding> bindings;
     bindings[scan] = StageBinding{
         [big](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-          return range_partition(*big, dop)[task];
+          return range_slice(big, task, dop);
         },
         "order_id"};
     const std::vector<ColumnPred> preds{pred_double("price", CmpOp::kGt, 25.0)};
@@ -503,7 +503,7 @@ bool run_pipelined_quick_check() {
     std::map<StageId, StageBinding> bindings;
     bindings[scan] = StageBinding{
         [rows](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-          return range_partition(*rows, dop)[task];
+          return range_slice(rows, task, dop);
         },
         "warehouse_id"};
     bindings[filt] = StageBinding{

@@ -8,6 +8,7 @@
 // co-located vs spread placement shows the zero-copy effect directly:
 // identical results, different data-plane traffic.
 #include <cstdio>
+#include <memory>
 
 #include "exec/datagen.h"
 #include "exec/engine.h"
@@ -33,10 +34,10 @@ cluster::PlacementPlan make_plan(std::vector<int> dop,
 
 int main() {
   // Data: ~200k rows of synthetic sales with Zipf-skewed keys.
-  const Table fact =
-      gen_fact_table({.rows = 200000, .num_warehouses = 32, .key_zipf_skew = 0.8, .seed = 1});
-  std::printf("fact table: %zu rows, %s\n", fact.num_rows(),
-              bytes_to_string(fact.byte_size()).c_str());
+  const auto fact = std::make_shared<const Table>(
+      gen_fact_table({.rows = 200000, .num_warehouses = 32, .key_zipf_skew = 0.8, .seed = 1}));
+  std::printf("fact table: %zu rows, %s\n", fact->num_rows(),
+              bytes_to_string(fact->byte_size()).c_str());
 
   // DAG: scan -> shuffle -> aggregate.
   JobDag dag("wordcount");
@@ -46,8 +47,8 @@ int main() {
 
   std::map<StageId, StageBinding> bindings;
   bindings[scan] = StageBinding{
-      [&fact](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-        return range_partition(fact, dop)[task];
+      [fact](int task, int dop, const std::vector<Table>&) -> Result<Table> {
+        return range_slice(fact, task, dop);
       },
       "warehouse_id"};
   bindings[agg] = StageBinding{

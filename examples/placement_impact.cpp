@@ -8,6 +8,7 @@
 // (Fig. 2b) — and can finish sooner despite less parallelism. Here the
 // stores apply small real delays so the effect shows up in wall time.
 #include <cstdio>
+#include <memory>
 
 #include "exec/datagen.h"
 #include "exec/engine.h"
@@ -32,8 +33,8 @@ cluster::PlacementPlan plan_of(std::vector<int> dop,
 }  // namespace
 
 int main() {
-  const Table fact =
-      gen_fact_table({.rows = 120000, .num_warehouses = 16, .seed = 2});
+  const auto fact = std::make_shared<const Table>(
+      gen_fact_table({.rows = 120000, .num_warehouses = 16, .seed = 2}));
 
   JobDag dag("fig2");
   const StageId map = dag.add_stage("map");
@@ -42,8 +43,8 @@ int main() {
 
   std::map<StageId, StageBinding> bindings;
   bindings[map] = StageBinding{
-      [&fact](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-        return range_partition(fact, dop)[task];
+      [fact](int task, int dop, const std::vector<Table>&) -> Result<Table> {
+        return range_slice(fact, task, dop);
       },
       "warehouse_id"};
   bindings[reduce] = StageBinding{
@@ -69,7 +70,7 @@ int main() {
 
   std::printf("%zu-row fact table (%s); shuffle through a Redis-class store with real "
               "delays\n\n",
-              fact.num_rows(), bytes_to_string(fact.byte_size()).c_str());
+              fact->num_rows(), bytes_to_string(fact->byte_size()).c_str());
   for (auto& config : configs) {
     auto store = storage::make_redis_sim();
     store->set_real_delay_scale(0.2);  // make transport time observable

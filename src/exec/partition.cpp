@@ -370,4 +370,26 @@ std::vector<Table> range_partition(const Table& in, std::size_t n) {
   return out;
 }
 
+Table range_slice(const std::shared_ptr<const Table>& src, std::size_t i, std::size_t n) {
+  assert(src != nullptr && i < n && "range slice out of range");
+  const std::size_t rows = src->num_rows();
+  const std::size_t lo = rows * i / n;
+  const std::size_t count = rows * (i + 1) / n - lo;
+  std::vector<Column> cols;
+  cols.reserve(src->num_columns());
+  for (std::size_t c = 0; c < src->num_columns(); ++c) {
+    const Column& col = src->column(c);
+    if (col.is_borrowed() || col.type() == DataType::kString) {
+      cols.push_back(col.slice(lo, count));  // already a view, or never borrowed
+    } else if (col.type() == DataType::kInt64) {
+      cols.push_back(Column::borrow_ints(src, col.int_span().data() + lo, count));
+    } else {
+      cols.push_back(Column::borrow_doubles(src, col.double_span().data() + lo, count));
+    }
+  }
+  auto out = Table::make(src->schema(), std::move(cols));
+  assert(out.ok());
+  return std::move(out).value();
+}
+
 }  // namespace ditto::exec

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -114,8 +115,17 @@ std::vector<Table> round_robin_partition(const Table& in, std::size_t n,
                                          ThreadPool* pool = nullptr);
 
 /// Contiguous range split: partition i gets rows [i*rows/n, (i+1)*rows/n).
-/// Implemented as slices, so borrowed columns stay zero-copy.
+/// Implemented as slices, so borrowed columns stay zero-copy, but owned
+/// fixed-width columns are copied: this materializes ALL n partitions.
+/// A task that needs only its own partition uses range_slice instead.
 std::vector<Table> range_partition(const Table& in, std::size_t n);
+
+/// Partition `i` of range_partition(*src, n), without copying: int64 and
+/// double columns borrow `src`'s memory (with `src` as the owner, so the
+/// slice stays valid after the caller drops its own reference); string
+/// columns are copied as Table::slice does. This is what a scan task
+/// uses — it costs O(columns), not O(rows).
+Table range_slice(const std::shared_ptr<const Table>& src, std::size_t i, std::size_t n);
 
 /// The stable 64-bit mix used by hash_partition (exposed for tests:
 /// co-partitioned tables must agree on row routing).

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
@@ -67,30 +68,28 @@ void MemStore::maybe_sleep(Bytes n) const {
 
 Status MemStore::put(const std::string& key, std::string_view value) {
   RequestScope scope(kind(), "put");
+  // The copy is made before the lock is taken. `incoming` outlives the
+  // lock, so a rejected or displaced payload is freed after unlocking.
+  Payload incoming = std::make_shared<const std::string>(value);
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = data_.find(key);
-    if (model_.capacity > 0) {
-      const Bytes prospective =
-          used_ + value.size() - (it != data_.end() ? it->second.size() : 0);
-      if (prospective > model_.capacity) {
-        // A rejected put moves no data: it must not count toward the
-        // byte telemetry and pays no modeled transfer delay.
-        ++stats_.rejected;
-        if (scope.enabled()) {
-          obs::MetricsRegistry::global().counter("storage.rejected", {{"kind", kind()}}).add();
-        }
-        return Status::resource_exhausted(std::string(kind()) + " store capacity exceeded");
+    const Bytes old_size = it != data_.end() ? it->second->size() : 0;
+    if (model_.capacity > 0 && used_ - old_size + value.size() > model_.capacity) {
+      // A rejected put moves no data: it must not count toward the
+      // byte telemetry and pays no modeled transfer delay.
+      ++stats_.rejected;
+      if (scope.enabled()) {
+        obs::MetricsRegistry::global().counter("storage.rejected", {{"kind", kind()}}).add();
       }
+      return Status::resource_exhausted(std::string(kind()) + " store capacity exceeded");
     }
     if (it != data_.end()) {
-      used_ -= it->second.size();
-      it->second.assign(value);
-      used_ += it->second.size();
+      std::swap(it->second, incoming);  // `incoming` now holds the displaced payload
     } else {
-      data_.emplace(key, std::string(value));
-      used_ += value.size();
+      data_.emplace(key, std::move(incoming));
     }
+    used_ = used_ - old_size + value.size();
     ++stats_.puts;
     stats_.bytes_written += value.size();
   }
@@ -101,7 +100,7 @@ Status MemStore::put(const std::string& key, std::string_view value) {
 
 Result<std::string> MemStore::get(const std::string& key) const {
   RequestScope scope(kind(), "get");
-  std::string out;
+  Payload payload;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = data_.find(key);
@@ -111,9 +110,10 @@ Result<std::string> MemStore::get(const std::string& key) const {
       scope.set_miss();
       return Status::not_found("key not found: " + key);
     }
-    out = it->second;
-    stats_.bytes_read += out.size();
+    payload = it->second;
+    stats_.bytes_read += payload->size();
   }
+  std::string out(*payload);
   scope.set_bytes(out.size());
   maybe_sleep(out.size());
   return out;
@@ -125,10 +125,12 @@ bool MemStore::contains(const std::string& key) const {
 }
 
 Status MemStore::remove(const std::string& key) {
+  Payload doomed;  // freed after the lock is released
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = data_.find(key);
   if (it == data_.end()) return Status::not_found("key not found: " + key);
-  used_ -= it->second.size();
+  used_ -= it->second->size();
+  doomed = std::move(it->second);
   data_.erase(it);
   return Status::ok();
 }
@@ -153,8 +155,9 @@ StoreStats MemStore::stats() const {
 }
 
 void MemStore::clear() {
+  std::unordered_map<std::string, Payload> doomed;  // freed after unlocking
   std::lock_guard<std::mutex> lock(mu_);
-  data_.clear();
+  doomed.swap(data_);
   used_ = 0;
 }
 

@@ -4,8 +4,17 @@
 // Redis (see sim_store.h) and as a plain in-memory store for tests.
 // Thread-safe. Optionally applies the model's transfer time as a real
 // (scaled) sleep so engine-mode runs experience the latency asymmetry.
+//
+// Payloads are immutable shared strings, so no byte is copied under the
+// store's mutex: put copies the value before locking and only swaps the
+// pointer under it; get copies the pointer under the lock and the bytes
+// after releasing it (get still returns its own copy); overwrite,
+// remove and clear free the displaced payloads after unlocking.
+// Concurrent requests therefore contend only for the map update, not
+// for the memcpy of each other's payloads.
 #pragma once
 
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 
@@ -39,6 +48,8 @@ class MemStore : public ObjectStore {
   void clear();
 
  private:
+  using Payload = std::shared_ptr<const std::string>;
+
   void maybe_sleep(Bytes n) const;
 
   StorageModel model_;
@@ -46,7 +57,7 @@ class MemStore : public ObjectStore {
   double delay_scale_ = 0.0;
 
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::string> data_;
+  std::unordered_map<std::string, Payload> data_;
   Bytes used_ = 0;
   mutable StoreStats stats_;
 };

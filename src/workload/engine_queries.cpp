@@ -1,5 +1,7 @@
 #include "workload/engine_queries.h"
 
+#include <algorithm>
+
 #include "dag/dag_algorithms.h"
 #include "exec/datagen.h"
 #include "exec/operators.h"
@@ -30,18 +32,6 @@ Result<Table> summarize_orders(const Table& t, const std::string& value_col) {
   return summarize(static_cast<std::int64_t>(t.num_rows()), total);
 }
 
-/// Task slice of a captured table.
-StageBinding scan_binding(std::shared_ptr<const Table> table,
-                          std::vector<std::string> columns, std::string key) {
-  StageBinding b;
-  b.fn = [table, columns](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-    const Table slice = exec::range_partition(*table, dop)[task];
-    return exec::project(slice, columns);
-  };
-  b.output_key = std::move(key);
-  return b;
-}
-
 /// Orders of `t` (keyed by order_id) touching >= 2 distinct warehouses.
 Result<Table> multi_warehouse(const Table& t) {
   DITTO_ASSIGN_OR_RETURN(Table grouped,
@@ -63,6 +53,34 @@ exec::FactTableSpec fact_spec_from(const EngineQuerySpec& spec) {
 }
 
 }  // namespace
+
+StageBinding scan_binding(std::shared_ptr<const Table> src,
+                          std::vector<exec::ColumnPred> preds,
+                          std::vector<std::string> columns, std::string key) {
+  // Narrow to the output plus the tested columns before filtering, so
+  // the filter gathers only columns that are kept or tested.
+  std::vector<std::string> narrow = columns;
+  for (const exec::ColumnPred& p : preds) {
+    for (const std::string& c : {p.column, p.rhs_column}) {
+      if (!c.empty() && std::find(narrow.begin(), narrow.end(), c) == narrow.end()) {
+        narrow.push_back(c);
+      }
+    }
+  }
+  StageBinding b;
+  b.fn = [src = std::move(src), preds = std::move(preds), columns = std::move(columns),
+          narrow = std::move(narrow)](int task, int dop,
+                                      const std::vector<Table>&) -> Result<Table> {
+    DITTO_ASSIGN_OR_RETURN(Table scanned,
+                           exec::project(exec::range_slice(src, task, dop), narrow));
+    if (preds.empty()) return scanned;
+    DITTO_ASSIGN_OR_RETURN(Table kept, exec::filter_cols(scanned, preds));
+    if (narrow.size() == columns.size()) return kept;
+    return exec::project(kept, columns);
+  };
+  b.output_key = std::move(key);
+  return b;
+}
 
 // ---------------------------------------------------------------------------
 // Q1
@@ -101,15 +119,9 @@ EngineJob build_q1_engine_job(const EngineQuerySpec& spec) {
   const double factor = spec.q1_avg_factor;
 
   job.bindings[scan_returns] = scan_binding(
-      returns, {"order_id", "warehouse_id", "date_id", "price"}, "order_id");
-
-  job.bindings[scan_dates] = StageBinding{
-      [dates, allowed](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-        const Table slice = exec::range_partition(*dates, dop)[task];
-        DITTO_ASSIGN_OR_RETURN(Table ok, exec::filter_int(slice, "attr", CmpOp::kEq, allowed));
-        return exec::project(ok, {"id"});
-      },
-      "", {}};
+      returns, {}, {"order_id", "warehouse_id", "date_id", "price"}, "order_id");
+  job.bindings[scan_dates] =
+      scan_binding(dates, {exec::pred_int("attr", CmpOp::kEq, allowed)}, {"id"}, "");
 
   job.bindings[join_dates] = StageBinding{
       [](int, int, const std::vector<Table>& in) -> Result<Table> {
@@ -136,7 +148,7 @@ EngineJob build_q1_engine_job(const EngineQuerySpec& spec) {
       },
       "", {}};
 
-  job.bindings[scan_customer] = scan_binding(customers, {"id"}, "id");
+  job.bindings[scan_customer] = scan_binding(customers, {}, {"id"}, "id");
 
   job.bindings[final_join] = StageBinding{
       [factor](int, int, const std::vector<Table>& in) -> Result<Table> {
@@ -163,7 +175,8 @@ EngineAnswer q1_engine_reference(const EngineJob& job, const EngineQuerySpec& sp
   const Table& dates = *job.sources.at("date_dim");
   const Table& customers = *job.sources.at("customer");
 
-  auto allowed = exec::filter_int(dates, "attr", CmpOp::kEq, spec.dim_attr_allowed);
+  auto allowed =
+      exec::filter_cols(dates, {exec::pred_int("attr", CmpOp::kEq, spec.dim_attr_allowed)});
   if (!allowed.ok()) return answer;
   auto dated =
       exec::hash_join(returns, "date_id", *allowed, "id", JoinKind::kLeftSemi);
@@ -226,25 +239,11 @@ EngineJob build_q16_shaped(const EngineQuerySpec& spec, const char* name,
   const double threshold = spec.price_threshold;
   const std::int64_t allowed = spec.dim_attr_allowed;
 
-  job.bindings[scan_sales] = StageBinding{
-      [sales, threshold](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-        const Table slice = exec::range_partition(*sales, dop)[task];
-        DITTO_ASSIGN_OR_RETURN(
-            Table filtered,
-            exec::filter_cols(slice, {exec::pred_double("price", CmpOp::kGt, threshold)}));
-        return exec::project(filtered,
-                             {"order_id", "warehouse_id", "date_id", "site_id", "price"});
-      },
-      "order_id",
-      {}};
-
-  job.bindings[scan_dims] = StageBinding{
-      [dim, allowed](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-        const Table slice = exec::range_partition(*dim, dop)[task];
-        DITTO_ASSIGN_OR_RETURN(Table ok, exec::filter_int(slice, "attr", CmpOp::kEq, allowed));
-        return exec::project(ok, {"id"});
-      },
-      "", {}};
+  job.bindings[scan_sales] =
+      scan_binding(sales, {exec::pred_double("price", CmpOp::kGt, threshold)},
+                   {"order_id", "warehouse_id", "date_id", "site_id", "price"}, "order_id");
+  job.bindings[scan_dims] =
+      scan_binding(dim, {exec::pred_int("attr", CmpOp::kEq, allowed)}, {"id"}, "");
 
   job.bindings[filter_join] = StageBinding{
       [dim_join_column](int, int, const std::vector<Table>& in) -> Result<Table> {
@@ -255,7 +254,7 @@ EngineJob build_q16_shaped(const EngineQuerySpec& spec, const char* name,
       {}};
 
   job.bindings[scan_sales2] =
-      scan_binding(sales, {"order_id", "warehouse_id"}, "order_id");
+      scan_binding(sales, {}, {"order_id", "warehouse_id"}, "order_id");
 
   job.bindings[exists_join] = StageBinding{
       [](int, int, const std::vector<Table>& in) -> Result<Table> {
@@ -267,7 +266,7 @@ EngineJob build_q16_shaped(const EngineQuerySpec& spec, const char* name,
       "order_id",
       {}};
 
-  job.bindings[scan_returns] = scan_binding(returns, {"order_id"}, "order_id");
+  job.bindings[scan_returns] = scan_binding(returns, {}, {"order_id"}, "order_id");
 
   job.bindings[anti_join] = StageBinding{
       [](int, int, const std::vector<Table>& in) -> Result<Table> {
@@ -301,7 +300,8 @@ EngineAnswer q16_shaped_reference(const EngineJob& job, const EngineQuerySpec& s
   auto filtered =
       exec::filter_cols(sales, {exec::pred_double("price", CmpOp::kGt, threshold)});
   if (!filtered.ok()) return answer;
-  auto allowed = exec::filter_int(dim, "attr", CmpOp::kEq, spec.dim_attr_allowed);
+  auto allowed =
+      exec::filter_cols(dim, {exec::pred_int("attr", CmpOp::kEq, spec.dim_attr_allowed)});
   if (!allowed.ok()) return answer;
   auto dimmed =
       exec::hash_join(*filtered, dim_join_column, *allowed, "id", JoinKind::kLeftSemi);

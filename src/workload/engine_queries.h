@@ -21,6 +21,7 @@
 #include "common/status.h"
 #include "dag/job_dag.h"
 #include "exec/engine.h"
+#include "exec/operators.h"
 
 namespace ditto::workload {
 
@@ -67,5 +68,13 @@ Result<EngineAnswer> engine_answer_from_sink(const exec::Table& sink_output);
 /// stages take their real table sizes; downstream volumes decay by an
 /// operator-class selectivity; edges carry the producer's output.
 void annotate_engine_volumes(EngineJob& job);
+
+/// The scan stage of every engine query: task t of dop reads only its
+/// own row range of `src` (exec::range_slice, borrowed, no copy), keeps
+/// the rows satisfying all `preds`, and emits `columns`; `key` is the
+/// binding's output key. Shared by the Q1/Q16/Q94 and Q95 miniatures.
+exec::StageBinding scan_binding(std::shared_ptr<const exec::Table> src,
+                                std::vector<exec::ColumnPred> preds,
+                                std::vector<std::string> columns, std::string key);
 
 }  // namespace ditto::workload

@@ -2,7 +2,7 @@
 
 #include "exec/datagen.h"
 #include "exec/operators.h"
-#include "exec/partition.h"
+#include "workload/engine_queries.h"
 
 namespace ditto::workload {
 
@@ -14,12 +14,7 @@ using exec::Table;
 
 namespace {
 
-/// map1 + groupby logic shared with the reference implementation.
-Result<Table> filter_sales(const Table& sales, double price_threshold) {
-  return exec::filter_cols(sales,
-                           {exec::pred_double("price", CmpOp::kGt, price_threshold)});
-}
-
+/// Groupby logic shared with the reference implementation.
 Result<Table> multi_warehouse_orders(const Table& filtered_sales) {
   DITTO_ASSIGN_OR_RETURN(
       Table grouped,
@@ -94,14 +89,9 @@ Q95EngineJob build_q95_engine_job(const Q95EngineSpec& spec) {
   const std::int64_t date_ok = spec.date_attr_allowed;
   const std::int64_t site_bad = spec.site_attr_excluded;
 
-  job.bindings[map1] = StageBinding{
-      [sales, threshold](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-        const Table slice = exec::range_partition(*sales, dop)[task];
-        DITTO_ASSIGN_OR_RETURN(Table filtered, filter_sales(slice, threshold));
-        return exec::project(filtered,
-                             {"order_id", "warehouse_id", "date_id", "site_id", "price"});
-      },
-      "order_id"};
+  job.bindings[map1] =
+      scan_binding(sales, {exec::pred_double("price", CmpOp::kGt, threshold)},
+                   {"order_id", "warehouse_id", "date_id", "site_id", "price"}, "order_id");
 
   job.bindings[groupby] = StageBinding{
       [](int, int, const std::vector<Table>& inputs) -> Result<Table> {
@@ -109,12 +99,7 @@ Q95EngineJob build_q95_engine_job(const Q95EngineSpec& spec) {
       },
       "order_id"};
 
-  job.bindings[map2] = StageBinding{
-      [returns](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-        const Table slice = exec::range_partition(*returns, dop)[task];
-        return exec::project(slice, {"order_id"});
-      },
-      "order_id"};
+  job.bindings[map2] = scan_binding(returns, {}, {"order_id"}, "order_id");
 
   job.bindings[reduce1] = StageBinding{
       [](int, int, const std::vector<Table>& inputs) -> Result<Table> {
@@ -132,13 +117,8 @@ Q95EngineJob build_q95_engine_job(const Q95EngineSpec& spec) {
                                   JoinKind::kLeftSemi, nullptr);
   };
 
-  job.bindings[map3] = StageBinding{
-      [dates, date_ok](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-        const Table slice = exec::range_partition(*dates, dop)[task];
-        DITTO_ASSIGN_OR_RETURN(Table ok, exec::filter_int(slice, "attr", CmpOp::kEq, date_ok));
-        return exec::project(ok, {"id"});
-      },
-      ""};
+  job.bindings[map3] =
+      scan_binding(dates, {exec::pred_int("attr", CmpOp::kEq, date_ok)}, {"id"}, "");
 
   job.bindings[join1] = StageBinding{
       [](int, int, const std::vector<Table>& inputs) -> Result<Table> {
@@ -154,13 +134,8 @@ Q95EngineJob build_q95_engine_job(const Q95EngineSpec& spec) {
                                   JoinKind::kLeftSemi, nullptr);
   };
 
-  job.bindings[map4] = StageBinding{
-      [sites, site_bad](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-        const Table slice = exec::range_partition(*sites, dop)[task];
-        DITTO_ASSIGN_OR_RETURN(Table bad, exec::filter_int(slice, "attr", CmpOp::kEq, site_bad));
-        return exec::project(bad, {"id"});
-      },
-      ""};
+  job.bindings[map4] =
+      scan_binding(sites, {exec::pred_int("attr", CmpOp::kEq, site_bad)}, {"id"}, "");
 
   job.bindings[join2] = StageBinding{
       [](int, int, const std::vector<Table>& inputs) -> Result<Table> {
@@ -215,21 +190,22 @@ Q95Answer q95_reference(const Q95EngineJob& job, const Q95EngineSpec& spec) {
   Q95Answer answer;
   auto fail = [&answer](const char*) { return answer; };
 
-  auto filtered = filter_sales(*job.web_sales, spec.price_threshold);
+  auto filtered = exec::filter_cols(
+      *job.web_sales, {exec::pred_double("price", CmpOp::kGt, spec.price_threshold)});
   if (!filtered.ok()) return fail("filter");
   auto orders = multi_warehouse_orders(*filtered);
   if (!orders.ok()) return fail("group");
   auto returned = exec::hash_join(*orders, "order_id", *job.web_returns, "order_id",
                                   JoinKind::kLeftSemi);
   if (!returned.ok()) return fail("returns");
-  auto good_dates = exec::filter_int(*job.date_dim, "attr", CmpOp::kEq,
-                                     spec.date_attr_allowed);
+  auto good_dates = exec::filter_cols(
+      *job.date_dim, {exec::pred_int("attr", CmpOp::kEq, spec.date_attr_allowed)});
   if (!good_dates.ok()) return fail("dates");
   auto dated =
       exec::hash_join(*returned, "date_id", *good_dates, "id", JoinKind::kLeftSemi);
   if (!dated.ok()) return fail("date join");
-  auto bad_sites =
-      exec::filter_int(*job.web_site, "attr", CmpOp::kEq, spec.site_attr_excluded);
+  auto bad_sites = exec::filter_cols(
+      *job.web_site, {exec::pred_int("attr", CmpOp::kEq, spec.site_attr_excluded)});
   if (!bad_sites.ok()) return fail("sites");
   auto final_orders =
       exec::hash_join(*dated, "site_id", *bad_sites, "id", JoinKind::kLeftAnti);

@@ -58,6 +58,11 @@ struct QueryCase {
   EngineAnswer (*reference)(const EngineJob&, const EngineQuerySpec&);
 };
 
+// Without this gtest prints the case's raw bytes — pointers that ASLR
+// moves on every run — into the test names it lists, so the names would
+// change on each relink.
+void PrintTo(const QueryCase& c, std::ostream* os) { *os << c.name; }
+
 class EngineQueriesTest : public ::testing::TestWithParam<QueryCase> {};
 
 INSTANTIATE_TEST_SUITE_P(

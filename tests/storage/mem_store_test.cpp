@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <thread>
+#include <vector>
+
 namespace ditto::storage {
 namespace {
 
@@ -105,6 +110,135 @@ TEST(MemStoreTest, ClearResets) {
   store.clear();
   EXPECT_EQ(store.used_bytes(), 0u);
   EXPECT_FALSE(store.contains("k"));
+}
+
+// Concurrent put / overwrite / get / remove of MiB-sized values on
+// shared keys. MemStore copies payload bytes outside its lock, so these
+// check that no reader ever sees a torn or mixed value and that the
+// accounting (used bytes, stats, capacity) stays exact under contention.
+constexpr std::size_t kMiB = std::size_t{1} << 20;
+constexpr int kWriters = 4;
+constexpr int kReaders = 2;
+constexpr int kIters = 24;
+const std::array<std::string, 3> kKeys{"k0", "k1", "k2"};
+
+/// Writer w's j-th value: one byte repeated, distinct per writer, and a
+/// length distinct per (w, j), so a torn read cannot pass for a value.
+std::string value_of(int w, int j) {
+  return std::string(kMiB + static_cast<std::size_t>(w * kIters + j) * 64,
+                     static_cast<char>('a' + w));
+}
+
+/// True when `v` is exactly value_of(w, j) for some writer w and j.
+bool is_written_value(const std::string& v) {
+  if (v.size() < kMiB || (v.size() - kMiB) % 64 != 0) return false;
+  const std::size_t w = (v.size() - kMiB) / 64 / kIters;
+  return w < kWriters && v[0] == static_cast<char>('a' + w) &&
+         v.find_first_not_of(v[0]) == std::string::npos;
+}
+
+struct Tally {
+  std::atomic<std::size_t> puts{0}, bytes_written{0}, rejected{0}, other_errors{0};
+  std::atomic<std::size_t> gets{0}, torn{0}, over_capacity{0};
+};
+
+/// Runs the writers, readers and a capacity monitor to completion.
+/// Every 8th writer step removes its key instead of putting.
+void hammer(MemStore& store, Tally& tally) {
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&store, &tally, &done] {
+      while (!done.load()) {
+        for (const std::string& key : kKeys) {
+          const auto v = store.get(key);
+          ++tally.gets;
+          if (v.ok() ? !is_written_value(*v) : v.status().code() != StatusCode::kNotFound) {
+            ++tally.torn;
+          }
+        }
+      }
+    });
+  }
+  std::thread monitor([&store, &tally, &done] {
+    const Bytes capacity = store.model().capacity;
+    while (!done.load()) {
+      if (capacity > 0 && store.used_bytes() > capacity) ++tally.over_capacity;
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&store, &tally, w] {
+      for (int j = 0; j < kIters; ++j) {
+        const std::string& key = kKeys[static_cast<std::size_t>(w + j) % kKeys.size()];
+        if (j % 8 == 7) {
+          (void)store.remove(key);
+          continue;
+        }
+        const std::string v = value_of(w, j);
+        const Status st = store.put(key, v);
+        if (st.is_ok()) {
+          ++tally.puts;
+          tally.bytes_written += v.size();
+        } else if (st.code() == StatusCode::kResourceExhausted) {
+          ++tally.rejected;
+        } else {
+          ++tally.other_errors;
+        }
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  done = true;
+  for (std::thread& t : readers) t.join();
+  monitor.join();
+}
+
+/// After the run: stats match the tallies, and used_bytes() is exactly
+/// the sum of the values still live.
+void expect_exact_accounting(const MemStore& store, const Tally& tally) {
+  const StoreStats st = store.stats();
+  EXPECT_EQ(tally.torn.load(), 0u);
+  EXPECT_EQ(tally.other_errors.load(), 0u);
+  EXPECT_EQ(st.puts, tally.puts.load());
+  EXPECT_EQ(st.bytes_written, tally.bytes_written.load());
+  EXPECT_EQ(st.rejected, tally.rejected.load());
+  EXPECT_EQ(st.gets, tally.gets.load());
+  Bytes live = 0;
+  for (const std::string& key : kKeys) {
+    const auto v = store.get(key);
+    if (v.ok()) {
+      EXPECT_TRUE(is_written_value(*v)) << key;
+      live += v->size();
+    }
+  }
+  EXPECT_EQ(store.used_bytes(), live);
+}
+
+TEST(MemStoreConcurrencyTest, ReadersSeeWholeValuesAndAccountingIsExact) {
+  MemStore store;
+  Tally tally;
+  hammer(store, tally);
+  expect_exact_accounting(store, tally);
+  EXPECT_EQ(tally.rejected.load(), 0u);
+  EXPECT_EQ(tally.puts.load(), static_cast<std::size_t>(kWriters * (kIters - kIters / 8)));
+}
+
+TEST(MemStoreConcurrencyTest, BoundedStoreNeverExceedsCapacity) {
+  // Room for one value (at most 1 MiB + 6 KiB) but never two: an
+  // overwrite always fits, a put to a second key while one is live is
+  // rejected. Writers rotate over the keys, so rejections are certain.
+  StorageModel model;
+  model.capacity = kMiB * 3 / 2;
+  MemStore store(model, "bounded");
+  Tally tally;
+  hammer(store, tally);
+  expect_exact_accounting(store, tally);
+  EXPECT_EQ(tally.over_capacity.load(), 0u);
+  EXPECT_GT(tally.rejected.load(), 0u);
+  EXPECT_GT(tally.puts.load(), 0u);
+  EXPECT_LE(store.used_bytes(), model.capacity);
 }
 
 TEST(StorageModelTest, TransferTimeLatencyPlusBandwidth) {

@@ -4,6 +4,11 @@
 
 namespace ditto {
 
+namespace {
+/// The pool whose worker_loop owns this thread; nullptr elsewhere.
+thread_local const ThreadPool* tl_worker_of = nullptr;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   assert(threads > 0);
   workers_.reserve(threads);
@@ -21,7 +26,10 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
+bool ThreadPool::on_worker_thread() const { return tl_worker_of == this; }
+
 void ThreadPool::worker_loop() {
+  tl_worker_of = this;
   for (;;) {
     std::function<void()> task;
     {

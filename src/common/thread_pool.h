@@ -66,6 +66,12 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
+  /// True when the calling thread is one of this pool's workers. Work
+  /// running on a worker must not block on more work submitted to the
+  /// same pool: every worker could end up waiting on a queue that no
+  /// free worker drains.
+  bool on_worker_thread() const;
+
   /// Block until every queued task has finished.
   void wait_idle();
 

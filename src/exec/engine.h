@@ -97,7 +97,10 @@ struct StageBinding {
 /// service instead builds ONE pool per cluster server (width = the
 /// server's slot count) and hands it to every engine, so concurrent
 /// jobs compete for exactly the paper's per-server CPU-core limit
-/// instead of each job pretending it owns the machine.
+/// instead of each job pretending it owns the machine. These pools run
+/// task bodies only. The leaf compute that kernels and shuffle
+/// partitioning fan out goes to one process-wide pool instead, shared
+/// by every run whether its server pools are private or shared.
 class ServerPools {
  public:
   /// `widths[v]` = worker threads for server v (clamped to >= 1).

@@ -26,10 +26,10 @@
 //
 // Thread-pool contract: every kernel takes an optional ThreadPool*.
 // nullptr means "consult task_compute_pool()", the thread-local set by
-// the engine around each task body (the engine's dedicated pure-compute
-// scatter pool — never a bounded server pool, so kernels can block on
-// their sub-work without deadlocking task scheduling). Kernel sub-work
-// never submits to the pool from a pool thread.
+// the engine around each task body (the process-wide pure-compute pool
+// — never a bounded server pool, so kernels can block on their sub-work
+// without deadlocking task scheduling). Kernel sub-work never submits to
+// the pool from a pool thread: run_chunked runs inline there.
 #pragma once
 
 #include <chrono>

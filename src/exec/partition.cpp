@@ -20,7 +20,10 @@ std::uint64_t stable_hash64(std::int64_t key) {
 
 void run_chunked(std::size_t chunks, ThreadPool* pool,
                  const std::function<void(std::size_t)>& body) {
-  if (pool == nullptr || chunks <= 1) {
+  // A body already running on one of `pool`'s workers runs its chunks
+  // inline: waiting on the same pool from inside it could deadlock once
+  // every worker waits.
+  if (pool == nullptr || chunks <= 1 || pool->on_worker_thread()) {
     for (std::size_t c = 0; c < chunks; ++c) body(c);
     return;
   }

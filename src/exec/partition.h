@@ -51,8 +51,10 @@ struct ScatterPlan {
 };
 
 /// Runs `body(chunk)` for chunks [0, chunks); chunk-parallel on `pool`
-/// when given, serial otherwise. Blocks until every chunk finished.
-/// Bodies must write disjoint state (the caller's contract).
+/// when given, serial otherwise, and serial when called from one of
+/// `pool`'s own workers (nested calls cannot deadlock the pool). Blocks
+/// until every chunk finished. Bodies must write disjoint state (the
+/// caller's contract).
 void run_chunked(std::size_t chunks, ThreadPool* pool,
                  const std::function<void(std::size_t)>& body);
 

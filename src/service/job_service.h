@@ -251,8 +251,9 @@ class JobService {
   /// Block until the job is terminal; returns a copy of its outcome.
   Result<JobOutcome> wait(JobId id);
 
-  /// Close intake, wait for every job to reach a terminal state, and
-  /// return all outcomes ordered by id. Idempotent.
+  /// Close intake, wait for every job to reach a terminal state and
+  /// finish its best-effort profile/cache saves, and return all
+  /// outcomes ordered by id. Idempotent.
   std::vector<JobOutcome> drain();
 
   ServiceSummary summary() const;
@@ -401,6 +402,9 @@ class JobService {
   bool intake_closed_ = false;
   bool stop_dispatcher_ = false;
   std::vector<JobId> finished_unjoined_;  ///< runners awaiting join
+  /// Runners past their terminal transition still doing the
+  /// best-effort profile/cache saves; drain() waits for them.
+  int runners_saving_ = 0;
 
   // Summary accounting (guarded by mu_).
   Seconds first_submit_ = -1.0;

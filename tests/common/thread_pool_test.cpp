@@ -39,6 +39,16 @@ TEST(ThreadPoolTest, WaitIdleBlocksUntilDrained) {
   EXPECT_EQ(done.load(), 8);
 }
 
+TEST(ThreadPoolTest, OnWorkerThreadIsTrueOnlyOnItsOwnWorkers) {
+  ThreadPool a(2);
+  ThreadPool b(1);
+  EXPECT_FALSE(a.on_worker_thread());
+  auto seen = a.submit([&] { return std::make_pair(a.on_worker_thread(), b.on_worker_thread()); });
+  const auto [on_a, on_b] = seen.get();
+  EXPECT_TRUE(on_a);
+  EXPECT_FALSE(on_b);
+}
+
 TEST(ThreadPoolTest, SizeMatchesConstruction) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.size(), 3u);

@@ -45,7 +45,6 @@
 #include "faults/retry_policy.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "shm/channel.h"
 #include "storage/sim_store.h"
 #include "timemodel/predictor.h"
 #include "workload/physics.h"
@@ -249,7 +248,7 @@ void BM_ExchangeLocalZeroCopy(benchmark::State& state) {
   for (auto _ : state) {
     LocalTableChannel ch;
     (void)ch.send(table);
-    auto out = ch.recv();
+    auto out = ch.recv_at(0);
     benchmark::DoNotOptimize(out);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * table->byte_size()));
@@ -264,7 +263,7 @@ void BM_ExchangeRemoteSerialized(benchmark::State& state) {
   for (auto _ : state) {
     RemoteTableChannel ch(*store, "bench" + std::to_string(i++));
     (void)ch.send(table);
-    auto out = ch.recv();
+    auto out = ch.recv_at(0);
     benchmark::DoNotOptimize(out);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * table->byte_size()));
@@ -287,7 +286,7 @@ void BM_ExchangeRemoteFlaky(benchmark::State& state) {
   for (auto _ : state) {
     RemoteTableChannel ch(flaky, "bench" + std::to_string(i++), &retry);
     (void)ch.send(table);
-    auto out = ch.recv();
+    auto out = ch.recv_at(0);
     benchmark::DoNotOptimize(out);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * table->byte_size()));
@@ -295,17 +294,6 @@ void BM_ExchangeRemoteFlaky(benchmark::State& state) {
       static_cast<double>(injector.counts().storage_errors);
 }
 BENCHMARK(BM_ExchangeRemoteFlaky)->Arg(1000)->Arg(100000);
-
-void BM_ShmDescriptorRoundTrip(benchmark::State& state) {
-  shm::SharedMemoryChannel ch;
-  shm::Buffer payload = shm::Buffer::from_bytes(std::string(4096, 'x'));
-  for (auto _ : state) {
-    (void)ch.send(payload);
-    auto out = ch.recv();
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_ShmDescriptorRoundTrip);
 
 /// Best-of-N wall time of `fn` in seconds (one untimed warmup run).
 template <typename F>

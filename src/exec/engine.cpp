@@ -67,6 +67,35 @@ struct TaskSlot {
   Status exhausted;
 };
 
+/// The run failure for a slot no attempt won: the error that exhausted
+/// its attempt chain, or a generic one when none was recorded.
+Status slot_failure(const JobDag& dag, StageId s, int t, const TaskSlot& slot) {
+  if (!slot.exhausted.is_ok()) return slot.exhausted;
+  return Status::internal("task " + task_label(dag, s, static_cast<TaskId>(t)) +
+                          " failed every attempt");
+}
+
+/// Concatenates each stage's per-task parts in task order (std::map
+/// iterates tasks in order), independent of which attempt produced
+/// each part.
+Status merge_task_parts(std::map<StageId, std::map<TaskId, Table>>& parts_by_stage,
+                        std::map<StageId, Table>& out) {
+  for (auto& [s, parts] : parts_by_stage) {
+    Table merged;
+    bool first = true;
+    for (auto& [t, table] : parts) {
+      if (first) {
+        merged = std::move(table);
+        first = false;
+      } else {
+        DITTO_RETURN_IF_ERROR(merged.concat(table));
+      }
+    }
+    out.emplace(s, std::move(merged));
+  }
+  return Status::ok();
+}
+
 /// Everything the per-attempt closures share for one run() call.
 struct RunState {
   const JobDag* dag = nullptr;
@@ -762,11 +791,7 @@ Result<EngineResult> MiniEngine::run(const std::map<StageId, StageBinding>& bind
             TaskSlot& slot = w.slots[t];
             if (!slot.won.load(std::memory_order_acquire) &&
                 slot.inflight.load(std::memory_order_acquire) == 0) {
-              rs.fail(!slot.exhausted.is_ok()
-                          ? slot.exhausted
-                          : Status::internal("task " +
-                                             task_label(*dag_, w.s, static_cast<TaskId>(t)) +
-                                             " failed every attempt"));
+              rs.fail(slot_failure(*dag_, w.s, t, slot));
             }
           }
         }
@@ -850,15 +875,7 @@ Result<EngineResult> MiniEngine::run(const std::map<StageId, StageBinding>& bind
       for (int t = 0; t < w.dop; ++t) {
         if (!w.slots[t].won.load()) {
           all_won = false;
-          std::lock_guard<std::mutex> lock(rs.error_mu);
-          if (rs.first_error.is_ok()) {
-            rs.first_error =
-                !w.slots[t].exhausted.is_ok()
-                    ? w.slots[t].exhausted
-                    : Status::internal("task " + task_label(*dag_, w.s, static_cast<TaskId>(t)) +
-                                       " failed every attempt");
-          }
-          rs.failed.store(true);
+          rs.fail(slot_failure(*dag_, w.s, t, w.slots[t]));
         }
       }
       if (all_won && w.done_time < 0.0) w.done_time = drain_time;
@@ -900,34 +917,10 @@ Result<EngineResult> MiniEngine::run(const std::map<StageId, StageBinding>& bind
     return rs.first_error.is_ok() ? Status::internal("engine failed") : rs.first_error;
   }
 
-  // Deterministic sink assembly: concatenate per-task slots in task
-  // order, independent of which attempt produced each slot.
-  for (auto& [s, parts] : rs.sink_parts) {
-    Table merged;
-    bool first = true;
-    for (auto& [t, table] : parts) {  // std::map iterates tasks in order
-      if (first) {
-        merged = std::move(table);
-        first = false;
-      } else {
-        DITTO_RETURN_IF_ERROR(merged.concat(table));
-      }
-    }
-    result.sink_outputs.emplace(s, std::move(merged));
-  }
-  for (auto& [s, parts] : rs.capture_parts) {
-    Table merged;
-    bool first = true;
-    for (auto& [t, table] : parts) {
-      if (first) {
-        merged = std::move(table);
-        first = false;
-      } else {
-        DITTO_RETURN_IF_ERROR(merged.concat(table));
-      }
-    }
-    result.captured_outputs.emplace(s, std::move(merged));
-  }
+  // Deterministic sink assembly, independent of which attempt
+  // produced each task's slot.
+  DITTO_RETURN_IF_ERROR(merge_task_parts(rs.sink_parts, result.sink_outputs));
+  DITTO_RETURN_IF_ERROR(merge_task_parts(rs.capture_parts, result.captured_outputs));
 
   for (const auto& [edge, ex] : exchanges) {
     const ExchangeStats es = ex->stats();

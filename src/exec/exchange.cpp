@@ -15,13 +15,6 @@ Status LocalTableChannel::send(std::shared_ptr<const Table> table) {
   return Status::ok();
 }
 
-std::optional<std::shared_ptr<const Table>> LocalTableChannel::recv() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return next_recv_ < items_.size() || closed_; });
-  if (next_recv_ >= items_.size()) return std::nullopt;
-  return items_[next_recv_++];
-}
-
 Result<std::vector<std::shared_ptr<const Table>>> LocalTableChannel::snapshot_all() const {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] { return closed_; });
@@ -50,7 +43,6 @@ void LocalTableChannel::reopen() {
   std::lock_guard<std::mutex> lock(mu_);
   if (aborted_) return;  // cancel is terminal; never resurrect readers
   items_.clear();  // the lost server's shared memory is gone
-  next_recv_ = 0;
   closed_ = false;
 }
 
@@ -86,22 +78,17 @@ Status RemoteTableChannel::send(std::shared_ptr<const Table> table) {
   return Status::ok();
 }
 
-std::optional<std::shared_ptr<const Table>> RemoteTableChannel::recv() {
-  std::size_t seq;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return next_recv_ < next_send_ || closed_; });
-    if (next_recv_ >= next_send_) return std::nullopt;
-    seq = next_recv_++;
-  }
-  auto bytes = store_->get(prefix_ + "/" + std::to_string(seq));
-  if (!bytes.ok()) return std::nullopt;
+Result<std::shared_ptr<const Table>> RemoteTableChannel::fetch(std::size_t seq) const {
+  const std::string key = prefix_ + "/" + std::to_string(seq);
+  DITTO_ASSIGN_OR_RETURN(std::string bytes,
+                         faults::retry_result<std::string>(
+                             policy(), "exchange.get", [&] { return store_->get(key); },
+                             retry_counter_));
   // Zero-copy receive: fixed-width columns view the fetched payload,
   // which the table keeps alive through `owner`.
-  const auto owner = std::make_shared<const std::string>(std::move(bytes).value());
-  auto table = deserialize_table_borrowing(*owner, owner);
-  if (!table.ok()) return std::nullopt;
-  return std::make_shared<const Table>(std::move(table).value());
+  const auto owner = std::make_shared<const std::string>(std::move(bytes));
+  DITTO_ASSIGN_OR_RETURN(Table table, deserialize_table_borrowing(*owner, owner));
+  return std::make_shared<const Table>(std::move(table));
 }
 
 Result<std::vector<std::shared_ptr<const Table>>> RemoteTableChannel::snapshot_all() const {
@@ -112,18 +99,11 @@ Result<std::vector<std::shared_ptr<const Table>>> RemoteTableChannel::snapshot_a
     if (aborted_) return Status::unavailable("exchange canceled");
     n = next_send_;
   }
-  const faults::RetryPolicy pol = policy();
   std::vector<std::shared_ptr<const Table>> out;
   out.reserve(n);
   for (std::size_t seq = 0; seq < n; ++seq) {
-    const std::string key = prefix_ + "/" + std::to_string(seq);
-    DITTO_ASSIGN_OR_RETURN(
-        std::string bytes,
-        faults::retry_result<std::string>(
-            pol, "exchange.get", [&] { return store_->get(key); }, retry_counter_));
-    const auto owner = std::make_shared<const std::string>(std::move(bytes));
-    DITTO_ASSIGN_OR_RETURN(Table table, deserialize_table_borrowing(*owner, owner));
-    out.push_back(std::make_shared<const Table>(std::move(table)));
+    DITTO_ASSIGN_OR_RETURN(auto table, fetch(seq));
+    out.push_back(std::move(table));
   }
   return out;
 }
@@ -137,15 +117,7 @@ Result<std::shared_ptr<const Table>> RemoteTableChannel::recv_at(std::size_t idx
   // Chunk-seq deterministic key: a rollback between the wait and this
   // get is harmless — the durable bytes survive and the re-publish
   // overwrites them identically.
-  const std::string key = prefix_ + "/" + std::to_string(idx);
-  const faults::RetryPolicy pol = policy();
-  DITTO_ASSIGN_OR_RETURN(std::string bytes,
-                         faults::retry_result<std::string>(
-                             pol, "exchange.get", [&] { return store_->get(key); },
-                             retry_counter_));
-  const auto owner = std::make_shared<const std::string>(std::move(bytes));
-  DITTO_ASSIGN_OR_RETURN(Table table, deserialize_table_borrowing(*owner, owner));
-  return std::make_shared<const Table>(std::move(table));
+  return fetch(idx);
 }
 
 void RemoteTableChannel::close() {
@@ -160,7 +132,6 @@ void RemoteTableChannel::reopen() {
   // Durable payloads survive in the store; the re-publish overwrites
   // the same deterministic keys with identical bytes.
   next_send_ = 0;
-  next_recv_ = 0;
   closed_ = false;
 }
 

@@ -63,10 +63,6 @@ class TableChannel {
 
   virtual Status send(std::shared_ptr<const Table> table) = 0;
 
-  /// Destructive streaming read (legacy interface; channel-level tests
-  /// and benches use it). nullopt = closed and drained.
-  virtual std::optional<std::shared_ptr<const Table>> recv() = 0;
-
   /// Non-destructive read of every payload sent so far; blocks until
   /// the channel is closed. Safe to call repeatedly (duplicate-safe
   /// consumers) and after a producer re-publish.
@@ -98,7 +94,6 @@ class TableChannel {
 class LocalTableChannel final : public TableChannel {
  public:
   Status send(std::shared_ptr<const Table> table) override;
-  std::optional<std::shared_ptr<const Table>> recv() override;
   Result<std::vector<std::shared_ptr<const Table>>> snapshot_all() const override;
   Result<std::shared_ptr<const Table>> recv_at(std::size_t idx) const override;
   void close() override;
@@ -110,7 +105,6 @@ class LocalTableChannel final : public TableChannel {
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
   std::vector<std::shared_ptr<const Table>> items_;
-  std::size_t next_recv_ = 0;
   bool closed_ = false;
   bool aborted_ = false;
 };
@@ -127,7 +121,6 @@ class RemoteTableChannel final : public TableChannel {
         retry_counter_(retry_counter) {}
 
   Status send(std::shared_ptr<const Table> table) override;
-  std::optional<std::shared_ptr<const Table>> recv() override;
   Result<std::vector<std::shared_ptr<const Table>>> snapshot_all() const override;
   Result<std::shared_ptr<const Table>> recv_at(std::size_t idx) const override;
   void close() override;
@@ -139,6 +132,9 @@ class RemoteTableChannel final : public TableChannel {
   faults::RetryPolicy policy() const {
     return retry_ != nullptr ? *retry_ : faults::RetryPolicy{.max_attempts = 1};
   }
+  /// Gets payload `seq` from the store (under the retry policy) and
+  /// deserializes it; a missing or corrupt payload is an error.
+  Result<std::shared_ptr<const Table>> fetch(std::size_t seq) const;
 
   storage::ObjectStore* store_;
   const std::string prefix_;
@@ -151,7 +147,6 @@ class RemoteTableChannel final : public TableChannel {
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
   std::size_t next_send_ = 0;
-  std::size_t next_recv_ = 0;
   bool closed_ = false;
   bool aborted_ = false;
 };

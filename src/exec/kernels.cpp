@@ -1,7 +1,6 @@
 #include "exec/kernels.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cstring>
 #include <limits>
@@ -49,15 +48,6 @@ KernelTimer::~KernelTimer() {
 }
 
 }  // namespace detail
-
-const char* group_by_strategy_name(GroupByStrategy s) {
-  switch (s) {
-    case GroupByStrategy::kSerialFlat: return "serial-flat";
-    case GroupByStrategy::kRadixPartitioned: return "radix";
-    case GroupByStrategy::kCentralMerge: return "central-merge";
-  }
-  return "?";
-}
 
 // ---------------------------------------------------------------------------
 // Flat open-addressing tables. Linear probing over power-of-two
@@ -217,7 +207,6 @@ struct Acc {
   double max = -std::numeric_limits<double>::infinity();
   std::int64_t count = 0;
   std::int64_t first = 0;
-  bool has_first = false;
 };
 
 struct AggInput {
@@ -243,39 +232,6 @@ Result<std::vector<AggInput>> resolve_agg_inputs(const Table& in,
     }
   }
   return inputs;
-}
-
-inline void update_accs(Acc* row_accs, const std::vector<AggSpec>& aggs,
-                        const std::vector<AggInput>& inputs, std::size_t r) {
-  for (std::size_t a = 0; a < aggs.size(); ++a) {
-    Acc& acc = row_accs[a];
-    ++acc.count;
-    if (aggs[a].kind == AggKind::kCount) continue;
-    if (aggs[a].kind == AggKind::kFirstInt) {
-      if (!acc.has_first && inputs[a].is_int) {
-        acc.first = inputs[a].ints[r];
-        acc.has_first = true;
-      }
-      continue;
-    }
-    const double v = inputs[a].is_int ? static_cast<double>(inputs[a].ints[r])
-                                      : inputs[a].doubles[r];
-    acc.sum += v;
-    acc.min = std::min(acc.min, v);
-    acc.max = std::max(acc.max, v);
-  }
-}
-
-/// Exact merge of chunk-local accumulators, valid ONLY for the
-/// order-insensitive aggregates (aggs_merge_exact gates callers).
-inline void merge_accs(Acc& into, const Acc& from) {
-  into.count += from.count;
-  into.min = std::min(into.min, from.min);
-  into.max = std::max(into.max, from.max);
-  if (!into.has_first && from.has_first) {
-    into.first = from.first;
-    into.has_first = true;
-  }
 }
 
 /// Compact struct-of-arrays accumulators: one dense per-group array
@@ -397,10 +353,7 @@ std::vector<Acc> accs_from_folds(const std::vector<AggSpec>& aggs,
         case AggKind::kMin: acc.min = f.vals[a][i]; break;
         case AggKind::kMax: acc.max = f.vals[a][i]; break;
         case AggKind::kFirstInt:
-          if (inputs[a].is_int) {
-            acc.first = f.first[a][i];
-            acc.has_first = true;
-          }
+          if (inputs[a].is_int) acc.first = f.first[a][i];
           break;
       }
     }
@@ -455,23 +408,6 @@ Result<Table> emit_group_by(const std::string& key, const std::vector<AggSpec>& 
   return Table::make(std::move(schema), std::move(cols));
 }
 
-/// One flat table + insertion-order accumulators (the per-partition
-/// and per-chunk building block).
-struct LocalAgg {
-  FlatMap map;
-  std::vector<Acc> accs;  // group-major: accs[g * naggs + a]
-
-  explicit LocalAgg(std::size_t expected_groups) : map(expected_groups) {}
-
-  void add(std::int64_t key, const std::vector<AggSpec>& aggs,
-           const std::vector<AggInput>& inputs, std::size_t r) {
-    bool inserted = false;
-    const std::uint32_t g = map.find_or_insert(key, inserted);
-    if (inserted) accs.resize(accs.size() + aggs.size());
-    update_accs(&accs[std::size_t{g} * aggs.size()], aggs, inputs, r);
-  }
-};
-
 /// Sort first-seen-ordered groups into SortedGroups (key order).
 SortedGroups sort_groups(const std::vector<std::int64_t>& group_keys,
                          std::vector<Acc>&& accs, std::size_t naggs) {
@@ -493,10 +429,6 @@ SortedGroups sort_groups(const std::vector<std::int64_t>& group_keys,
   return out;
 }
 
-SortedGroups sort_local(LocalAgg&& local, std::size_t naggs) {
-  return sort_groups(local.map.keys(), std::move(local.accs), naggs);
-}
-
 std::size_t pool_width(ThreadPool* pool) { return pool ? pool->size() : 0; }
 
 /// Radix fanout for partition-parallel kernels: a few partitions per
@@ -511,43 +443,11 @@ std::size_t radix_fanout(std::size_t width) {
 // ---------------------------------------------------------------------------
 // Group-by strategy.
 
-std::size_t sample_cardinality(ColumnSpan<std::int64_t> keys) {
-  const std::size_t n = keys.size();
-  if (n == 0) return 0;
-  const std::size_t samples = std::min<std::size_t>(n, 4096);
-  const std::size_t stride = n / samples;
-  FlatMap map(samples);
-  bool inserted = false;
-  for (std::size_t i = 0; i < samples; ++i) map.find_or_insert(keys[i * stride], inserted);
-  return map.size();
-}
-
-bool aggs_merge_exact(const std::vector<AggSpec>& aggs) {
-  for (const AggSpec& a : aggs) {
-    switch (a.kind) {
-      case AggKind::kCount:
-      case AggKind::kMin:
-      case AggKind::kMax:
-      case AggKind::kFirstInt: break;
-      case AggKind::kSum:
-      case AggKind::kAvg:
-        return false;  // double accumulation is order-dependent
-    }
-  }
-  return true;
-}
-
-GroupByStrategy pick_group_by_strategy(ColumnSpan<std::int64_t> keys,
-                                       const std::vector<AggSpec>& aggs,
-                                       ThreadPool* pool) {
-  if (keys.size() <= kParallelMinRows) return GroupByStrategy::kSerialFlat;
-  if (pool_width(pool) >= 2 && aggs_merge_exact(aggs) &&
-      sample_cardinality(keys) <= kCentralMergeCardinality) {
-    return GroupByStrategy::kCentralMerge;
-  }
+GroupByStrategy pick_group_by_strategy(std::size_t rows) {
   // Radix even without a pool: on large inputs the partition pass pays
   // for itself by making every per-partition structure cache-resident.
-  return GroupByStrategy::kRadixPartitioned;
+  return rows <= kParallelMinRows ? GroupByStrategy::kSerialFlat
+                                  : GroupByStrategy::kRadixPartitioned;
 }
 
 // ---------------------------------------------------------------------------
@@ -747,43 +647,6 @@ Result<Table> group_by_radix(const std::string& key, ColumnSpan<std::int64_t> ke
   return Table::make(std::move(schema), std::move(cols));
 }
 
-SortedGroups group_by_central_merge(ColumnSpan<std::int64_t> keys,
-                                    const std::vector<AggSpec>& aggs,
-                                    const std::vector<AggInput>& inputs,
-                                    ThreadPool* pool) {
-  assert(aggs_merge_exact(aggs) && "central merge requires order-insensitive aggregates");
-  const std::size_t rows = keys.size();
-  const std::size_t chunks = (rows + kScatterChunkRows - 1) / kScatterChunkRows;
-
-  std::vector<LocalAgg> locals;
-  locals.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) locals.emplace_back(kCentralMergeCardinality);
-  run_chunked(chunks, pool, [&](std::size_t c) {
-    const std::size_t lo = c * kScatterChunkRows;
-    const std::size_t hi = std::min(rows, lo + kScatterChunkRows);
-    LocalAgg& local = locals[c];
-    for (std::size_t r = lo; r < hi; ++r) local.add(keys[r], aggs, inputs, r);
-  });
-
-  // Merge chunk tables in chunk order: first-seen order, counts, and
-  // min/max/first folds all reproduce the row-order fold exactly.
-  const std::size_t naggs = aggs.size();
-  LocalAgg global(kCentralMergeCardinality);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const LocalAgg& local = locals[c];
-    for (std::uint32_t g = 0; g < local.map.size(); ++g) {
-      bool inserted = false;
-      const std::uint32_t gg = global.map.find_or_insert(local.map.key_of(g), inserted);
-      if (inserted) global.accs.resize(global.accs.size() + naggs);
-      for (std::size_t a = 0; a < naggs; ++a) {
-        merge_accs(global.accs[std::size_t{gg} * naggs + a],
-                   local.accs[std::size_t{g} * naggs + a]);
-      }
-    }
-  }
-  return sort_local(std::move(global), naggs);
-}
-
 }  // namespace
 
 Result<Table> group_by_kernel(const Table& in, const std::string& key,
@@ -795,14 +658,11 @@ Result<Table> group_by_kernel(const Table& in, const std::string& key,
   DITTO_ASSIGN_OR_RETURN(std::vector<AggInput> inputs, resolve_agg_inputs(in, aggs));
   const ColumnSpan<std::int64_t> keys = kp->int_span();
 
-  switch (pick_group_by_strategy(keys, aggs, pool)) {
+  switch (pick_group_by_strategy(keys.size())) {
     case GroupByStrategy::kSerialFlat:
       return emit_group_by(key, aggs, inputs, group_by_serial(keys, aggs, inputs));
     case GroupByStrategy::kRadixPartitioned:
       return group_by_radix(key, keys, aggs, inputs, pool);
-    case GroupByStrategy::kCentralMerge:
-      return emit_group_by(key, aggs, inputs,
-                           group_by_central_merge(keys, aggs, inputs, pool));
   }
   return Status::internal("unreachable group-by strategy");
 }
@@ -810,8 +670,7 @@ Result<Table> group_by_kernel(const Table& in, const std::string& key,
 // ---------------------------------------------------------------------------
 // Multi-key group-by kernel. Same shape as the single-key radix path;
 // group identity is the key tuple (representative row) and output
-// order is lexicographic. No central-merge variant: composite keys in
-// our workloads are high-cardinality by construction.
+// order is lexicographic.
 
 namespace {
 

@@ -13,10 +13,6 @@
 //    partitioned_row_indices preserves original row order within the
 //    partition, so each group's accumulator sees exactly the
 //    reference's value sequence (FP sums add in the same order).
-//  - The central-merge group-by variant merges chunk-local tables in
-//    chunk order, which is only exact for order-insensitive
-//    aggregates; the adaptive pick therefore routes kSum/kAvg to the
-//    radix path unconditionally.
 //  - The join builds per-partition tables by appending right rows in
 //    ascending order and probes left rows in order, reproducing the
 //    documented output order (left-row major, duplicate matches by
@@ -113,7 +109,7 @@ class KernelTimer {
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Group-by strategy (exposed so tests can pin the adaptive pick).
+// Group-by strategy (exposed so tests can pin the pick).
 
 enum class GroupByStrategy {
   kSerialFlat,        ///< one flat table, one thread (small inputs)
@@ -122,30 +118,13 @@ enum class GroupByStrategy {
                       ///< partitions aggregate in parallel, without one the
                       ///< value scatter still pays for itself by keeping
                       ///< per-partition state cache-resident
-  kCentralMerge,      ///< chunk-local tables merged centrally (low card.)
 };
-
-const char* group_by_strategy_name(GroupByStrategy s);
-
-/// Observed-cardinality threshold below which the central-merge variant
-/// wins (no row movement; merge cost ~ cardinality x chunks).
-inline constexpr std::size_t kCentralMergeCardinality = 512;
 
 /// Tables at or below this many rows always take the serial flat path.
 inline constexpr std::size_t kParallelMinRows = 32 * 1024;
 
-/// Distinct keys in a fixed-stride sample of at most 4096 rows — the
-/// cheap cardinality estimate driving the adaptive pick.
-std::size_t sample_cardinality(ColumnSpan<std::int64_t> keys);
-
-/// True iff every aggregate is exact under chunk-ordered merging
-/// (kCount/kMin/kMax/kFirstInt; double sums are order-dependent).
-bool aggs_merge_exact(const std::vector<AggSpec>& aggs);
-
-/// The pick group_by_kernel will make for this input and pool.
-GroupByStrategy pick_group_by_strategy(ColumnSpan<std::int64_t> keys,
-                                       const std::vector<AggSpec>& aggs,
-                                       ThreadPool* pool);
+/// The pick group_by_kernel makes for an input of `rows` rows.
+GroupByStrategy pick_group_by_strategy(std::size_t rows);
 
 // ---------------------------------------------------------------------------
 // Kernels. Entry points mirror the operators.h contracts exactly

@@ -27,15 +27,6 @@ bool fits_u32(std::size_t rows) {
 
 }  // namespace
 
-Table filter(const Table& in, const RowPredicate& pred) {
-  detail::KernelTimer timer(&KernelSeconds::filter);
-  std::vector<std::size_t> keep;
-  for (std::size_t r = 0; r < in.num_rows(); ++r) {
-    if (pred(in, r)) keep.push_back(r);
-  }
-  return in.take(keep);
-}
-
 ColumnPred pred_int(std::string column, CmpOp op, std::int64_t v) {
   ColumnPred p;
   p.column = std::move(column);
@@ -65,30 +56,6 @@ ColumnPred pred_cols(std::string column, CmpOp op, std::string rhs_column, doubl
 Result<Table> filter_cols(const Table& in, const std::vector<ColumnPred>& preds,
                           ThreadPool* pool) {
   detail::KernelTimer timer(&KernelSeconds::filter);
-  if (!fits_u32(in.num_rows())) return reference::filter_cols(in, preds);
-  return filter_kernel(in, preds, resolve_pool(pool));
-}
-
-Result<Table> filter_int(const Table& in, const std::string& col, CmpOp op,
-                         std::int64_t operand, ThreadPool* pool) {
-  detail::KernelTimer timer(&KernelSeconds::filter);
-  DITTO_ASSIGN_OR_RETURN(const Column* cp, in.checked_column(col));
-  if (cp->type() != DataType::kInt64) {
-    return Status::invalid_argument("filter_int on non-int column: " + col);
-  }
-  if (!fits_u32(in.num_rows())) return reference::filter_int(in, col, op, operand);
-  return filter_kernel(in, {pred_int(col, op, operand)}, resolve_pool(pool));
-}
-
-Result<Table> filter_int_range(const Table& in, const std::string& col, std::int64_t lo,
-                               std::int64_t hi, ThreadPool* pool) {
-  detail::KernelTimer timer(&KernelSeconds::filter);
-  DITTO_ASSIGN_OR_RETURN(const Column* cp, in.checked_column(col));
-  if (cp->type() != DataType::kInt64) {
-    return Status::invalid_argument("filter_int_range on non-int column: " + col);
-  }
-  const std::vector<ColumnPred> preds{pred_int(col, CmpOp::kGe, lo),
-                                      pred_int(col, CmpOp::kLe, hi)};
   if (!fits_u32(in.num_rows())) return reference::filter_cols(in, preds);
   return filter_kernel(in, preds, resolve_pool(pool));
 }
@@ -249,30 +216,6 @@ Result<std::size_t> count_distinct(const Table& in, const std::string& col) {
 // and per-row control flow; do not "optimize" these.
 
 namespace reference {
-
-Result<Table> filter_int(const Table& in, const std::string& col, CmpOp op,
-                         std::int64_t operand) {
-  DITTO_ASSIGN_OR_RETURN(const Column* cp, in.checked_column(col));
-  if (cp->type() != DataType::kInt64) {
-    return Status::invalid_argument("filter_int on non-int column: " + col);
-  }
-  const ColumnSpan<std::int64_t> values = cp->int_span();
-  std::vector<std::size_t> keep;
-  for (std::size_t r = 0; r < values.size(); ++r) {
-    const std::int64_t v = values[r];
-    bool ok = false;
-    switch (op) {
-      case CmpOp::kEq: ok = v == operand; break;
-      case CmpOp::kNe: ok = v != operand; break;
-      case CmpOp::kLt: ok = v < operand; break;
-      case CmpOp::kLe: ok = v <= operand; break;
-      case CmpOp::kGt: ok = v > operand; break;
-      case CmpOp::kGe: ok = v >= operand; break;
-    }
-    if (ok) keep.push_back(r);
-  }
-  return in.take(keep);
-}
 
 namespace {
 

@@ -26,14 +26,6 @@ class ThreadPool;
 
 namespace ditto::exec {
 
-/// Row predicate for filter(); receives the table and a row index.
-using RowPredicate = std::function<bool(const Table&, std::size_t)>;
-
-/// Keep only rows satisfying the predicate. Row-at-a-time by nature
-/// (the predicate is an opaque std::function); engine queries should
-/// prefer filter_cols below.
-Table filter(const Table& in, const RowPredicate& pred);
-
 enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
 /// One typed columnar predicate: `column op rhs`, where rhs is either
@@ -64,15 +56,6 @@ ColumnPred pred_cols(std::string column, CmpOp op, std::string rhs_column,
 /// every row.
 Result<Table> filter_cols(const Table& in, const std::vector<ColumnPred>& preds,
                           ThreadPool* pool = nullptr);
-
-/// Typed fast-path: keep rows where int column `col` op `operand`.
-Result<Table> filter_int(const Table& in, const std::string& col, CmpOp op,
-                         std::int64_t operand, ThreadPool* pool = nullptr);
-
-/// Keep rows where lo <= col <= hi (fused two-sided range).
-Result<Table> filter_int_range(const Table& in, const std::string& col,
-                               std::int64_t lo, std::int64_t hi,
-                               ThreadPool* pool = nullptr);
 
 /// Keep only the named columns, in the given order.
 Result<Table> project(const Table& in, const std::vector<std::string>& columns);
@@ -148,8 +131,6 @@ Result<Table> with_column(const Table& in, const std::string& name, const Scalar
 /// built on std:: containers.
 namespace reference {
 
-Result<Table> filter_int(const Table& in, const std::string& col, CmpOp op,
-                         std::int64_t operand);
 Result<Table> filter_cols(const Table& in, const std::vector<ColumnPred>& preds);
 Result<Table> hash_join(const Table& left, const std::string& left_key, const Table& right,
                         const std::string& right_key, JoinKind kind = JoinKind::kInner);

@@ -1,8 +1,8 @@
 // Per-server shared-memory arena.
 //
-// Each simulated server owns one Arena sized like its memory. Buffers
-// allocated from the arena account against it for the lifetime of the
-// payload; the accounting feeds the shared-memory persistence cost in
+// Each simulated server owns one Arena sized like its memory. The job
+// service reserves a job's zero-copy footprint against it on admission
+// and releases it when the job finishes; the accounting feeds the shared-memory persistence cost in
 // the paper's cost metric (§6.2: "Ditto schedules more stages to
 // exchange data through shared memory ... increasing the shared memory
 // cost caused by data persistence").
@@ -24,7 +24,7 @@ class Arena {
 
   /// Reserve `n` bytes; RESOURCE_EXHAUSTED when it would overflow.
   Status reserve(Bytes n);
-  /// Return `n` bytes (called by Buffer's control block on destruction).
+  /// Return `n` bytes previously reserved.
   void release(Bytes n);
 
   Bytes capacity() const { return capacity_; }

@@ -1,29 +1,15 @@
 #include "shm/buffer.h"
 
-#include "shm/arena.h"
-
 namespace ditto::shm {
 
-Buffer::Block::~Block() {
-  if (arena != nullptr) arena->release(payload.size());
-}
-
-Buffer Buffer::from_bytes(std::string_view data, Arena* arena) {
+Buffer Buffer::from_bytes(std::string_view data) {
   std::vector<std::uint8_t> payload(data.size());
   std::memcpy(payload.data(), data.data(), data.size());
-  return adopt(std::move(payload), arena);
+  return adopt(std::move(payload));
 }
 
-Buffer Buffer::adopt(std::vector<std::uint8_t> payload, Arena* arena) {
-  if (arena != nullptr) {
-    // Best effort: if the arena is full we still adopt but untracked —
-    // the execution engine checks capacity before producing.
-    if (!arena->reserve(payload.size()).is_ok()) arena = nullptr;
-  }
-  auto block = std::make_shared<Block>();
-  block->payload = std::move(payload);
-  block->arena = arena;
-  return Buffer(std::move(block));
+Buffer Buffer::adopt(std::vector<std::uint8_t> payload) {
+  return Buffer(std::make_shared<const Payload>(std::move(payload)));
 }
 
 }  // namespace ditto::shm

@@ -1,14 +1,13 @@
 // Zero-copy buffer abstraction for the SPRIGHT-style data plane
 // (paper §2.2, §4.1 "Modeling the shared memory").
 //
-// A Buffer owns an immutable byte payload via a shared control block.
+// A Buffer owns an immutable byte payload through a shared pointer.
 // Passing a Buffer between tasks on the same server copies only the
 // handle (a pointer bump), never the payload — that is the zero-copy
 // property the scheduler's grouping decision exploits. Payloads are
 // immutable after sealing so concurrent consumers need no locks.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -17,11 +16,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/units.h"
-
 namespace ditto::shm {
-
-class Arena;  // forward; see arena.h
 
 /// Immutable, ref-counted byte buffer. Cheap to copy (handle only).
 class Buffer {
@@ -29,42 +24,37 @@ class Buffer {
   Buffer() = default;
 
   /// Copies `data` into a fresh payload (the single copy at produce time).
-  static Buffer from_bytes(std::string_view data, Arena* arena = nullptr);
+  static Buffer from_bytes(std::string_view data);
 
   /// Takes ownership of an already-built payload without copying.
-  static Buffer adopt(std::vector<std::uint8_t> payload, Arena* arena = nullptr);
+  static Buffer adopt(std::vector<std::uint8_t> payload);
 
-  bool empty() const { return !block_ || block_->payload.empty(); }
-  std::size_t size() const { return block_ ? block_->payload.size() : 0; }
-  const std::uint8_t* data() const { return block_ ? block_->payload.data() : nullptr; }
+  bool empty() const { return !payload_ || payload_->empty(); }
+  std::size_t size() const { return payload_ ? payload_->size() : 0; }
+  const std::uint8_t* data() const { return payload_ ? payload_->data() : nullptr; }
 
   std::string_view view() const {
-    return block_ ? std::string_view(reinterpret_cast<const char*>(block_->payload.data()),
-                                     block_->payload.size())
-                  : std::string_view();
+    return payload_ ? std::string_view(reinterpret_cast<const char*>(payload_->data()),
+                                       payload_->size())
+                    : std::string_view();
   }
 
   /// Number of handles sharing this payload (diagnostics/tests).
-  long use_count() const { return block_ ? block_.use_count() : 0; }
+  long use_count() const { return payload_ ? payload_.use_count() : 0; }
 
   /// True if two handles alias the same payload (proof of zero-copy).
-  bool same_payload(const Buffer& other) const { return block_ == other.block_; }
+  bool same_payload(const Buffer& other) const { return payload_ == other.payload_; }
 
   friend bool operator==(const Buffer& a, const Buffer& b) {
     if (a.size() != b.size()) return false;
-    if (a.block_ == b.block_) return true;
+    if (a.payload_ == b.payload_) return true;
     return a.size() == 0 || std::memcmp(a.data(), b.data(), a.size()) == 0;
   }
 
  private:
-  struct Block {
-    std::vector<std::uint8_t> payload;
-    Arena* arena = nullptr;  // non-owning; nullptr = untracked
-    ~Block();
-  };
-
-  explicit Buffer(std::shared_ptr<Block> b) : block_(std::move(b)) {}
-  std::shared_ptr<Block> block_;
+  using Payload = std::vector<std::uint8_t>;
+  explicit Buffer(std::shared_ptr<const Payload> p) : payload_(std::move(p)) {}
+  std::shared_ptr<const Payload> payload_;
 };
 
 }  // namespace ditto::shm

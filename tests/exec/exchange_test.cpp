@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "storage/sim_store.h"
 
 namespace ditto::exec {
@@ -21,8 +23,8 @@ TEST(LocalTableChannelTest, ZeroCopyPointerIdentity) {
   auto t = std::make_shared<const Table>(keyed(0, 5));
   const Table* raw = t.get();
   ASSERT_TRUE(ch.send(t).is_ok());
-  const auto out = ch.recv();
-  ASSERT_TRUE(out.has_value());
+  const auto out = ch.recv_at(0);
+  ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->get(), raw);  // literally the same Table object
 }
 
@@ -31,21 +33,27 @@ TEST(RemoteTableChannelTest, RoundTripsThroughStore) {
   RemoteTableChannel ch(*store, "edge");
   auto t = std::make_shared<const Table>(keyed(0, 5));
   ASSERT_TRUE(ch.send(t).is_ok());
-  const auto out = ch.recv();
-  ASSERT_TRUE(out.has_value());
+  const auto out = ch.recv_at(0);
+  ASSERT_TRUE(out.ok());
   EXPECT_EQ(**out, *t);       // equal content
   EXPECT_NE(out->get(), t.get());  // but a different (deserialized) object
   EXPECT_GT(store->stats().puts, 0u);
 }
 
 TEST(ChannelTest, CloseGivesEof) {
+  // End of stream: a closed channel that never carried a payload
+  // snapshots to an empty vector, not an error.
   LocalTableChannel local;
   local.close();
-  EXPECT_FALSE(local.recv().has_value());
+  const auto local_items = local.snapshot_all();
+  ASSERT_TRUE(local_items.ok());
+  EXPECT_TRUE(local_items->empty());
   auto store = storage::make_instant_store();
   RemoteTableChannel remote(*store, "p");
   remote.close();
-  EXPECT_FALSE(remote.recv().has_value());
+  const auto remote_items = remote.snapshot_all();
+  ASSERT_TRUE(remote_items.ok());
+  EXPECT_TRUE(remote_items->empty());
 }
 
 std::vector<ServerId> servers(std::initializer_list<ServerId> v) { return v; }
@@ -270,6 +278,36 @@ TEST(ExchangeTest, ProducerHasLocalChannelTracksPlacement) {
   Exchange ex(ExchangeKind::kShuffle, "k", servers({0, 2}), servers({0, 1}), *store, "x");
   EXPECT_TRUE(ex.producer_has_local_channel(0));
   EXPECT_FALSE(ex.producer_has_local_channel(1));
+}
+
+// Both cross-server reads — the materialized recv_all and the streaming
+// cursor — must surface a payload that vanished from the store or no
+// longer decodes as an error, never as an empty table or an early end
+// of stream.
+void expect_remote_reads_fail(const std::function<void(storage::ObjectStore&)>& damage) {
+  auto store = storage::make_instant_store();
+  Exchange ex(ExchangeKind::kShuffle, "k", servers({0}), servers({1}), *store, "x");
+  ASSERT_TRUE(ex.send(0, keyed(0, 20)).is_ok());
+  ASSERT_TRUE(store->contains("x/0-0/0"));
+  damage(*store);
+
+  const auto all = ex.recv_all(0);
+  EXPECT_FALSE(all.ok());
+
+  ChunkCursor cursor = ex.open_cursor(0);
+  const auto chunk = cursor.next();
+  EXPECT_FALSE(chunk.ok());
+}
+
+TEST(ExchangeTest, LostRemotePayloadIsAnErrorNotEof) {
+  expect_remote_reads_fail(
+      [](storage::ObjectStore& s) { ASSERT_TRUE(s.remove("x/0-0/0").is_ok()); });
+}
+
+TEST(ExchangeTest, CorruptRemotePayloadIsAnErrorNotEof) {
+  expect_remote_reads_fail([](storage::ObjectStore& s) {
+    ASSERT_TRUE(s.put("x/0-0/0", "not a serialized table").is_ok());
+  });
 }
 
 TEST(ExchangeTest, CancelUnblocksConsumersWithUnavailable) {

@@ -3,8 +3,8 @@
 // (operators.h, namespace reference) — same schema, same row order,
 // same floating-point accumulation — across owned and borrowed
 // columns, every pool width, and the adversarial table shapes below
-// (empty, single row, all-equal keys, Zipf skew, cardinality around
-// the adaptive thresholds). The TSan CI job runs this corpus under
+// (empty, single row, all-equal keys, Zipf skew, low and moderate
+// cardinality on large inputs). The TSan CI job runs this corpus under
 // --gtest_filter='KernelEquivalence*' to also shake out data races in
 // the partition-parallel paths.
 #include "exec/kernels.h"
@@ -55,16 +55,11 @@ std::vector<std::pair<const char*, Table>> corpus() {
   out.emplace_back("zipf_skew",
                    gen_fact_table({.rows = 80'000, .num_orders = 20'000,
                                    .key_zipf_skew = 1.2}));
-  // Cardinality just under / just over kCentralMergeCardinality: the
-  // adaptive pick flips between central-merge and radix right here.
-  out.emplace_back("low_cardinality",
-                   gen_fact_table({.rows = 80'000,
-                                   .num_orders = static_cast<std::int64_t>(
-                                       kCentralMergeCardinality / 2)}));
+  // Few keys over many rows: the radix path with most partitions
+  // holding a handful of heavy groups.
+  out.emplace_back("low_cardinality", gen_fact_table({.rows = 80'000, .num_orders = 256}));
   out.emplace_back("over_threshold_cardinality",
-                   gen_fact_table({.rows = 80'000,
-                                   .num_orders = static_cast<std::int64_t>(
-                                       kCentralMergeCardinality * 4)}));
+                   gen_fact_table({.rows = 80'000, .num_orders = 2048}));
   return out;
 }
 
@@ -91,8 +86,8 @@ void expect_same(const char* ctx, const Result<Table>& want, const Result<Table>
   }
 }
 
-// Order-sensitive aggregates (double sums) AND merge-exact ones, so
-// both the "must radix" and "may central-merge" pick paths run.
+// Order-sensitive aggregates (double sums) and order-insensitive ones
+// (count/min/max/first), so every fold kind is checked.
 const std::vector<AggSpec> kMixedAggs = {{AggKind::kSum, "price", "total"},
                                          {AggKind::kCount, "", "n"},
                                          {AggKind::kAvg, "price", "avg_price"},
@@ -233,43 +228,26 @@ TEST(KernelEquivalenceTopK, TieOrderMatchesStableSortFormulation) {
 }
 
 // ---------------------------------------------------------------------------
-// Strategy-pick pinning: the adaptive choice is part of the contract
-// (tests fail loudly if a threshold change silently reroutes queries).
+// Strategy-pick pinning: the choice is part of the contract (tests fail
+// loudly if a threshold change silently reroutes queries).
 
 TEST(GroupByStrategyTest, SmallInputsStaySerial) {
-  const Table t = gen_fact_table({.rows = kParallelMinRows, .num_orders = 100});
-  ThreadPool pool(8);
-  EXPECT_EQ(pick_group_by_strategy(t.column_by_name("order_id").int_span(),
-                                   kMergeExactAggs, &pool),
-            GroupByStrategy::kSerialFlat);
+  EXPECT_EQ(pick_group_by_strategy(kParallelMinRows), GroupByStrategy::kSerialFlat);
 }
 
 TEST(GroupByStrategyTest, LargeInputsRadixEvenWithoutPool) {
-  const Table t = gen_fact_table({.rows = 80'000, .num_orders = 40'000});
-  EXPECT_EQ(pick_group_by_strategy(t.column_by_name("order_id").int_span(),
-                                   kMixedAggs, nullptr),
-            GroupByStrategy::kRadixPartitioned);
+  EXPECT_EQ(pick_group_by_strategy(kParallelMinRows + 1), GroupByStrategy::kRadixPartitioned);
 }
 
-TEST(GroupByStrategyTest, CentralMergeNeedsPoolLowCardinalityAndExactAggs) {
+TEST(GroupByStrategyTest, LowCardinalityExactAggsTakeRadix) {
+  // A large input with few keys and only order-insensitive aggregates
+  // still takes the radix path, pool or not, and matches the reference.
   const Table low = gen_fact_table({.rows = 80'000, .num_orders = 64});
-  const auto keys = low.column_by_name("order_id").int_span();
+  EXPECT_EQ(pick_group_by_strategy(low.num_rows()), GroupByStrategy::kRadixPartitioned);
   ThreadPool pool(4);
-  EXPECT_EQ(pick_group_by_strategy(keys, kMergeExactAggs, &pool),
-            GroupByStrategy::kCentralMerge);
-  // Order-sensitive aggregates force radix regardless of cardinality.
-  EXPECT_EQ(pick_group_by_strategy(keys, kMixedAggs, &pool),
-            GroupByStrategy::kRadixPartitioned);
-  // No pool: central merge has nothing to parallelize.
-  EXPECT_EQ(pick_group_by_strategy(keys, kMergeExactAggs, nullptr),
-            GroupByStrategy::kRadixPartitioned);
-}
-
-TEST(GroupByStrategyTest, MergeExactnessClassification) {
-  EXPECT_TRUE(aggs_merge_exact(kMergeExactAggs));
-  EXPECT_FALSE(aggs_merge_exact(kMixedAggs));
-  EXPECT_FALSE(aggs_merge_exact({{AggKind::kSum, "price", "s"}}));
-  EXPECT_FALSE(aggs_merge_exact({{AggKind::kAvg, "price", "a"}}));
+  const auto want = reference::group_by(low, "order_id", kMergeExactAggs);
+  expect_same("pool4", want, group_by(low, "order_id", kMergeExactAggs, &pool));
+  expect_same("no_pool", want, group_by(low, "order_id", kMergeExactAggs, nullptr));
 }
 
 }  // namespace

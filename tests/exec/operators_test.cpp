@@ -12,26 +12,23 @@ Table orders() {
                         {"amount", {100, 200, 50, 300, 150, 25}}});
 }
 
-TEST(FilterTest, RowPredicate) {
-  const Table t = orders();
-  const Table out = filter(t, [](const Table& in, std::size_t r) {
-    return in.column_by_name("amount").int_at(r) >= 150;
-  });
-  EXPECT_EQ(out.num_rows(), 3u);
+std::size_t rows_where(const std::string& col, CmpOp op, std::int64_t v) {
+  const auto out = filter_cols(orders(), {pred_int(col, op, v)});
+  EXPECT_TRUE(out.ok());
+  return out.ok() ? out->num_rows() : 0;
 }
 
 TEST(FilterIntTest, AllOperators) {
-  const Table t = orders();
-  EXPECT_EQ(filter_int(t, "customer", CmpOp::kEq, 10)->num_rows(), 3u);
-  EXPECT_EQ(filter_int(t, "customer", CmpOp::kNe, 10)->num_rows(), 3u);
-  EXPECT_EQ(filter_int(t, "amount", CmpOp::kLt, 100)->num_rows(), 2u);
-  EXPECT_EQ(filter_int(t, "amount", CmpOp::kLe, 100)->num_rows(), 3u);
-  EXPECT_EQ(filter_int(t, "amount", CmpOp::kGt, 200)->num_rows(), 1u);
-  EXPECT_EQ(filter_int(t, "amount", CmpOp::kGe, 200)->num_rows(), 2u);
+  EXPECT_EQ(rows_where("customer", CmpOp::kEq, 10), 3u);
+  EXPECT_EQ(rows_where("customer", CmpOp::kNe, 10), 3u);
+  EXPECT_EQ(rows_where("amount", CmpOp::kLt, 100), 2u);
+  EXPECT_EQ(rows_where("amount", CmpOp::kLe, 100), 3u);
+  EXPECT_EQ(rows_where("amount", CmpOp::kGt, 200), 1u);
+  EXPECT_EQ(rows_where("amount", CmpOp::kGe, 200), 2u);
 }
 
 TEST(FilterIntTest, ErrorsOnBadColumn) {
-  EXPECT_FALSE(filter_int(orders(), "ghost", CmpOp::kEq, 1).ok());
+  EXPECT_FALSE(filter_cols(orders(), {pred_int("ghost", CmpOp::kEq, 1)}).ok());
 }
 
 TEST(ProjectTest, SelectsAndReorders) {

@@ -16,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "scheduler/ditto_scheduler.h"
-#include "shm/channel.h"
 #include "sim/sim_runner.h"
 #include "sim/trace_export.h"
 #include "storage/sim_store.h"
@@ -137,17 +136,6 @@ TEST(TraceIntegrationTest, EngineRunPopulatesAllMetricFamilies) {
     ASSERT_TRUE(engine.run(bindings).ok());
   }
 
-  // Shm layer: move a payload through both channel flavours.
-  {
-    shm::SharedMemoryChannel local;
-    ASSERT_TRUE(local.send(shm::Buffer::from_bytes("zero-copy payload")).is_ok());
-    (void)local.recv();
-    auto store = storage::make_instant_store();
-    shm::RemoteChannel remote(*store, "obs-test");
-    ASSERT_TRUE(remote.send(shm::Buffer::from_bytes("remote payload")).is_ok());
-    (void)remote.recv();
-  }
-
   set_observability_enabled(false);
 
   // Every instrumented subsystem shows up nonzero in one snapshot.
@@ -159,7 +147,6 @@ TEST(TraceIntegrationTest, EngineRunPopulatesAllMetricFamilies) {
   EXPECT_GE(counter_at_least("engine.tasks_total", {}), 4u) << text;
   EXPECT_GE(counter_at_least("exchange.messages", {{"path", "zero_copy"}}), 1u) << text;
   EXPECT_GE(counter_at_least("exchange.messages", {{"path", "remote"}}), 1u) << text;
-  EXPECT_GE(counter_at_least("shm.channel_messages", {{"kind", "shm"}}), 1u) << text;
   EXPECT_GE(counter_at_least("storage.requests", {{"kind", "instant"}, {"op", "put"}}), 1u)
       << text;
 

@@ -1,4 +1,4 @@
-#include "scheduler/oracle.h"
+#include "support/oracle.h"
 
 #include <gtest/gtest.h>
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "shm/arena.h"
-
 namespace ditto::shm {
 namespace {
 
@@ -44,25 +42,6 @@ TEST(BufferTest, EqualityByContent) {
   EXPECT_TRUE(a == b);
   EXPECT_FALSE(a.same_payload(b));
   EXPECT_FALSE(a == c);
-}
-
-TEST(BufferTest, ArenaAccountsPayloadLifetime) {
-  Arena arena(1_KiB, "t");
-  {
-    Buffer a = Buffer::from_bytes("0123456789", &arena);
-    EXPECT_EQ(arena.used(), 10u);
-    Buffer b = a;  // handle copy: no extra arena usage
-    EXPECT_EQ(arena.used(), 10u);
-    (void)b;
-  }
-  EXPECT_EQ(arena.used(), 0u);  // released when last handle died
-}
-
-TEST(BufferTest, FullArenaFallsBackToUntracked) {
-  Arena arena(4, "tiny");
-  Buffer b = Buffer::from_bytes("too big for arena", &arena);
-  EXPECT_EQ(b.size(), 17u);     // data still usable
-  EXPECT_EQ(arena.used(), 0u);  // but not arena-tracked
 }
 
 }  // namespace

@@ -46,6 +46,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/sim_store.h"
+#include "support/serde_v1.h"
 #include "timemodel/predictor.h"
 #include "workload/physics.h"
 #include "workload/pipelining.h"
@@ -437,7 +438,7 @@ bool run_pipelined_quick_check() {
       auto inner = storage::make_instant_store();
       DelayStore store(*inner, transport);
       EngineOptions options;
-      options.pipeline = pipeline;
+      if (pipeline) options.stream_edges = {{scan, filt}};
       options.chunk_rows = 64 * 1024;
       MiniEngine engine(dag, plan, store, options);
       return engine.run(bindings);
@@ -525,11 +526,10 @@ bool run_pipelined_quick_check() {
     auto inner = storage::make_instant_store();
     ditto::faults::FlakyStore flaky(*inner, injector);
     EngineOptions options;
-    options.pipeline = true;
     options.chunk_rows = 4096;
     // Stream only scan->filter so agg starts at a group boundary —
     // where the injector's server loss fires.
-    options.pipeline_edges = {{scan, filt}};
+    options.stream_edges = {{scan, filt}};
     options.injector = &injector;
     options.resilience.speculation_factor = 2.0;
     options.resilience.speculation_min_wait = 0.01;
@@ -579,7 +579,7 @@ bool run_pipelined_quick_check() {
       auto inner = storage::make_instant_store();
       DelayStore store(*inner, storage::redis_model());
       EngineOptions options;
-      options.pipeline = pipeline;
+      if (pipeline) options.stream_edges = workload::pipelined_edges(model_piped);
       options.chunk_rows = 16384;
       MiniEngine engine(job.dag, plan, store, options);
       return engine.run(job.bindings);
@@ -669,9 +669,7 @@ int run_quick_check() {
   }
 
   // --- serde: v1 owned parse vs v2 zero-copy parse ---
-  set_serde_write_version(1);
-  const shm::Buffer v1_bytes = serialize_table(t);
-  set_serde_write_version(2);
+  const shm::Buffer v1_bytes = serialize_table_v1(t);
   const shm::Buffer v2_bytes = serialize_table(t);
   {
     const auto from_v1 = deserialize_table(v1_bytes.view());
@@ -707,14 +705,12 @@ int run_quick_check() {
   // from that owned copy instead of re-copying them. Not gated: the
   // ratio is dominated by raw byte movement common to both sides.
   const auto legacy_shuffle = [&] {
-    set_serde_write_version(1);
     std::vector<Table> received;
     received.reserve(kParts);
     for (const Table& part : legacy_partition()) {
-      const shm::Buffer b = serialize_table(part);
+      const shm::Buffer b = serialize_table_v1(part);
       received.push_back(std::move(deserialize_table(b.view())).value());
     }
-    set_serde_write_version(2);
     return received;
   };
   SerdeScratch scratch;

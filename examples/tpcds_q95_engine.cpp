@@ -7,11 +7,12 @@
 //
 // --pipeline turns on chunk-granular pipelined shuffles (paper §4.5):
 // the model DAG is annotated with pipeline_all_shuffles() so the
-// scheduler and predictor credit the overlap, and the engine runs
+// scheduler and predictor credit the overlap, and the engine streams
+// exactly the annotated edges (workload::pipelined_edges), running
 // producer/consumer overlap groups that actually deliver it. Without
 // the flag the model stays unannotated and the engine materializes —
-// predictions and runtime agree either way (that symmetry is what
-// keeps timemodel drift honest).
+// predictions and runtime agree either way by construction (that
+// symmetry is what keeps timemodel drift honest).
 //
 // --trace-out enables the observability layer and writes the whole run
 // (scheduler spans, per-task engine spans, exchange/storage counter
@@ -62,14 +63,16 @@ struct Profiling {
   std::vector<double> predicted_stage_seconds;
 };
 
-Result<RunStats> execute(workload::Q95EngineJob& job, const cluster::PlacementPlan& plan,
+/// Runs `job` under `plan`, streaming the edges `model` annotates.
+Result<RunStats> execute(workload::Q95EngineJob& job, const JobDag& model,
+                         const cluster::PlacementPlan& plan,
                          cluster::RuntimeMonitor* monitor = nullptr,
                          faults::FaultInjector* injector = nullptr,
-                         const Profiling* profiling = nullptr, bool pipeline = false) {
+                         const Profiling* profiling = nullptr) {
   auto store = storage::make_redis_sim();
   store->set_real_delay_scale(0.01);  // small real delay: latency gap observable
   exec::EngineOptions options;
-  options.pipeline = pipeline;
+  options.stream_edges = workload::pipelined_edges(model);
   if (profiling != nullptr) {
     options.profiles = profiling->profiles;
     options.plan_fingerprint = profiling->fingerprint;
@@ -153,8 +156,9 @@ int main(int argc, char** argv) {
   physics.store = storage::redis_model();
   workload::apply_physics(model_dag, physics);
   if (pipeline) {
-    // Annotate the model only when the engine will actually pipeline,
-    // so predictions and runtime describe the same execution.
+    // The annotation is what makes the engine stream (execute() passes
+    // the annotated edges), so predictions and runtime describe the
+    // same execution.
     const int annotated = workload::pipeline_all_shuffles(model_dag);
     std::printf("pipelining: %d shuffle edges annotated, engine overlap mode on\n\n",
                 annotated);
@@ -192,8 +196,8 @@ int main(int argc, char** argv) {
             predictor.stage_time(s, std::max(1, plan->placement.dop_of(s)), colocated);
       }
     }
-    const auto run = execute(job, plan->placement, observing ? &monitor : nullptr,
-                             injector.get(), &profiling, pipeline);
+    const auto run = execute(job, model_dag, plan->placement, observing ? &monitor : nullptr,
+                             injector.get(), &profiling);
     if (!run.ok()) {
       std::fprintf(stderr, "execution failed: %s\n", run.status().to_string().c_str());
       return 1;

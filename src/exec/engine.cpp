@@ -132,7 +132,7 @@ struct RunState {
   /// safely. Null on a single-core host (kernels then run serially).
   ThreadPool* compute_pool = nullptr;
 
-  /// Edges executing the chunked protocol (EngineOptions::pipeline):
+  /// Edges executing the chunked protocol (EngineOptions::stream_edges):
   /// producers send_chunked(), consumers with a stream_fn pull via
   /// cursors. Empty when pipelining is off.
   std::set<std::pair<StageId, StageId>> stream_edges;
@@ -518,23 +518,23 @@ Result<EngineResult> MiniEngine::run(const std::map<StageId, StageBinding>& bind
 
   const std::vector<StageId> order = topological_order(*dag_);
 
-  // Pipelined shuffle (EngineOptions::pipeline): collect the streaming
-  // edges, then coalesce consecutive topo-order stages connected only
-  // by streaming edges into overlap groups that execute together.
-  // Overlap requires private pools — on a shared multi-job substrate a
-  // blocked streaming consumer could starve the producer feeding it
-  // through the FIFO queue, so with shared pools every stage stays its
-  // own group (classic waves).
-  const bool overlap_enabled = options_.pipeline && options_.pools == nullptr;
+  // Pipelined shuffle (EngineOptions::stream_edges): check the
+  // streaming edges, then coalesce consecutive topo-order stages
+  // connected only by streaming edges into overlap groups that execute
+  // together. Overlap requires private pools — on a shared multi-job
+  // substrate a blocked streaming consumer could starve the producer
+  // feeding it through the FIFO queue.
+  if (!options_.stream_edges.empty() && options_.pools != nullptr) {
+    return Status::invalid_argument("stream_edges need private pools; shared pools run waves");
+  }
   std::set<std::pair<StageId, StageId>> stream_edges;
-  if (overlap_enabled) {
-    std::set<std::pair<StageId, StageId>> wanted(options_.pipeline_edges.begin(),
-                                                 options_.pipeline_edges.end());
-    for (const Edge& e : dag_->edges()) {
-      if (e.exchange != ExchangeKind::kShuffle) continue;
-      if (!wanted.empty() && wanted.count({e.src, e.dst}) == 0) continue;
-      stream_edges.insert({e.src, e.dst});
+  for (const auto& [src, dst] : options_.stream_edges) {
+    const Edge* e = dag_->find_edge(src, dst);
+    if (e == nullptr || e->exchange != ExchangeKind::kShuffle) {
+      return Status::invalid_argument("stream edge " + std::to_string(src) + "->" +
+                                      std::to_string(dst) + " is not a shuffle edge");
     }
+    stream_edges.insert({src, dst});
   }
   // groups[g] = contiguous run of indices into `order`. A stage joins
   // the current group iff it has a parent there and every such parent

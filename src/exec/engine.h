@@ -78,10 +78,10 @@ struct StageBinding {
 
   StageFn fn;
   /// Optional streaming consumer (filter, join probe, ...). Used only
-  /// when EngineOptions::pipeline is on and at least one parent edge
-  /// streams; stages without one gather-on-last-chunk (recv_all) and
-  /// run `fn` unchanged — the right fallback for blocking consumers
-  /// like group-by builds.
+  /// when at least one parent edge is in EngineOptions::stream_edges;
+  /// stages without one gather-on-last-chunk (recv_all) and run `fn`
+  /// unchanged — the right fallback for blocking consumers like
+  /// group-by builds.
   StreamFn stream_fn;
   std::string output_key;                  ///< default shuffle key
   std::map<StageId, std::string> edge_keys;  ///< per-consumer overrides
@@ -148,30 +148,27 @@ struct EngineOptions {
   /// scheduler's time model under the plan's placement. When non-empty
   /// the engine emits `timemodel.drift` histogram samples and
   /// per-stage `timemodel.rel_error` gauges as each wave completes.
-  /// The predictions must be derived from a model whose pipelining
-  /// annotations match `pipeline` below — see
-  /// ExecTimePredictor::set_honor_pipelining.
+  /// The predictions must come from the model whose pipelining
+  /// annotations gave `stream_edges` below.
   std::vector<double> predicted_stage_seconds;
 
-  /// Pipelined shuffle (ROADMAP item 2, paper §4.5): producers on
-  /// shuffle edges publish fixed-size row chunks and downstream tasks
-  /// launch in the same overlap group, starting on the first arrived
-  /// chunk — overlapping upstream compute, transport, and downstream
-  /// compute. Off (default) = classic stage waves with whole-table
-  /// materialization. Requires private pools: when `pools` is set the
-  /// engine silently falls back to waves, because a blocked streaming
-  /// consumer on a shared FIFO pool could starve the producer feeding
-  /// it.
-  bool pipeline = false;
+  /// Pipelined shuffle (paper §4.5): the (producer, consumer) shuffle
+  /// edges that stream. Their producers publish fixed-size row chunks
+  /// and their consumers launch in the same overlap group, starting on
+  /// the first arrived chunk — overlapping upstream compute, transport,
+  /// and downstream compute. Empty (default) = classic stage waves with
+  /// whole-table materialization. Callers pass
+  /// workload::pipelined_edges(model), so the model the scheduler
+  /// planned against and this run describe the same execution. run()
+  /// returns INVALID_ARGUMENT for an entry that is not a shuffle edge
+  /// of the DAG, and for a non-empty list together with `pools`: a
+  /// blocked streaming consumer on a shared FIFO pool could starve the
+  /// producer feeding it.
+  std::vector<std::pair<StageId, StageId>> stream_edges;
 
-  /// Rows per published chunk in pipelined mode (the PR 4 ScatterPlan
+  /// Rows per published chunk on streaming edges (the ScatterPlan
   /// chunk granularity; slices of borrowed columns are zero-copy).
   std::size_t chunk_rows = 64 * 1024;
-
-  /// When non-empty, only these (producer, consumer) shuffle edges
-  /// stream; empty = every shuffle edge streams. Lets callers mirror a
-  /// model annotated with pipeline_edge() on a subset of edges.
-  std::vector<std::pair<StageId, StageId>> pipeline_edges;
 
   /// Non-sink stages whose merged outputs should also be returned in
   /// EngineResult::captured_outputs (the service result cache feeds on

@@ -1,6 +1,6 @@
 #include "exec/serde.h"
 
-#include <atomic>
+#include <cassert>
 #include <cstring>
 
 namespace ditto::exec {
@@ -16,8 +16,6 @@ constexpr std::uint64_t kMagicV2 = 0x444954544f544232ull;  // "DITTOTB2"
 constexpr std::uint64_t kMaxCols = 1'000'000;
 constexpr std::uint64_t kMaxNameLen = 1'000'000;
 constexpr std::uint64_t kMaxRows = 1'000'000'000;
-
-std::atomic<int> g_write_version{2};
 
 std::size_t align8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
@@ -47,24 +45,6 @@ class RawWriter {
   std::size_t pos_ = 0;
 };
 
-std::size_t size_v1(const Table& t) {
-  const std::size_t rows = t.num_rows();
-  std::size_t n = 3 * 8;
-  for (std::size_t c = 0; c < t.num_columns(); ++c) {
-    n += 8 + t.schema()[c].name.size() + 8;
-    switch (t.schema()[c].type) {
-      case DataType::kInt64:
-      case DataType::kDouble:
-        n += rows * 8;
-        break;
-      case DataType::kString:
-        for (const std::string& s : t.column(c).strings()) n += 8 + s.size();
-        break;
-    }
-  }
-  return n;
-}
-
 std::size_t size_v2(const Table& t) {
   const std::size_t rows = t.num_rows();
   std::size_t n = 3 * 8;
@@ -85,38 +65,9 @@ std::size_t size_v2(const Table& t) {
   return n;
 }
 
-void write_v1(const Table& t, RawWriter& w) {
-  w.u64(kMagicV1);
-  w.u64(t.num_columns());
-  w.u64(t.num_rows());
-  for (std::size_t c = 0; c < t.num_columns(); ++c) {
-    const Field& f = t.schema()[c];
-    w.u64(f.name.size());
-    w.bytes(f.name.data(), f.name.size());
-    w.u64(static_cast<std::uint64_t>(f.type));
-    const Column& col = t.column(c);
-    switch (col.type()) {
-      case DataType::kInt64: {
-        const auto v = col.int_span();
-        w.bytes(v.data(), v.size() * sizeof(std::int64_t));
-        break;
-      }
-      case DataType::kDouble: {
-        const auto v = col.double_span();
-        w.bytes(v.data(), v.size() * sizeof(double));
-        break;
-      }
-      case DataType::kString:
-        for (const std::string& s : col.strings()) {
-          w.u64(s.size());
-          w.bytes(s.data(), s.size());
-        }
-        break;
-    }
-  }
-}
-
-void write_v2(const Table& t, RawWriter& w) {
+/// Writes `t` as v2 into `out`, which holds exactly size_v2(t) bytes.
+void write_v2(const Table& t, std::uint8_t* out, std::size_t expect) {
+  RawWriter w(out);
   w.u64(kMagicV2);
   w.u64(t.num_columns());
   w.u64(t.num_rows());
@@ -154,15 +105,6 @@ void write_v2(const Table& t, RawWriter& w) {
         break;
       }
     }
-  }
-}
-
-void write_table(const Table& t, int version, std::uint8_t* out, std::size_t expect) {
-  RawWriter w(out);
-  if (version == 1) {
-    write_v1(t, w);
-  } else {
-    write_v2(t, w);
   }
   assert(w.pos() == expect && "serialized size mismatch");
   (void)expect;
@@ -339,30 +281,17 @@ Result<Table> deserialize_impl(std::string_view bytes, std::shared_ptr<const voi
 
 }  // namespace
 
-int serde_write_version() { return g_write_version.load(std::memory_order_relaxed); }
-
-void set_serde_write_version(int version) {
-  assert((version == 1 || version == 2) && "unknown serde version");
-  g_write_version.store(version == 1 ? 1 : 2, std::memory_order_relaxed);
-}
-
-std::size_t serialized_size(const Table& table) {
-  return serde_write_version() == 1 ? size_v1(table) : size_v2(table);
-}
-
 std::string_view serialize_table_into(const Table& table, SerdeScratch& scratch) {
-  const int version = serde_write_version();
-  const std::size_t n = version == 1 ? size_v1(table) : size_v2(table);
+  const std::size_t n = size_v2(table);
   scratch.bytes.resize(n);  // keeps capacity: steady state reallocates never
-  write_table(table, version, scratch.bytes.data(), n);
+  write_v2(table, scratch.bytes.data(), n);
   return {reinterpret_cast<const char*>(scratch.bytes.data()), n};
 }
 
 shm::Buffer serialize_table(const Table& table) {
-  const int version = serde_write_version();
-  const std::size_t n = version == 1 ? size_v1(table) : size_v2(table);
+  const std::size_t n = size_v2(table);
   std::vector<std::uint8_t> out(n);
-  write_table(table, version, out.data(), n);
+  write_v2(table, out.data(), n);
   return shm::Buffer::adopt(std::move(out));
 }
 

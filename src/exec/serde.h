@@ -3,12 +3,12 @@
 // Intra-server exchange never serializes (Buffer handles move through
 // shared memory); cross-server exchange pays exactly this encode +
 // decode — the cost asymmetry Ditto's grouping exploits. Two wire
-// versions exist:
+// versions are readable; only v2 is written:
 //
 //   v1 ("DITTOTB1", legacy): length-prefixed per string, fixed-width
-//     payloads unaligned. Always readable; writable via the version
-//     knob for compatibility testing.
-//   v2 ("DITTOTB2", default): string columns are one (rows+1) offsets
+//     payloads unaligned. Read so that bytes persisted by older
+//     builds stay loadable.
+//   v2 ("DITTOTB2"): string columns are one (rows+1) offsets
 //     array plus one contiguous bytes blob; fixed-width payloads and
 //     offset arrays are 8-byte aligned relative to the start of the
 //     payload, so a receiver can BORROW them in place (zero-copy
@@ -29,21 +29,12 @@
 
 namespace ditto::exec {
 
-/// Wire version used by serialize_table (1 or 2; default 2). The knob
-/// exists for compatibility tests and for pinning a mixed-version
-/// deployment to the old format; readers accept both regardless.
-int serde_write_version();
-void set_serde_write_version(int version);
-
 /// Reusable serialization scratch: keeps its capacity across tables so
 /// steady-state serialization never reallocates. One scratch per
 /// producer channel (not thread-safe).
 struct SerdeScratch {
   std::vector<std::uint8_t> bytes;
 };
-
-/// Exact encoded size of `table` under the current write version.
-std::size_t serialized_size(const Table& table);
 
 /// Serializes into `scratch` (overwriting it) and returns a view of the
 /// encoded payload. The view is valid until the scratch is next used.

@@ -52,34 +52,40 @@ CriticalPathSection build_critical_path(const JobDag& dag,
   section.total_seconds = spans[cursor].summary.stage_end;
 
   // Walk back through the latest-finishing observed parent at each hop.
-  std::vector<CriticalPathEntry> reversed;
+  std::vector<StageId> chain;
   while (cursor != kNoStage) {
-    const StageSpan& span = spans[cursor];
-    CriticalPathEntry e;
-    e.stage = cursor;
-    e.name = dag.stage(cursor).name();
-    e.tasks = span.summary.tasks;
-    e.start = span.summary.stage_start;
-    e.end = span.summary.stage_end;
-    e.compute_seconds = span.mean_compute;
-    e.transport_seconds = span.mean_transport;
-
+    chain.push_back(cursor);
     StageId gate = kNoStage;
-    double gate_end = 0.0;
     for (StageId p : dag.parents(cursor)) {
       if (!spans[p].observed) continue;
-      if (gate == kNoStage || spans[p].summary.stage_end > gate_end) {
+      if (gate == kNoStage || spans[p].summary.stage_end > spans[gate].summary.stage_end) {
         gate = p;
-        gate_end = spans[p].summary.stage_end;
       }
     }
-    e.queue_seconds = std::max(0.0, e.start - (gate == kNoStage ? 0.0 : gate_end));
-    e.straggler_seconds =
-        std::max(0.0, e.window_seconds() - e.compute_seconds - e.transport_seconds);
-    reversed.push_back(std::move(e));
     cursor = gate;
   }
-  section.entries.assign(reversed.rbegin(), reversed.rend());
+
+  // Source -> sink. A stage pipelined behind its gate starts (and may
+  // end) before the gate ends; only its tail past the gate is on the
+  // path — the rule EngineStats::stage_seconds uses — so the windows
+  // tile the path instead of overlapping.
+  double gate_end = 0.0;
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    const StageSpan& span = spans[*it];
+    CriticalPathEntry e;
+    e.stage = *it;
+    e.name = dag.stage(*it).name();
+    e.tasks = span.summary.tasks;
+    e.queue_seconds = std::max(0.0, span.summary.stage_start - gate_end);
+    e.start = std::max(span.summary.stage_start, gate_end);
+    e.end = std::max(span.summary.stage_end, e.start);
+    e.compute_seconds = span.mean_compute;
+    e.transport_seconds = span.mean_transport;
+    e.straggler_seconds =
+        std::max(0.0, e.window_seconds() - e.compute_seconds - e.transport_seconds);
+    gate_end = e.end;
+    section.entries.push_back(std::move(e));
+  }
 
   for (const CriticalPathEntry& e : section.entries) {
     section.path_seconds += e.queue_seconds + e.window_seconds();

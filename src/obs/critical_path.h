@@ -32,8 +32,11 @@ struct CriticalPathEntry {
   StageId stage = kNoStage;
   std::string name;
   std::size_t tasks = 0;
-  double start = 0.0;  ///< earliest observed task start (s, job clock)
-  double end = 0.0;    ///< latest observed task end
+  /// Earliest and latest observed task times (s, job clock), both
+  /// clamped to the gate parent's end: a pipelined stage's window is
+  /// only its tail past the gate.
+  double start = 0.0;
+  double end = 0.0;
   double queue_seconds = 0.0;
   double compute_seconds = 0.0;
   double transport_seconds = 0.0;

@@ -1,6 +1,7 @@
 #include "service/job_service.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -10,6 +11,7 @@
 #include "obs/trace.h"
 #include "scheduler/ditto_scheduler.h"
 #include "timemodel/predictor.h"
+#include "workload/pipelining.h"
 
 namespace ditto::service {
 namespace {
@@ -39,6 +41,60 @@ std::vector<Bytes> arena_demand(const JobDag& model_dag, const cluster::Placemen
     }
   }
   return demand;
+}
+
+/// Stages feeding a gather edge. Their outputs are never cached for
+/// reuse: gather routes producer task i to consumer task i, and a
+/// replayed producer collapses to a single task.
+std::vector<bool> feeds_gather(const JobDag& dag) {
+  std::vector<bool> out(dag.num_stages(), false);
+  for (const Edge& e : dag.edges()) {
+    if (e.exchange == ExchangeKind::kGather) out[e.src] = true;
+  }
+  return out;
+}
+
+/// A decoded cache entry and the hit it came from.
+struct CachedTable {
+  exec::Table table;
+  ResultCache::Hit hit;
+};
+
+/// Looks up and decodes (id, stage). A corrupt entry is dropped so this
+/// job and later ones run cold; nullopt on a miss or a drop.
+std::optional<CachedTable> decode_cached(ResultCache& cache, const CacheIdentity& id,
+                                         StageId stage) {
+  auto hit = cache.lookup(id, stage);
+  if (!hit.has_value()) return std::nullopt;
+  auto table = exec::deserialize_table(std::string_view(*hit->bytes));
+  if (!table.ok()) {
+    cache.remove(id, stage);
+    return std::nullopt;
+  }
+  return CachedTable{std::move(*table), std::move(*hit)};
+}
+
+/// Serialized sink tables in stage order: the bytes the store's sink
+/// objects and the cache hold.
+using SinkBytes = std::vector<std::pair<StageId, std::shared_ptr<const std::string>>>;
+
+SinkBytes serialize_sinks(const std::map<StageId, exec::Table>& sinks) {
+  SinkBytes out;
+  for (const auto& [stage, table] : sinks) {
+    out.emplace_back(stage,
+                     std::make_shared<const std::string>(exec::serialize_table(table).view()));
+  }
+  return out;
+}
+
+/// Durable answers: one `sinks/<label>/stage-<id>` object per sink,
+/// stopping at the first failed put.
+Status put_sinks(storage::ObjectStore& store, const std::string& label, const SinkBytes& sinks) {
+  for (const auto& [stage, bytes] : sinks) {
+    DITTO_RETURN_IF_ERROR(
+        store.put("sinks/" + label + "/stage-" + std::to_string(stage), *bytes));
+  }
+  return Status::ok();
 }
 
 }  // namespace
@@ -76,18 +132,12 @@ JobService::JobService(cluster::Cluster& cluster, storage::ObjectStore& store,
       options_(std::move(options)),
       ledger_(cluster),
       pools_(slot_widths(cluster)) {
-  if (options_.persist_profiles) {
-    // Best effort: a fresh store simply has no profiles yet, and a
-    // corrupt object must not keep the service from starting.
-    const Status loaded = profiles_.load(*store_, options_.profile_prefix);
-    (void)loaded;
-  }
   if (options_.cache_bytes > 0) {
     cache_ = std::make_unique<ResultCache>(options_.cache_bytes);
     if (options_.persist_cache) {
-      // Same best-effort contract as profiles: a warm cache is an
-      // optimization, never a startup requirement.
-      const Status loaded = cache_->load(*store_, options_.cache_prefix);
+      // Best effort: a fresh store simply has no cache yet, and a warm
+      // cache is an optimization, never a startup requirement.
+      const Status loaded = cache_->load(*store_);
       (void)loaded;
     }
   }
@@ -117,6 +167,11 @@ Result<JobId> JobService::submit(JobSubmission sub) {
     return Status::invalid_argument("model DAG does not match executable DAG (" +
                                     std::to_string(sub.model_dag.num_stages()) + " vs " +
                                     std::to_string(sub.dag.num_stages()) + " stages)");
+  }
+  if (!workload::pipelined_edges(sub.model_dag).empty()) {
+    return Status::invalid_argument(
+        "model DAG carries pipelining annotations, but the service's shared pools run "
+        "waves");
   }
   if (sub.tier != "latency" && sub.tier != "batch") {
     return Status::invalid_argument("bad tier '" + sub.tier + "' (latency|batch)");
@@ -551,30 +606,27 @@ std::size_t JobService::admit_batch_locked() {
     if (!lease.ok()) break;  // cannot happen under mu_; be safe
 
     // Charge the job's modeled shared-memory footprint per server.
-    std::vector<Bytes> charge;
+    std::vector<Bytes> charge = arena_demand(model, plan->placement, cluster_->num_servers());
     bool arena_ok = true;
-    if (options_.account_arena) {
-      charge = arena_demand(model, plan->placement, cluster_->num_servers());
-      for (std::size_t v = 0; v < charge.size(); ++v) {
-        if (charge[v] == 0) continue;
-        const Status st = cluster_->server(v).arena().reserve(charge[v]);
-        if (!st.is_ok()) {
-          // Unwind and either wait for memory or fail permanently.
-          for (std::size_t u = 0; u < v; ++u) {
-            if (charge[u] > 0) cluster_->server(u).arena().release(charge[u]);
-          }
-          const Status released = lease->release();
-          (void)released;
-          if (maximal_offer) {
-            queue_.erase(head_it);
-            note_queue_locked();
-            finish_job_locked(rec, JobState::kFailed, st);
-            state_cv_.notify_all();
-            ++progressed;
-          }
-          arena_ok = false;
-          break;
+    for (std::size_t v = 0; v < charge.size(); ++v) {
+      if (charge[v] == 0) continue;
+      const Status st = cluster_->server(v).arena().reserve(charge[v]);
+      if (!st.is_ok()) {
+        // Unwind and either wait for memory or fail permanently.
+        for (std::size_t u = 0; u < v; ++u) {
+          if (charge[u] > 0) cluster_->server(u).arena().release(charge[u]);
         }
+        const Status released = lease->release();
+        (void)released;
+        if (maximal_offer) {
+          queue_.erase(head_it);
+          note_queue_locked();
+          finish_job_locked(rec, JobState::kFailed, st);
+          state_cv_.notify_all();
+          ++progressed;
+        }
+        arena_ok = false;
+        break;
       }
     }
     if (!arena_ok) {
@@ -610,34 +662,21 @@ std::size_t JobService::admit_batch_locked() {
 bool JobService::try_serve_from_cache_locked(JobRecord& rec) {
   if (cache_ == nullptr || !rec.sub.cache_id.enabled()) return false;
   std::map<StageId, exec::Table> sinks;
-  std::vector<std::pair<StageId, std::shared_ptr<const std::string>>> raw;
+  SinkBytes raw;
   double slot_seconds = 0.0;
   for (StageId s = 0; s < rec.sub.dag.num_stages(); ++s) {
     if (!rec.sub.dag.children(s).empty()) continue;
-    auto hit = cache_->lookup(rec.sub.cache_id, s);
-    if (!hit.has_value()) return false;
-    auto table = exec::deserialize_table(std::string_view(*hit->bytes));
-    if (!table.ok()) {
-      // Corrupt entry: drop it so the job (and future ones) run cold.
-      cache_->remove(rec.sub.cache_id, s);
-      return false;
-    }
-    sinks.emplace(s, std::move(*table));
-    raw.emplace_back(s, hit->bytes);
-    slot_seconds = std::max(slot_seconds, hit->slot_seconds);
+    auto cached = decode_cached(*cache_, rec.sub.cache_id, s);
+    if (!cached.has_value()) return false;
+    sinks.emplace(s, std::move(cached->table));
+    raw.emplace_back(s, cached->hit.bytes);
+    slot_seconds = std::max(slot_seconds, cached->hit.slot_seconds);
   }
   if (sinks.empty()) return false;
-  if (options_.persist_sinks) {
-    // Durability first: a hit must leave the same on-store sink bytes a
-    // cold run would, or recovery's convergence contract breaks. On
-    // failure the job runs normally instead.
-    for (const auto& [stage, bytes] : raw) {
-      const Status st = store_->put(options_.sink_prefix + "/" + rec.sub.label + "/stage-" +
-                                        std::to_string(stage),
-                                    *bytes);
-      if (!st.is_ok()) return false;
-    }
-  }
+  // Durability first: a hit must leave the same on-store sink bytes a
+  // cold run would, or recovery's convergence contract breaks. On
+  // failure the job runs normally instead.
+  if (options_.persist_sinks && !put_sinks(*store_, rec.sub.label, raw).is_ok()) return false;
   rec.admitted = now();
   rec.started = rec.admitted;
   rec.sinks = std::move(sinks);
@@ -663,13 +702,7 @@ void JobService::build_pruned_run_locked(JobRecord& rec) {
     }
   };
 
-  // Stages feeding a gather edge are never reused: gather routes
-  // producer task i to consumer task i, and a replayed producer
-  // collapses to a single task.
-  std::vector<bool> gather_out(dag.num_stages(), false);
-  for (const Edge& e : dag.edges()) {
-    if (e.exchange == ExchangeKind::kGather) gather_out[e.src] = true;
-  }
+  const std::vector<bool> gather_out = feeds_gather(dag);
   std::vector<bool> completed(dag.num_stages(), false);
   std::size_t ncomp = 0;
   for (StageId s = 0; s < dag.num_stages(); ++s) {
@@ -716,22 +749,16 @@ void JobService::build_pruned_run_locked(JobRecord& rec) {
     const auto ob = rec.sub.bindings.find(old);
     exec::StageBinding b;
     if (pr->is_replay[ns]) {
-      auto hit = cache_->lookup(rec.sub.cache_id, old);
-      if (!hit.has_value()) {  // raced an eviction: give up pruning
+      auto cached = decode_cached(*cache_, rec.sub.cache_id, old);
+      if (!cached.has_value()) {  // raced an eviction: give up pruning
         miss();
         return;
       }
-      auto table = exec::deserialize_table(std::string_view(*hit->bytes));
-      if (!table.ok()) {
-        cache_->remove(rec.sub.cache_id, old);
-        miss();
-        return;
-      }
-      hit_slot_seconds = std::max(hit_slot_seconds, hit->slot_seconds);
+      hit_slot_seconds = std::max(hit_slot_seconds, cached->hit.slot_seconds);
       // Replay source: task 0 emits the cached table, the rest emit a
       // schema-preserving empty slice. The stable scatter then
       // reproduces the cold run's partitions byte-for-byte.
-      auto shared = std::make_shared<exec::Table>(std::move(*table));
+      auto shared = std::make_shared<exec::Table>(std::move(cached->table));
       b.fn = [shared](int task, int, const std::vector<exec::Table>&) -> Result<exec::Table> {
         if (task == 0) return *shared;
         return shared->slice(0, 0);
@@ -752,19 +779,13 @@ void JobService::build_pruned_run_locked(JobRecord& rec) {
   // them now and merge into the outcome after the run.
   for (StageId s = 0; s < dag.num_stages(); ++s) {
     if (!completed[s] || !dag.children(s).empty()) continue;
-    auto hit = cache_->lookup(rec.sub.cache_id, s);
-    if (!hit.has_value()) {
+    auto cached = decode_cached(*cache_, rec.sub.cache_id, s);
+    if (!cached.has_value()) {
       miss();
       return;
     }
-    auto table = exec::deserialize_table(std::string_view(*hit->bytes));
-    if (!table.ok()) {
-      cache_->remove(rec.sub.cache_id, s);
-      miss();
-      return;
-    }
-    hit_slot_seconds = std::max(hit_slot_seconds, hit->slot_seconds);
-    pr->cached_sinks.emplace(s, std::move(*table));
+    hit_slot_seconds = std::max(hit_slot_seconds, cached->hit.slot_seconds);
+    pr->cached_sinks.emplace(s, std::move(cached->table));
   }
 
   // Surviving non-sink stages are re-captured so a later identical
@@ -822,33 +843,22 @@ void JobService::run_job(JobRecord* rec) {
       const Status journaled = options_.journal->append_start(rec->jid, rec->epoch);
       (void)journaled;  // best effort: a lost START degrades to resubmit
     }
-    if (options_.profiling) {
-      opts.profiles = &profiles_;
-      opts.plan_fingerprint = structural_fingerprint(run_model);
-      ExecTimePredictor predictor(run_model);
-      // The service engine materializes every exchange (shared pools
-      // force wave mode), so predictions must ignore any pipelining
-      // annotations on the model — otherwise the model credits an
-      // overlap the runtime never delivers and timemodel.rel_error is
-      // inflated on every annotated shuffle stage.
-      predictor.set_honor_pipelining(false);
-      const ColocatedFn colocated = rec->plan.colocated_fn();
-      opts.predicted_stage_seconds.resize(run_model.num_stages(), 0.0);
-      for (StageId s = 0; s < run_model.num_stages(); ++s) {
-        opts.predicted_stage_seconds[s] =
-            predictor.stage_time(s, std::max(1, rec->plan.dop_of(s)), colocated);
-      }
+    opts.profiles = &profiles_;
+    opts.plan_fingerprint = structural_fingerprint(run_model);
+    const ExecTimePredictor predictor(run_model);
+    const ColocatedFn colocated = rec->plan.colocated_fn();
+    opts.predicted_stage_seconds.resize(run_model.num_stages(), 0.0);
+    for (StageId s = 0; s < run_model.num_stages(); ++s) {
+      opts.predicted_stage_seconds[s] =
+          predictor.stage_time(s, std::max(1, rec->plan.dop_of(s)), colocated);
     }
     if (cache_on) {
-      // Capture intermediate outputs for the cache. Stages feeding a
-      // gather edge are excluded (their outputs cannot be replayed).
+      // Capture intermediate outputs for the cache, except stages
+      // feeding a gather edge (their outputs cannot be replayed).
       if (pruned != nullptr) {
         opts.capture_stages = pruned->capture_stages;
       } else {
-        std::vector<bool> gather_out(run_dag.num_stages(), false);
-        for (const Edge& e : run_dag.edges()) {
-          if (e.exchange == ExchangeKind::kGather) gather_out[e.src] = true;
-        }
+        const std::vector<bool> gather_out = feeds_gather(run_dag);
         for (StageId s = 0; s < run_dag.num_stages(); ++s) {
           if (run_dag.children(s).empty() || gather_out[s]) continue;
           opts.capture_stages.push_back(s);
@@ -888,14 +898,12 @@ void JobService::run_job(JobRecord* rec) {
   // journaled, so "journal says DONE" implies the bytes survived. Done
   // outside mu_ — serialization and the put can be slow.
   Status persist_st = Status::ok();
+  SinkBytes sink_bytes;
+  if (result.ok() && (options_.persist_sinks || cache_on)) {
+    sink_bytes = serialize_sinks(result->sink_outputs);
+  }
   if (result.ok() && options_.persist_sinks) {
-    for (const auto& [stage, table] : result->sink_outputs) {
-      const shm::Buffer bytes = exec::serialize_table(table);
-      persist_st = store_->put(
-          options_.sink_prefix + "/" + rec->sub.label + "/stage-" + std::to_string(stage),
-          bytes.view());
-      if (!persist_st.is_ok()) break;
-    }
+    persist_st = put_sinks(*store_, rec->sub.label, sink_bytes);
   }
 
   // Feed the cache (outside mu_ — serialization can be slow; the cache
@@ -906,9 +914,8 @@ void JobService::run_job(JobRecord* rec) {
     int slots = 0;
     for (const auto& row : rec->plan.task_server) slots += static_cast<int>(row.size());
     const double slot_secs = static_cast<double>(slots) * result->stats.wall_seconds;
-    for (const auto& [stage, table] : result->sink_outputs) {
-      const shm::Buffer bytes = exec::serialize_table(table);
-      cache_->insert(rec->sub.cache_id, stage, std::string(bytes.view()), slot_secs);
+    for (const auto& [stage, bytes] : sink_bytes) {
+      cache_->insert(rec->sub.cache_id, stage, *bytes, slot_secs);
     }
     for (const auto& [stage, table] : result->captured_outputs) {
       const shm::Buffer bytes = exec::serialize_table(table);
@@ -970,16 +977,11 @@ void JobService::run_job(JobRecord* rec) {
   // slots.
   state_cv_.notify_all();
   dispatch_cv_.notify_all();
-  if (options_.profiling && options_.persist_profiles) {
-    // Outside mu_: the profile store has its own lock and the object
-    // store is thread-safe. Persistence is best effort.
-    const Status saved = profiles_.save(*store_, options_.profile_prefix);
-    (void)saved;
-  }
   if (cache_ != nullptr && options_.persist_cache) {
-    // Best effort, same as profiles: a torn save degrades to skipped
-    // entries at the next load, never to wrong answers.
-    const Status saved = cache_->save(*store_, options_.cache_prefix);
+    // Outside mu_: the cache has its own lock and the object store is
+    // thread-safe. Best effort: a torn save degrades to skipped entries
+    // at the next load, never to wrong answers.
+    const Status saved = cache_->save(*store_);
     (void)saved;
   }
   {
@@ -1045,16 +1047,9 @@ void JobService::resolve_followers_locked(JobRecord& rec) {
       // The follower owes the store the same sink bytes a solo run
       // would have written (tables are miniature; the puts are cheap
       // enough to hold mu_ across).
-      Status persist_st = Status::ok();
-      if (options_.persist_sinks) {
-        for (const auto& [stage, table] : f.sinks) {
-          const shm::Buffer bytes = exec::serialize_table(table);
-          persist_st = store_->put(options_.sink_prefix + "/" + f.sub.label + "/stage-" +
-                                       std::to_string(stage),
-                                   bytes.view());
-          if (!persist_st.is_ok()) break;
-        }
-      }
+      const Status persist_st = options_.persist_sinks
+                                    ? put_sinks(*store_, f.sub.label, serialize_sinks(f.sinks))
+                                    : Status::ok();
       if (mx.enabled()) mx.counter("service.dedup_served", {{"tier", f.sub.tier}}).add();
       if (persist_st.is_ok()) {
         finish_job_locked(f, JobState::kDone, Status::ok());

@@ -76,7 +76,10 @@ struct JobSubmission {
 
   /// Scheduling side: the same DAG annotated with data volumes and
   /// physics-instantiated step models (see workload::apply_physics) —
-  /// what the Ditto scheduler plans against.
+  /// what the Ditto scheduler plans against. It must carry no
+  /// pipelining annotations: the service's shared pools run waves, so
+  /// submit() rejects an annotated model with INVALID_ARGUMENT rather
+  /// than plan an overlap that never happens.
   JobDag model_dag;
 
   Objective objective = Objective::kJct;
@@ -180,18 +183,6 @@ struct ServiceOptions {
   AdmissionOptions admission;
   /// Storage model the scheduler prices non-co-located shuffles with.
   storage::StorageModel external;
-  /// Charge per-job arena bytes from model-DAG volumes (on by default;
-  /// off lets tests isolate slot accounting).
-  bool account_arena = true;
-  /// Record every winning task attempt into the service's
-  /// StageProfileStore keyed by the model DAG's structural fingerprint,
-  /// and emit timemodel drift metrics per wave (paper §6.5 loop).
-  bool profiling = true;
-  /// Preload profiles from the shared ObjectStore at construction and
-  /// persist them after each completed job, so recurring submissions
-  /// accumulate history across service lifetimes.
-  bool persist_profiles = false;
-  std::string profile_prefix = "profiles";
   /// Bounded admission queue: submissions beyond this depth are
   /// fast-rejected RESOURCE_EXHAUSTED — except that a latency-tier
   /// arrival sheds the newest queued batch-tier job instead of being
@@ -207,23 +198,21 @@ struct ServiceOptions {
   /// SUBMIT would lose the job; later transitions are best-effort.
   JobJournal* journal = nullptr;
   /// Persist each completed job's serialized sink tables to the shared
-  /// store under `<sink_prefix>/<label>/stage-<id>` BEFORE the FINISH
+  /// store under `sinks/<label>/stage-<id>` BEFORE the FINISH
   /// transition is journaled — so a journal that says DONE implies the
   /// answer bytes are durable. A failed persist fails (or retries) the
   /// job rather than completing it with volatile results.
   bool persist_sinks = false;
-  std::string sink_prefix = "sinks";
   /// Result cache byte budget (ROADMAP item 4). 0 disables caching,
   /// stage reuse, and in-flight dedupe — the default, so existing
   /// embedders opt in explicitly (dittoctl serve turns it on via the
   /// spec's `cache_bytes=`). Jobs additionally opt in per submission
   /// through JobSubmission::cache_id.
   Bytes cache_bytes = 0;
-  /// Preload the cache from the shared store at construction and
-  /// persist it after each completed job (the profile-store pattern),
-  /// so `--state`/`--recover` restarts keep the cache warm.
+  /// Preload the cache from the shared store's `cache/` objects at
+  /// construction and persist it there after each completed job, so
+  /// `--state`/`--recover` restarts keep the cache warm.
   bool persist_cache = false;
-  std::string cache_prefix = "cache";
 };
 
 class JobService {
@@ -239,7 +228,9 @@ class JobService {
   JobService(const JobService&) = delete;
   JobService& operator=(const JobService&) = delete;
 
-  /// Queue a job. FAILED_PRECONDITION after drain()/destruction began.
+  /// Queue a job. FAILED_PRECONDITION after drain()/destruction began;
+  /// INVALID_ARGUMENT for a malformed submission (including a
+  /// pipelining-annotated model_dag), which leaves no job record.
   Result<JobId> submit(JobSubmission sub);
 
   /// Cancel a queued or running job. Terminal jobs (and unknown ids)
@@ -252,8 +243,8 @@ class JobService {
   Result<JobOutcome> wait(JobId id);
 
   /// Close intake, wait for every job to reach a terminal state and
-  /// finish its best-effort profile/cache saves, and return all
-  /// outcomes ordered by id. Idempotent.
+  /// finish its best-effort cache save, and return all outcomes
+  /// ordered by id. Idempotent.
   std::vector<JobOutcome> drain();
 
   ServiceSummary summary() const;
@@ -275,8 +266,9 @@ class JobService {
   };
   std::vector<JobSnapshotRow> jobs_snapshot() const;
 
-  /// The per-(fingerprint, stage, DoP) execution history recorded by
-  /// completed runs (empty while ServiceOptions::profiling is off).
+  /// The per-(fingerprint, stage, DoP) execution history: every
+  /// winning task attempt of every run, keyed by the model DAG's
+  /// structural fingerprint (paper §6.5 loop). In memory only.
   const obs::StageProfileStore& profiles() const { return profiles_; }
   obs::StageProfileStore& profiles() { return profiles_; }
 
@@ -403,7 +395,7 @@ class JobService {
   bool stop_dispatcher_ = false;
   std::vector<JobId> finished_unjoined_;  ///< runners awaiting join
   /// Runners past their terminal transition still doing the
-  /// best-effort profile/cache saves; drain() waits for them.
+  /// best-effort cache save; drain() waits for them.
   int runners_saving_ = 0;
 
   // Summary accounting (guarded by mu_).

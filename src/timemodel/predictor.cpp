@@ -23,9 +23,7 @@ bool ExecTimePredictor::step_is_zero_copy(StageId s, const Step& step,
 StepModel ExecTimePredictor::stage_model(StageId s, const ColocatedFn& colocated) const {
   StepModel m;
   for (const Step& step : dag_->stage(s).steps()) {
-    // Overlapped with the producer (paper §4.5) — but only when the
-    // runtime actually pipelines; see set_honor_pipelining.
-    if (step.pipelined && honor_pipelining_) continue;
+    if (step.pipelined) continue;  // overlapped with the producer (paper §4.5)
     if (step_is_zero_copy(s, step, colocated)) continue;  // alpha = beta = 0
     m.alpha += step.alpha;
     m.beta += step.beta;
@@ -44,7 +42,7 @@ double ExecTimePredictor::kind_time(StageId s, int dop, StepKind kind,
   assert(dop >= 1);
   StepModel m;
   for (const Step& step : dag_->stage(s).steps()) {
-    if (step.kind != kind || (step.pipelined && honor_pipelining_)) continue;
+    if (step.kind != kind || step.pipelined) continue;
     if (step_is_zero_copy(s, step, colocated)) continue;
     m.alpha += step.alpha;
     m.beta += step.beta;

@@ -52,16 +52,6 @@ class ExecTimePredictor {
   void set_straggler_factor(StageId s, double factor);
   double straggler_factor(StageId s) const;
 
-  /// Whether pipelining annotations (Step::pipelined, paper §4.5) are
-  /// honored — i.e. pipelined read steps are skipped because the
-  /// runtime overlaps them with the upstream write. Default true.
-  /// Callers predicting for an engine that MATERIALIZES every exchange
-  /// (EngineOptions::pipeline off) must set this false, or the model
-  /// credits an overlap the runtime never delivers and every drift
-  /// metric downstream of the prediction is inflated.
-  void set_honor_pipelining(bool honor) { honor_pipelining_ = honor; }
-  bool honor_pipelining() const { return honor_pipelining_; }
-
   /// Predicted cost of a stage (Eq. 5 product): M(s, d) * T(s, d, P)
   /// with M(s, d) = rho + sigma * d.
   double stage_cost(StageId s, int dop, const ColocatedFn& colocated) const;
@@ -88,7 +78,6 @@ class ExecTimePredictor {
 
   const JobDag* dag_;
   std::vector<double> straggler_;  // indexed by StageId; empty entries = 1.0
-  bool honor_pipelining_ = true;
 };
 
 }  // namespace ditto

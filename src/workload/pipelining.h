@@ -29,7 +29,9 @@ bool pipeline_edge(JobDag& dag, StageId src, StageId dst);
 /// number of edges annotated.
 int pipeline_all_shuffles(JobDag& dag);
 
-/// Edges currently annotated as pipelined.
+/// Edges currently annotated as pipelined: what a caller passes as
+/// exec::EngineOptions::stream_edges, so the engine streams exactly
+/// the edges the model credits.
 std::vector<std::pair<StageId, StageId>> pipelined_edges(const JobDag& dag);
 
 }  // namespace ditto::workload

@@ -1,4 +1,4 @@
-// Pipelined engine mode (EngineOptions::pipeline, paper §4.5): the
+// Pipelined engine mode (EngineOptions::stream_edges, paper §4.5): the
 // wave loop fuses stages connected by streaming shuffle edges into
 // overlap groups, producers publish chunk streams and consumers start
 // on the first arrived chunk. These tests pin the two promises the
@@ -40,21 +40,21 @@ std::string sink_bytes(const EngineResult& result, StageId sink) {
   return std::string(buf.view());
 }
 
-/// scan -> (shuffle) filter -> (shuffle) agg: the middle stage streams
+/// scan -> (shuffle) filter -> (`tail`) agg: the middle stage streams
 /// (filter is order-preserving), the last gathers-on-last-chunk
-/// (group-by is blocking). Both shuffle edges are annotated.
+/// (group-by is blocking). Pipelined runs stream both shuffle edges.
 struct PipeJob {
   JobDag dag{"pipe"};
   StageId scan, filt, agg;
   Table fact;
   cluster::PlacementPlan plan;
 
-  PipeJob() {
+  explicit PipeJob(ExchangeKind tail = ExchangeKind::kShuffle) {
     scan = dag.add_stage("scan");
     filt = dag.add_stage("filter");
     agg = dag.add_stage("agg");
     EXPECT_TRUE(dag.add_edge(scan, filt, ExchangeKind::kShuffle).is_ok());
-    EXPECT_TRUE(dag.add_edge(filt, agg, ExchangeKind::kShuffle).is_ok());
+    EXPECT_TRUE(dag.add_edge(filt, agg, tail).is_ok());
     fact = gen_fact_table({.rows = 60000, .num_warehouses = 16, .seed = 21});
     plan = plan_for({2, 2, 2}, {{0, 1}, {0, 1}, {1, 0}});
   }
@@ -89,7 +89,7 @@ Result<EngineResult> run_job(const PipeJob& job, bool pipeline,
                              std::size_t chunk_rows = 4096) {
   auto store = storage::make_instant_store();
   EngineOptions options;
-  options.pipeline = pipeline;
+  if (pipeline) options.stream_edges = {{job.scan, job.filt}, {job.filt, job.agg}};
   options.chunk_rows = chunk_rows;
   MiniEngine engine(job.dag, job.plan, *store, options);
   return engine.run(job.bindings());
@@ -122,22 +122,35 @@ TEST(EnginePipelineTest, ChunkSizeDoesNotChangeResults) {
   }
 }
 
-TEST(EnginePipelineTest, SharedPoolsFallBackToWavesCorrectly) {
-  // Shared pools (the multi-job service) force classic waves even with
-  // the flag on — results must be identical either way.
+TEST(EnginePipelineTest, SharedPoolsRejectStreamEdges) {
+  // Shared pools (the multi-job service) run classic waves: asking
+  // them to stream is an error, not a silent fallback to waves.
   const PipeJob job;
-  const auto base = run_job(job, false);
-  ASSERT_TRUE(base.ok());
-
   auto store = storage::make_instant_store();
   ServerPools pools({8, 8});
   EngineOptions options;
-  options.pipeline = true;
+  options.stream_edges = {{job.scan, job.filt}};
   options.pools = &pools;
   MiniEngine engine(job.dag, job.plan, *store, options);
   const auto shared = engine.run(job.bindings());
-  ASSERT_TRUE(shared.ok()) << shared.status().to_string();
-  EXPECT_EQ(sink_bytes(*shared, job.agg), sink_bytes(*base, job.agg));
+  ASSERT_FALSE(shared.ok());
+  EXPECT_EQ(shared.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EnginePipelineTest, NonShuffleStreamEdgeIsRejected) {
+  // Only shuffle edges stream; a listed gather edge, or a pair that is
+  // no edge at all, is an error instead of being silently ignored.
+  const PipeJob job(ExchangeKind::kGather);
+  for (const auto& edge :
+       {std::pair{job.filt, job.agg}, std::pair{job.scan, job.agg}}) {
+    auto store = storage::make_instant_store();
+    EngineOptions options;
+    options.stream_edges = {{job.scan, job.filt}, edge};
+    MiniEngine engine(job.dag, job.plan, *store, options);
+    const auto result = engine.run(job.bindings());
+    ASSERT_FALSE(result.ok()) << edge.first << "->" << edge.second;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(EnginePipelineTest, FaultStormPreservesByteIdentity) {
@@ -157,12 +170,11 @@ TEST(EnginePipelineTest, FaultStormPreservesByteIdentity) {
   auto store = storage::make_instant_store();
   faults::FlakyStore flaky(*store, injector);
   EngineOptions options;
-  options.pipeline = true;
   options.chunk_rows = 4096;
   // Stream only scan->filter: the agg stage then starts at a group
   // boundary, which is where the injector's server loss fires — the
   // recovery path must re-drive the lost chunk streams from chunk 0.
-  options.pipeline_edges = {{job.scan, job.filt}};
+  options.stream_edges = {{job.scan, job.filt}};
   options.injector = &injector;
   options.resilience.speculation_factor = 2.0;
   options.resilience.speculation_min_wait = 0.01;
@@ -269,7 +281,7 @@ TEST(EnginePipelineTest, OverlapShrinksObservedStageTimeTowardPrediction) {
     auto inner = storage::make_instant_store();
     SlowPutStore store(*inner, OverlapJob::kStep);
     EngineOptions options;
-    options.pipeline = pipeline;
+    if (pipeline) options.stream_edges = {{job.src, job.dst}};
     options.chunk_rows = 100;  // 600 rows -> 6 chunks
     MiniEngine engine(job.dag, job.plan, store, options);
     auto result = engine.run(job.bindings());

@@ -8,15 +8,15 @@
 #include <gtest/gtest.h>
 
 #include "exec/serde.h"
+#include "support/serde_v1.h"
 
 namespace ditto::exec {
 namespace {
 
-/// Restores the process-wide write version on scope exit so corpus
-/// loops over both versions cannot leak state into other tests.
-struct VersionGuard {
-  ~VersionGuard() { set_serde_write_version(2); }
-};
+/// Serializes in wire version 1 (the legacy writer) or 2 (the engine's).
+shm::Buffer serialize_as(int version, const Table& t) {
+  return version == 1 ? serialize_table_v1(t) : serialize_table(t);
+}
 
 Table must_make(Schema schema, std::vector<Column> cols) {
   auto t = Table::make(std::move(schema), std::move(cols));
@@ -58,11 +58,9 @@ void expect_clean_parse(std::string_view bytes) {
 }
 
 TEST(SerdeCorruptionTest, RoundTripBothVersions) {
-  VersionGuard guard;
   for (int version : {1, 2}) {
-    set_serde_write_version(version);
     for (const Table& t : corpus()) {
-      const shm::Buffer bytes = serialize_table(t);
+      const shm::Buffer bytes = serialize_as(version, t);
       const auto back = deserialize_table(bytes.view());
       ASSERT_TRUE(back.ok()) << "version " << version << ": " << back.status().to_string();
       EXPECT_EQ(*back, t) << "version " << version;
@@ -75,11 +73,9 @@ TEST(SerdeCorruptionTest, RoundTripBothVersions) {
 }
 
 TEST(SerdeCorruptionTest, TruncationAtEveryOffsetFailsCleanly) {
-  VersionGuard guard;
   for (int version : {1, 2}) {
-    set_serde_write_version(version);
     for (const Table& t : corpus()) {
-      const std::string full(serialize_table(t).view());
+      const std::string full(serialize_as(version, t).view());
       for (std::size_t len = 0; len < full.size(); ++len) {
         const Result<Table> r = deserialize_table(std::string_view(full.data(), len));
         EXPECT_FALSE(r.ok()) << "version " << version << " accepted a " << len
@@ -90,11 +86,9 @@ TEST(SerdeCorruptionTest, TruncationAtEveryOffsetFailsCleanly) {
 }
 
 TEST(SerdeCorruptionTest, BitFlipSweepNeverCrashes) {
-  VersionGuard guard;
   for (int version : {1, 2}) {
-    set_serde_write_version(version);
     for (const Table& t : corpus()) {
-      const std::string full(serialize_table(t).view());
+      const std::string full(serialize_as(version, t).view());
       for (std::size_t pos = 0; pos < full.size(); ++pos) {
         for (unsigned char mask : {0x01, 0x80, 0xff}) {
           std::string mutated = full;
@@ -120,23 +114,18 @@ TEST(SerdeCorruptionTest, ImplausibleHeadersRejectedBeforeAllocation) {
 }
 
 TEST(SerdeCorruptionTest, TrailingBytesRejected) {
-  VersionGuard guard;
   for (int version : {1, 2}) {
-    set_serde_write_version(version);
-    std::string padded(serialize_table(table_of_ints({{"a", {1, 2, 3}}})).view());
+    std::string padded(serialize_as(version, table_of_ints({{"a", {1, 2, 3}}})).view());
     padded.push_back('\0');
     EXPECT_FALSE(deserialize_table(std::string_view(padded)).ok());
   }
 }
 
 TEST(SerdeCorruptionTest, V1PayloadsStillReadable) {
-  VersionGuard guard;
   for (const Table& t : corpus()) {
-    set_serde_write_version(1);
-    const std::string v1_bytes(serialize_table(t).view());
+    const std::string v1_bytes(serialize_table_v1(t).view());
     // v1 writes are stable: re-serializing produces identical bytes.
-    EXPECT_EQ(std::string(serialize_table(t).view()), v1_bytes);
-    set_serde_write_version(2);
+    EXPECT_EQ(std::string(serialize_table_v1(t).view()), v1_bytes);
     const auto back = deserialize_table(std::string_view(v1_bytes));
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, t);

@@ -12,6 +12,7 @@
 #include "sim/sim_runner.h"
 #include "storage/sim_store.h"
 #include "workload/physics.h"
+#include "workload/pipelining.h"
 #include "workload/q95_engine.h"
 
 namespace ditto {
@@ -72,18 +73,23 @@ TEST(Q95EngineTest, DistributedMatchesReferenceAcrossPlacements) {
 }
 
 TEST(Q95EngineTest, PipelinedExecutionMatchesReference) {
-  // Q95 with chunked pipelined shuffles: the join stages stream their
-  // probe sides (stream_fn bindings), the group-by gathers on last
-  // chunk — the answer must match the reference exactly, and the
-  // chunked protocol must actually engage.
+  // Q95 with chunked pipelined shuffles, streaming the edges of a
+  // model annotated with pipeline_all_shuffles(): the join stages
+  // stream their probe sides (stream_fn bindings), the group-by
+  // gathers on last chunk — the answer must match the reference
+  // exactly, and the chunked protocol must actually engage.
   const Q95EngineSpec spec = small_spec();
   Q95EngineJob job = build_q95_engine_job(spec);
   const auto expected = q95_reference(job, spec);
+  workload::annotate_q95_volumes(job);
+  JobDag model = job.dag;
+  workload::apply_physics(model, workload::PhysicsParams{});
+  ASSERT_GT(workload::pipeline_all_shuffles(model), 0);
 
   auto store = storage::make_instant_store();
   const auto plan = uniform_plan(job.dag, /*dop=*/3, /*servers=*/3);
   exec::EngineOptions options;
-  options.pipeline = true;
+  options.stream_edges = workload::pipelined_edges(model);
   options.chunk_rows = 1024;  // small chunks so every stage streams several
   exec::MiniEngine engine(job.dag, plan, *store, options);
   const auto result = engine.run(job.bindings);

@@ -1,11 +1,17 @@
 // Critical-path attribution over synthetic RuntimeMonitor records:
 // path selection (latest-finishing parents), queue/compute/transport/
-// straggler attribution, and the Perfetto track export.
+// straggler attribution, and the Perfetto track export. One real Q95
+// engine run per mode checks the path fits in the JCT.
 #include "obs/critical_path.h"
 
 #include <gtest/gtest.h>
 
 #include "dag/dag_builder.h"
+#include "exec/engine.h"
+#include "storage/sim_store.h"
+#include "workload/physics.h"
+#include "workload/pipelining.h"
+#include "workload/q95_engine.h"
 
 namespace ditto::obs {
 namespace {
@@ -75,6 +81,62 @@ TEST(CriticalPathTest, FollowsLatestFinishingParent) {
   // path = sum of queue + window along the chain.
   EXPECT_NEAR(section.path_seconds, 2.0 + (0.5 + 1.5) + 1.0, 1e-12);
   EXPECT_NEAR(section.queue_seconds, 0.5, 1e-12);
+}
+
+TEST(CriticalPathTest, PipelinedStageIsChargedOnlyItsTailPastTheGate) {
+  const JobDag dag = diamond();
+  cluster::RuntimeMonitor monitor;
+  // Pipelined: join starts on scan_b's first chunk (0.2) and sink on
+  // join's (0.4), long before their gates end.
+  monitor.record(record(0, 0, 0.0, 1.0, 0.0, 0.9, 0.0));
+  monitor.record(record(1, 0, 0.0, 2.0, 0.0, 1.8, 0.0));
+  monitor.record(record(2, 0, 0.2, 2.5, 0.0, 2.0, 0.0));
+  monitor.record(record(3, 0, 0.4, 3.0, 0.0, 2.5, 0.0));
+
+  const CriticalPathSection section = build_critical_path(dag, monitor);
+  ASSERT_EQ(section.entries.size(), 3u);
+  EXPECT_DOUBLE_EQ(section.entries[1].start, 2.0);  // clamped to scan_b's end
+  EXPECT_DOUBLE_EQ(section.entries[2].start, 2.5);  // clamped to join's end
+  for (const CriticalPathEntry& e : section.entries) EXPECT_EQ(e.queue_seconds, 0.0);
+  // The windows tile the job instead of overlapping: 2.0 + 0.5 + 0.5.
+  EXPECT_NEAR(section.path_seconds, 3.0, 1e-12);
+  EXPECT_LE(section.path_seconds, section.total_seconds + 1e-12);
+}
+
+TEST(CriticalPathTest, EnginePathFitsInJctInWavesAndPipelinedRuns) {
+  workload::Q95EngineSpec spec;
+  spec.sales_rows = 20000;
+  spec.num_orders = 3000;
+  workload::Q95EngineJob job = workload::build_q95_engine_job(spec);
+  workload::annotate_q95_volumes(job);
+  JobDag piped = job.dag;
+  workload::apply_physics(piped, workload::PhysicsParams{});
+  ASSERT_GT(workload::pipeline_all_shuffles(piped), 0);
+
+  cluster::PlacementPlan plan;
+  plan.dop.assign(job.dag.num_stages(), 3);
+  plan.task_server.assign(job.dag.num_stages(), {0, 1, 2});
+  for (const bool pipeline : {false, true}) {
+    auto store = storage::make_instant_store();
+    exec::EngineOptions options;
+    if (pipeline) options.stream_edges = workload::pipelined_edges(piped);
+    options.chunk_rows = 1024;
+    exec::MiniEngine engine(job.dag, plan, *store, options);
+    cluster::RuntimeMonitor monitor;
+    const auto result = engine.run(job.bindings, &monitor);
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+
+    const CriticalPathSection section = build_critical_path(job.dag, monitor);
+    ASSERT_FALSE(section.empty());
+    EXPECT_LE(section.path_seconds, section.total_seconds + 1e-9) << "pipeline " << pipeline;
+    if (!pipeline) {
+      // Waves: every stage starts after its gate ends, so each window
+      // is the stage's observed span, as before the overlap clamp.
+      for (const CriticalPathEntry& e : section.entries) {
+        EXPECT_EQ(e.start, monitor.stage_summary(e.stage).stage_start) << e.name;
+      }
+    }
+  }
 }
 
 TEST(CriticalPathTest, StragglerIsWindowBeyondMeanTask) {

@@ -14,6 +14,7 @@
 #include "obs/trace.h"
 #include "storage/sim_store.h"
 #include "workload/physics.h"
+#include "workload/pipelining.h"
 
 namespace ditto::service {
 namespace {
@@ -100,6 +101,34 @@ TEST(JobServiceTest, ValidatesSubmissions) {
   mismatched.model_dag = JobDag("other");
   mismatched.model_dag.add_stage("only");
   EXPECT_FALSE(svc.submit(std::move(mismatched)).ok());
+}
+
+TEST(JobServiceTest, RejectsPipeliningAnnotatedModelWithoutARecord) {
+  // The shared pools run waves, so a model promising a pipelined
+  // overlap would plan an execution that never happens: submit rejects
+  // it before any id, queue entry or journal record exists.
+  auto cl = cluster::Cluster::uniform(2, 4);
+  auto store = storage::make_instant_store();
+  JobJournal journal(*store, "journal/serve.log");
+  ServiceOptions opt = options_with(AdmissionPolicy::kElastic);
+  opt.journal = &journal;
+  JobService svc(cl, *store, opt);
+
+  JobSubmission annotated = make_sleep_job("annotated", 0.0);
+  annotated.spec_line = "job annotated";
+  ASSERT_TRUE(workload::pipeline_edge(annotated.model_dag, 0, 1));
+  const auto rejected = svc.submit(std::move(annotated));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(svc.jobs_snapshot().empty());
+  EXPECT_EQ(svc.summary().submitted, 0u);
+  EXPECT_FALSE(store->contains("journal/serve.log"));
+
+  // The unannotated model is accepted and takes the first id.
+  const auto id = svc.submit(make_sleep_job("plain", 0.0));
+  ASSERT_TRUE(id.ok()) << id.status().to_string();
+  EXPECT_EQ(*id, 1u);
+  EXPECT_EQ(svc.wait(*id)->state, JobState::kDone);
 }
 
 TEST(JobServiceTest, FifoExclusiveSerializesJobs) {

@@ -69,16 +69,16 @@ void BM_SerializeTable(benchmark::State& state) {
 }
 BENCHMARK(BM_SerializeTable)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_SerializeTableScratch(benchmark::State& state) {
+/// The exchange's form: a fresh exact-size string the store keeps.
+void BM_SerializeTableToString(benchmark::State& state) {
   const Table t = fact(static_cast<std::size_t>(state.range(0)));
-  SerdeScratch scratch;
   for (auto _ : state) {
-    auto view = serialize_table_into(t, scratch);
-    benchmark::DoNotOptimize(view);
+    auto bytes = serialize_table_to_string(t);
+    benchmark::DoNotOptimize(bytes);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * t.byte_size()));
 }
-BENCHMARK(BM_SerializeTableScratch)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_SerializeTableToString)->Arg(1000)->Arg(10000)->Arg(100000);
 
 /// Owned parse: every column copied out of the wire bytes.
 void BM_DeserializeTable(benchmark::State& state) {
@@ -713,12 +713,11 @@ int run_quick_check() {
     }
     return received;
   };
-  SerdeScratch scratch;
   const auto fast_shuffle = [&] {
     std::vector<Table> received;
     received.reserve(kParts);
     for (const Table& part : single_pass()) {
-      const auto owner = std::make_shared<const std::string>(serialize_table_into(part, scratch));
+      const auto owner = std::make_shared<const std::string>(serialize_table_to_string(part));
       received.push_back(std::move(deserialize_table_borrowing(*owner, owner)).value());
     }
     return received;

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <deque>
 #include <future>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <thread>
@@ -81,16 +82,10 @@ Status slot_failure(const JobDag& dag, StageId s, int t, const TaskSlot& slot) {
 Status merge_task_parts(std::map<StageId, std::map<TaskId, Table>>& parts_by_stage,
                         std::map<StageId, Table>& out) {
   for (auto& [s, parts] : parts_by_stage) {
-    Table merged;
-    bool first = true;
-    for (auto& [t, table] : parts) {
-      if (first) {
-        merged = std::move(table);
-        first = false;
-      } else {
-        DITTO_RETURN_IF_ERROR(merged.concat(table));
-      }
-    }
+    std::vector<Table> tables;
+    tables.reserve(parts.size());
+    for (auto& [t, table] : parts) tables.push_back(std::move(table));
+    DITTO_ASSIGN_OR_RETURN(Table merged, concat_tables(std::move(tables)));
     out.emplace(s, std::move(merged));
   }
   return Status::ok();
@@ -493,6 +488,61 @@ ServerPools::ServerPools(const std::vector<int>& widths) {
   }
 }
 
+PoolPark::Lease::~Lease() {
+  for (auto& pool : pools_) park_->give_back(std::move(pool));
+}
+
+PoolPark& PoolPark::global() {
+  static PoolPark park;
+  return park;
+}
+
+PoolPark::Lease PoolPark::checkout(const std::vector<std::size_t>& widths) {
+  std::vector<std::unique_ptr<ThreadPool>> pools(widths.size());
+  {
+    // Most recently parked first: its threads are the likeliest warm.
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t v = 0; v < widths.size(); ++v) {
+      const std::size_t w = std::max<std::size_t>(1, widths[v]);
+      for (auto it = idle_.rbegin(); it != idle_.rend(); ++it) {
+        if ((*it)->size() != w) continue;
+        threads_ -= w;
+        pools[v] = std::move(*it);
+        idle_.erase(std::next(it).base());
+        break;
+      }
+    }
+  }
+  for (std::size_t v = 0; v < widths.size(); ++v) {
+    if (pools[v] == nullptr) {
+      pools[v] = std::make_unique<ThreadPool>(std::max<std::size_t>(1, widths[v]));
+    }
+  }
+  return Lease(this, std::move(pools));
+}
+
+std::size_t PoolPark::parked_threads() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return threads_;
+}
+
+void PoolPark::give_back(std::unique_ptr<ThreadPool> pool) {
+  pool->wait_idle();
+  std::vector<std::unique_ptr<ThreadPool>> evicted;  // joined after unlocking
+  std::lock_guard<std::mutex> lock(mu_);
+  if (pool->size() > kMaxParkedThreads) {
+    evicted.push_back(std::move(pool));
+    return;
+  }
+  while (threads_ + pool->size() > kMaxParkedThreads) {
+    threads_ -= idle_.front()->size();
+    evicted.push_back(std::move(idle_.front()));
+    idle_.pop_front();
+  }
+  threads_ += pool->size();
+  idle_.push_back(std::move(pool));
+}
+
 MiniEngine::MiniEngine(const JobDag& dag, const cluster::PlacementPlan& plan,
                        storage::ObjectStore& store, EngineOptions options)
     : dag_(&dag), plan_(&plan), store_(&store), options_(std::move(options)) {}
@@ -568,12 +618,12 @@ Result<EngineResult> MiniEngine::run(const std::map<StageId, StageBinding>& bind
 
   // Worker pools. Shared pools (a multi-job service's substrate) bound
   // concurrency per cluster server across jobs; otherwise this run
-  // materializes private pools whose width is the maximum number of
+  // checks out private pools whose width is the maximum number of
   // tasks any single overlap group places there (a singleton group =
   // one stage, the classic wave sizing). Group-sum sizing guarantees a
   // thread for every task in the group, so a streaming consumer can
   // block on its cursor without starving the producer feeding it.
-  std::vector<std::unique_ptr<ThreadPool>> own_pools;
+  std::vector<std::size_t> width;
   if (options_.pools != nullptr) {
     if (static_cast<std::size_t>(max_server) >= options_.pools->num_servers()) {
       return Status::invalid_argument(
@@ -581,7 +631,7 @@ Result<EngineResult> MiniEngine::run(const std::map<StageId, StageBinding>& bind
           "cover only " + std::to_string(options_.pools->num_servers()) + " servers");
     }
   } else {
-    std::vector<std::size_t> width(max_server + 1, 1);
+    width.assign(max_server + 1, 1);
     for (const auto& gidx : groups) {
       std::vector<std::size_t> per_server(max_server + 1, 0);
       for (const std::size_t idx : gidx) {
@@ -590,13 +640,7 @@ Result<EngineResult> MiniEngine::run(const std::map<StageId, StageBinding>& bind
         }
       }
     }
-    own_pools.reserve(width.size());
-    for (std::size_t w : width) own_pools.push_back(std::make_unique<ThreadPool>(w));
   }
-  const auto pool_for = [&](ServerId v) -> ThreadPool& {
-    const std::size_t idx = v == kNoServer ? 0 : static_cast<std::size_t>(v);
-    return options_.pools != nullptr ? options_.pools->pool(idx) : *own_pools[idx];
-  };
   const auto cancel_requested = [this]() {
     return options_.cancel != nullptr && options_.cancel->load(std::memory_order_acquire);
   };
@@ -620,9 +664,7 @@ Result<EngineResult> MiniEngine::run(const std::map<StageId, StageBinding>& bind
                                    &options_.resilience.storage, compute_pool));
   }
 
-  Stopwatch clock;
   EngineResult result;
-
   RunState rs;
   rs.dag = dag_;
   rs.bindings = &bindings;
@@ -630,7 +672,6 @@ Result<EngineResult> MiniEngine::run(const std::map<StageId, StageBinding>& bind
   rs.injector = options_.injector;
   rs.policy = &options_.resilience;
   rs.exchanges = &exchanges;
-  rs.clock = &clock;
   rs.task_server = plan_->task_server;
   rs.profiles = options_.profiles;
   rs.fingerprint = options_.plan_fingerprint;
@@ -641,6 +682,17 @@ Result<EngineResult> MiniEngine::run(const std::map<StageId, StageBinding>& bind
   for (const StageId s : options_.capture_stages) {
     if (s < rs.capture.size()) rs.capture[s] = 1;
   }
+
+  // Declared after `rs` so the pools go back to the park (each once
+  // idle) before the state their tasks reference is destroyed.
+  std::optional<PoolPark::Lease> lease;
+  if (options_.pools == nullptr) lease.emplace(PoolPark::global().checkout(width));
+  const auto pool_for = [&](ServerId v) -> ThreadPool& {
+    const std::size_t idx = v == kNoServer ? 0 : static_cast<std::size_t>(v);
+    return lease.has_value() ? lease->pool(idx) : options_.pools->pool(idx);
+  };
+  Stopwatch clock;
+  rs.clock = &clock;
 
   const faults::ResiliencePolicy& policy = options_.resilience;
   const int max_attempts = std::max(1, policy.max_task_attempts);

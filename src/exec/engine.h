@@ -30,9 +30,11 @@
 #pragma once
 
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -93,11 +95,11 @@ struct StageBinding {
 };
 
 /// Per-server worker pools shared across engine runs. A standalone run
-/// materializes private pools sized to its own placement; a multi-job
-/// service instead builds ONE pool per cluster server (width = the
-/// server's slot count) and hands it to every engine, so concurrent
-/// jobs compete for exactly the paper's per-server CPU-core limit
-/// instead of each job pretending it owns the machine. These pools run
+/// checks private pools sized to its own placement out of the PoolPark;
+/// a multi-job service instead builds ONE pool per cluster server
+/// (width = the server's slot count) and hands it to every engine, so
+/// concurrent jobs compete for exactly the paper's per-server CPU-core
+/// limit instead of each job pretending it owns the machine. These pools run
 /// task bodies only. The leaf compute that kernels and shuffle
 /// partitioning fan out goes to one process-wide pool instead, shared
 /// by every run whether its server pools are private or shared.
@@ -113,6 +115,55 @@ class ServerPools {
   std::vector<std::unique_ptr<ThreadPool>> pools_;
 };
 
+/// Process-wide park of idle private server pools. A standalone run
+/// (no EngineOptions::pools) checks out one pool per server, each of
+/// exactly the width the run computed, and hands them back idle when it
+/// ends, so back-to-back runs reuse parked threads instead of spawning
+/// and joining a pool per server per run. A checked-out pool belongs to
+/// one run alone. The park holds at most kMaxParkedThreads threads: a
+/// returned pool that would exceed the bound displaces the
+/// longest-parked pools, and one wider than the bound is destroyed.
+class PoolPark {
+ public:
+  static constexpr std::size_t kMaxParkedThreads = 64;
+
+  /// One run's pools, indexed by server. Destruction returns each pool
+  /// to the park once it is idle (ThreadPool::wait_idle), whether the
+  /// run succeeded, failed or was cancelled.
+  class Lease {
+   public:
+    Lease(Lease&&) noexcept = default;
+    Lease& operator=(Lease&&) = delete;
+    ~Lease();
+
+    ThreadPool& pool(std::size_t v) { return *pools_.at(v); }
+
+   private:
+    friend class PoolPark;
+    Lease(PoolPark* park, std::vector<std::unique_ptr<ThreadPool>> pools)
+        : park_(park), pools_(std::move(pools)) {}
+
+    PoolPark* park_;
+    std::vector<std::unique_ptr<ThreadPool>> pools_;
+  };
+
+  /// The park every standalone MiniEngine run uses.
+  static PoolPark& global();
+
+  /// Pools of `widths[v]` threads (clamped to >= 1) for server v:
+  /// parked ones of that exact width when there are any, new otherwise.
+  Lease checkout(const std::vector<std::size_t>& widths);
+
+  std::size_t parked_threads() const;
+
+ private:
+  void give_back(std::unique_ptr<ThreadPool> pool);
+
+  mutable std::mutex mu_;
+  std::deque<std::unique_ptr<ThreadPool>> idle_;  ///< longest-parked first
+  std::size_t threads_ = 0;                       ///< sum of idle_ widths
+};
+
 /// Fault-handling knobs for a run. Defaults run fault-free with retry
 /// wiring dormant (zero injected faults, so zero retries fire and the
 /// resilient path costs nothing measurable).
@@ -121,8 +172,9 @@ struct EngineOptions {
   faults::FaultInjector* injector = nullptr;
   faults::ResiliencePolicy resilience;
 
-  /// Shared per-server pools (not owned, may be null = the run builds
-  /// private pools). Must cover every server the plan places tasks on.
+  /// Shared per-server pools (not owned, may be null = the run checks
+  /// private pools out of PoolPark::global()). Must cover every server
+  /// the plan places tasks on.
   ServerPools* pools = nullptr;
 
   /// Namespace for exchange keys in the shared object store. Empty =

@@ -1,6 +1,7 @@
 #include "exec/exchange.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -61,15 +62,13 @@ Status RemoteTableChannel::send(std::shared_ptr<const Table> table) {
     seq = next_send_;
   }
   const std::string key = prefix_ + "/" + std::to_string(seq);
-  const faults::RetryPolicy pol = policy();
-  {
-    // Encode into the channel's reusable scratch (exact-size, no
-    // realloc in steady state) and hand the store a view of it.
-    std::lock_guard<std::mutex> slock(scratch_mu_);
-    const std::string_view bytes = serialize_table_into(*table, scratch_);
-    DITTO_RETURN_IF_ERROR(faults::retry_status(
-        pol, "exchange.put", [&] { return store_->put(key, bytes); }, retry_counter_));
-  }
+  // Serialized once into a fresh exact-size payload that the store may
+  // keep as is; a retried put hands over the same bytes again.
+  const storage::Payload bytes =
+      std::make_shared<const std::string>(serialize_table_to_string(*table));
+  DITTO_RETURN_IF_ERROR(faults::retry_status(
+      policy(), "exchange.put", [&] { return store_->put_payload(key, bytes); },
+      retry_counter_));
   {
     std::lock_guard<std::mutex> lock(mu_);
     next_send_ = seq + 1;
@@ -80,14 +79,14 @@ Status RemoteTableChannel::send(std::shared_ptr<const Table> table) {
 
 Result<std::shared_ptr<const Table>> RemoteTableChannel::fetch(std::size_t seq) const {
   const std::string key = prefix_ + "/" + std::to_string(seq);
-  DITTO_ASSIGN_OR_RETURN(std::string bytes,
-                         faults::retry_result<std::string>(
-                             policy(), "exchange.get", [&] { return store_->get(key); },
+  DITTO_ASSIGN_OR_RETURN(storage::Payload bytes,
+                         faults::retry_result<storage::Payload>(
+                             policy(), "exchange.get", [&] { return store_->get_payload(key); },
                              retry_counter_));
-  // Zero-copy receive: fixed-width columns view the fetched payload,
-  // which the table keeps alive through `owner`.
-  const auto owner = std::make_shared<const std::string>(std::move(bytes));
-  DITTO_ASSIGN_OR_RETURN(Table table, deserialize_table_borrowing(*owner, owner));
+  // Zero-copy receive: fixed-width columns view the payload in place,
+  // which the table keeps alive, so it outlives an overwrite or removal
+  // of the key.
+  DITTO_ASSIGN_OR_RETURN(Table table, deserialize_table_borrowing(*bytes, bytes));
   return std::make_shared<const Table>(std::move(table));
 }
 
@@ -281,11 +280,11 @@ void Exchange::count_duplicate_publish() {
 
 namespace {
 
-// Zero-copy chunk view: rows [offset, offset+count) of `owner`, with
+// Zero-copy view: rows [offset, offset+count) of `owner`, with
 // fixed-width columns borrowing the owner's storage instead of copying
-// (Table::slice would memcpy owned columns once per chunk). String
-// columns still copy — they are never borrowed.
-Table chunk_view(const std::shared_ptr<const Table>& owner, std::size_t offset,
+// (Table::slice would memcpy owned columns). String columns still copy:
+// they are never borrowed.
+Table table_view(const std::shared_ptr<const Table>& owner, std::size_t offset,
                  std::size_t count) {
   std::vector<Column> cols;
   cols.reserve(owner->num_columns());
@@ -367,8 +366,7 @@ Status Exchange::send_chunked(std::size_t producer, Table table, std::size_t chu
 
     const std::size_t off = c * chunk_rows;
     const std::size_t len = std::min(chunk_rows, rows - std::min(rows, off));
-    const Status st =
-        route_chunk(producer, c, nchunks == 1 ? *owner : chunk_view(owner, off, len));
+    const Status st = route_chunk(producer, c, table_view(owner, off, len));
     {
       std::lock_guard<std::mutex> lock(pub_mu_);
       ChunkStream& s = streams_[producer];
@@ -401,21 +399,21 @@ Status Exchange::send(std::size_t producer, Table table) {
 
 Result<Table> Exchange::recv_all(std::size_t consumer) {
   if (consumer >= consumers_) return Status::out_of_range("bad consumer index");
-  Table merged;
-  bool first = true;
+  std::vector<std::shared_ptr<const Table>> items;
   for (std::size_t i = 0; i < producers_; ++i) {
     // Gather sends only on one pipe; others close empty.
-    DITTO_ASSIGN_OR_RETURN(auto items, channel(i, consumer).snapshot_all());
-    for (const auto& t : items) {
-      if (first) {
-        merged = *t;
-        first = false;
-      } else {
-        DITTO_RETURN_IF_ERROR(merged.concat(*t));
-      }
-    }
+    DITTO_ASSIGN_OR_RETURN(auto part, channel(i, consumer).snapshot_all());
+    items.insert(items.end(), std::make_move_iterator(part.begin()),
+                 std::make_move_iterator(part.end()));
   }
-  return merged;
+  // Every routed part's fixed-width columns borrow the producer's output
+  // or the fetched payload, so a lone part comes back without copying
+  // them; several parts are copied once, in producer order, into
+  // exact-size columns.
+  std::vector<const Table*> parts;
+  parts.reserve(items.size());
+  for (const auto& t : items) parts.push_back(t.get());
+  return concat_tables(parts);
 }
 
 void Exchange::reset_producer(std::size_t producer) {

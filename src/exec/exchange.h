@@ -109,9 +109,12 @@ class LocalTableChannel final : public TableChannel {
   bool aborted_ = false;
 };
 
-/// Cross-server: serialize -> ObjectStore -> deserialize. Payload keys
-/// are deterministic (`prefix/seq`), so re-publishes after failure are
-/// idempotent overwrites and snapshots re-read from the store.
+/// Cross-server: serialize -> ObjectStore -> deserialize. Each send
+/// serializes once into a fresh payload handed to put_payload; each
+/// read takes get_payload's payload and borrows its fixed-width columns
+/// from it, so a MemStore adds no copy. Payload keys are deterministic
+/// (`prefix/seq`), so re-publishes after failure are idempotent
+/// overwrites and snapshots re-read from the store.
 class RemoteTableChannel final : public TableChannel {
  public:
   RemoteTableChannel(storage::ObjectStore& store, std::string prefix,
@@ -140,10 +143,6 @@ class RemoteTableChannel final : public TableChannel {
   const std::string prefix_;
   const faults::RetryPolicy* retry_;
   std::atomic<std::size_t>* retry_counter_;
-  /// Reused encode buffer: steady-state sends serialize without
-  /// allocating. Guarded separately so serialization never holds mu_.
-  mutable std::mutex scratch_mu_;
-  SerdeScratch scratch_;
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
   std::size_t next_send_ = 0;
@@ -231,8 +230,10 @@ class Exchange {
                       const std::function<Status()>& tick = nullptr);
 
   /// Consumer `j` receives and concatenates everything routed to it, in
-  /// producer order (deterministic regardless of timing). Non-
-  /// destructive: duplicate consumers see identical input.
+  /// producer order (deterministic regardless of timing). A lone part
+  /// comes back borrowed, without a copy; several are copied once into
+  /// exact-size columns. Non-destructive: duplicate consumers see
+  /// identical input.
   Result<Table> recv_all(std::size_t consumer);
 
   /// Opens a streaming cursor for consumer `j`. The cursor's chunk

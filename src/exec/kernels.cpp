@@ -1217,37 +1217,30 @@ Result<Table> filter_kernel(const Table& in, const std::vector<ColumnPred>& pred
 // transport time, not kernel time.
 
 Result<Table> gather_chunks(const TableChunkFn& next) {
-  std::optional<Table> out;
+  std::vector<Table> chunks;
   while (true) {
     DITTO_ASSIGN_OR_RETURN(std::optional<Table> chunk, next());
     if (!chunk.has_value()) break;
-    if (!out.has_value()) {
-      out = std::move(*chunk);
-    } else {
-      DITTO_RETURN_IF_ERROR(out->concat(*chunk));
-    }
+    chunks.push_back(std::move(*chunk));
   }
-  if (!out.has_value()) return Status::invalid_argument("gather_chunks: empty chunk stream");
-  return std::move(*out);
+  if (chunks.empty()) return Status::invalid_argument("gather_chunks: empty chunk stream");
+  return concat_tables(std::move(chunks));
 }
 
 Result<Table> filter_stream(const TableChunkFn& next, const std::vector<ColumnPred>& preds,
                             ThreadPool* pool) {
   if (pool == nullptr) pool = task_compute_pool();
-  std::optional<Table> out;
+  std::vector<Table> parts;
   while (true) {
     DITTO_ASSIGN_OR_RETURN(std::optional<Table> chunk, next());
     if (!chunk.has_value()) break;
     detail::KernelTimer timer(&KernelSeconds::filter);
     DITTO_ASSIGN_OR_RETURN(Table part, filter_kernel(*chunk, preds, pool));
-    if (!out.has_value()) {
-      out = std::move(part);
-    } else {
-      DITTO_RETURN_IF_ERROR(out->concat(part));
-    }
+    parts.push_back(std::move(part));
   }
-  if (!out.has_value()) return Status::invalid_argument("filter_stream: empty chunk stream");
-  return std::move(*out);
+  if (parts.empty()) return Status::invalid_argument("filter_stream: empty chunk stream");
+  detail::KernelTimer timer(&KernelSeconds::filter);
+  return concat_tables(std::move(parts));
 }
 
 Result<Table> hash_join_stream(const TableChunkFn& next_left, const std::string& left_key,
@@ -1268,7 +1261,7 @@ Result<Table> hash_join_stream(const TableChunkFn& next_left, const std::string&
     detail::KernelTimer timer(&KernelSeconds::join);
     build = make_join_build(rkeys, parallel, pool);
   }
-  std::optional<Table> out;
+  std::vector<Table> parts;
   while (true) {
     DITTO_ASSIGN_OR_RETURN(std::optional<Table> chunk, next_left());
     if (!chunk.has_value()) break;
@@ -1279,14 +1272,11 @@ Result<Table> hash_join_stream(const TableChunkFn& next_left, const std::string&
     }
     detail::KernelTimer timer(&KernelSeconds::join);
     DITTO_ASSIGN_OR_RETURN(Table part, probe_join(*chunk, lk, right, rk, kind, *build, pool));
-    if (!out.has_value()) {
-      out = std::move(part);
-    } else {
-      DITTO_RETURN_IF_ERROR(out->concat(part));
-    }
+    parts.push_back(std::move(part));
   }
-  if (!out.has_value()) return Status::invalid_argument("hash_join_stream: empty chunk stream");
-  return std::move(*out);
+  if (parts.empty()) return Status::invalid_argument("hash_join_stream: empty chunk stream");
+  detail::KernelTimer timer(&KernelSeconds::join);
+  return concat_tables(std::move(parts));
 }
 
 }  // namespace ditto::exec

@@ -178,11 +178,10 @@ Result<Table> top_k_by_int(const Table& in, const std::string& col, std::size_t 
 
 Result<Table> union_all(const std::vector<Table>& tables) {
   if (tables.empty()) return Status::invalid_argument("union_all of nothing");
-  Table out = tables.front();
-  for (std::size_t i = 1; i < tables.size(); ++i) {
-    DITTO_RETURN_IF_ERROR(out.concat(tables[i]));
-  }
-  return out;
+  std::vector<const Table*> parts;
+  parts.reserve(tables.size());
+  for (const Table& t : tables) parts.push_back(&t);
+  return concat_tables(parts);
 }
 
 Result<Table> with_column(const Table& in, const std::string& name, const ScalarFn& f) {

@@ -281,11 +281,11 @@ Result<Table> deserialize_impl(std::string_view bytes, std::shared_ptr<const voi
 
 }  // namespace
 
-std::string_view serialize_table_into(const Table& table, SerdeScratch& scratch) {
+std::string serialize_table_to_string(const Table& table) {
   const std::size_t n = size_v2(table);
-  scratch.bytes.resize(n);  // keeps capacity: steady state reallocates never
-  write_v2(table, scratch.bytes.data(), n);
-  return {reinterpret_cast<const char*>(scratch.bytes.data()), n};
+  std::string out(n, '\0');
+  write_v2(table, reinterpret_cast<std::uint8_t*>(out.data()), n);
+  return out;
 }
 
 shm::Buffer serialize_table(const Table& table) {

@@ -29,16 +29,9 @@
 
 namespace ditto::exec {
 
-/// Reusable serialization scratch: keeps its capacity across tables so
-/// steady-state serialization never reallocates. One scratch per
-/// producer channel (not thread-safe).
-struct SerdeScratch {
-  std::vector<std::uint8_t> bytes;
-};
-
-/// Serializes into `scratch` (overwriting it) and returns a view of the
-/// encoded payload. The view is valid until the scratch is next used.
-std::string_view serialize_table_into(const Table& table, SerdeScratch& scratch);
+/// Serializes a table into a fresh exact-size string: the form an
+/// ObjectStore keeps as a shared payload.
+std::string serialize_table_to_string(const Table& table);
 
 /// Serializes a table into a fresh buffer (one exact-size allocation).
 shm::Buffer serialize_table(const Table& table);

@@ -14,6 +14,22 @@ Column empty_column_of(DataType t) {
   }
   return Column();
 }
+
+/// Column `c` of every part, in order, in one vector sized for `rows`
+/// values. Reading through the spans keeps borrowed sources
+/// un-materialized; each range insert is one bulk memcpy.
+template <typename T, typename SpanOf>
+Column concat_fixed(const std::vector<const Table*>& parts, std::size_t c, std::size_t rows,
+                    SpanOf span_of) {
+  std::vector<T> dst;
+  dst.reserve(rows);
+  for (const Table* t : parts) {
+    const auto src = span_of(t->column(c));
+    dst.insert(dst.end(), src.begin(), src.end());
+  }
+  return Column(std::move(dst));
+}
+
 }  // namespace
 
 Table::Table(Schema schema) : schema_(std::move(schema)) {
@@ -88,35 +104,6 @@ void Table::ensure_owned() {
   for (Column& c : columns_) c.ensure_owned();
 }
 
-Status Table::concat(const Table& other) {
-  if (schema_ != other.schema_) return Status::invalid_argument("concat schema mismatch");
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    switch (columns_[c].type()) {
-      case DataType::kInt64: {
-        // Pointer-range insert is a single bulk memcpy; reading through
-        // the span keeps a borrowed source un-materialized.
-        auto& dst = columns_[c].ints();
-        const auto src = other.columns_[c].int_span();
-        dst.insert(dst.end(), src.begin(), src.end());
-        break;
-      }
-      case DataType::kDouble: {
-        auto& dst = columns_[c].doubles();
-        const auto src = other.columns_[c].double_span();
-        dst.insert(dst.end(), src.begin(), src.end());
-        break;
-      }
-      case DataType::kString: {
-        auto& dst = columns_[c].strings();
-        const auto& src = other.columns_[c].strings();
-        dst.insert(dst.end(), src.begin(), src.end());
-        break;
-      }
-    }
-  }
-  return Status::ok();
-}
-
 std::size_t Table::byte_size() const {
   std::size_t n = 0;
   for (const Column& c : columns_) n += c.byte_size();
@@ -149,6 +136,50 @@ Table table_of_ints(
   auto t = Table::make(std::move(schema), std::move(columns));
   assert(t.ok());
   return std::move(t).value();
+}
+
+Result<Table> concat_tables(const std::vector<const Table*>& parts) {
+  if (parts.empty()) return Table();
+  const Schema& schema = parts.front()->schema();
+  std::size_t rows = 0;
+  for (const Table* t : parts) {
+    if (t->schema() != schema) return Status::invalid_argument("concat schema mismatch");
+    rows += t->num_rows();
+  }
+  if (parts.size() == 1) return *parts.front();
+  std::vector<Column> cols;
+  cols.reserve(schema.size());
+  for (std::size_t c = 0; c < schema.size(); ++c) {
+    switch (schema[c].type) {
+      case DataType::kInt64:
+        cols.push_back(concat_fixed<std::int64_t>(parts, c, rows,
+                                                  [](const Column& col) { return col.int_span(); }));
+        break;
+      case DataType::kDouble:
+        cols.push_back(concat_fixed<double>(parts, c, rows,
+                                            [](const Column& col) { return col.double_span(); }));
+        break;
+      case DataType::kString: {
+        std::vector<std::string> dst;
+        dst.reserve(rows);
+        for (const Table* t : parts) {
+          const auto& src = t->column(c).strings();
+          dst.insert(dst.end(), src.begin(), src.end());
+        }
+        cols.emplace_back(std::move(dst));
+        break;
+      }
+    }
+  }
+  return Table::make(schema, std::move(cols));
+}
+
+Result<Table> concat_tables(std::vector<Table> parts) {
+  if (parts.size() == 1) return std::move(parts.front());
+  std::vector<const Table*> ptrs;
+  ptrs.reserve(parts.size());
+  for (const Table& t : parts) ptrs.push_back(&t);
+  return concat_tables(ptrs);
 }
 
 }  // namespace ditto::exec

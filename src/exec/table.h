@@ -55,9 +55,6 @@ class Table {
   /// Converts every borrowed column to owned storage.
   void ensure_owned();
 
-  /// Appends all rows of `other` (same schema).
-  Status concat(const Table& other);
-
   /// Approximate in-memory footprint.
   std::size_t byte_size() const;
 
@@ -73,6 +70,16 @@ class Table {
   Schema schema_;
   std::vector<Column> columns_;
 };
+
+/// Concatenates `parts` in order. Each output column is sized once and
+/// every value is copied once; a single part comes back as a plain copy
+/// (borrowed columns stay borrowed). Every part must have the first
+/// part's schema ("concat schema mismatch"). No parts give an empty
+/// table.
+Result<Table> concat_tables(const std::vector<const Table*>& parts);
+
+/// Same, but a single part is moved through without any copy.
+Result<Table> concat_tables(std::vector<Table> parts);
 
 /// Convenience builders for tests and examples.
 Table table_of_ints(std::initializer_list<std::pair<std::string, std::vector<std::int64_t>>> cols);

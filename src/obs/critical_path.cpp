@@ -79,8 +79,14 @@ CriticalPathSection build_critical_path(const JobDag& dag,
     e.queue_seconds = std::max(0.0, span.summary.stage_start - gate_end);
     e.start = std::max(span.summary.stage_start, gate_end);
     e.end = std::max(span.summary.stage_end, e.start);
-    e.compute_seconds = span.mean_compute;
-    e.transport_seconds = span.mean_transport;
+    // The same rule for the attribution: a clamped stage is charged the
+    // tail's share of its task means, so compute + transport + straggler
+    // stay within the window.
+    const double full = span.summary.stage_end - span.summary.stage_start;
+    const double share =
+        e.start > span.summary.stage_start ? (full > 0.0 ? e.window_seconds() / full : 0.0) : 1.0;
+    e.compute_seconds = span.mean_compute * share;
+    e.transport_seconds = span.mean_transport * share;
     e.straggler_seconds =
         std::max(0.0, e.window_seconds() - e.compute_seconds - e.transport_seconds);
     gate_end = e.end;

@@ -14,6 +14,11 @@
 //   straggler  the residual of the stage window beyond the mean task
 //              (skew, retries, speculative attempts).
 //
+// A stage pipelined behind its gate is on the path only for its tail
+// past the gate; its compute and transport are scaled by the tail's
+// share of the stage's observed span, so the four parts of an entry
+// never exceed its window.
+//
 // The section renders into the ExecutionReport ("where the time went")
 // and exports as a dedicated track in the Perfetto trace.
 #pragma once

@@ -67,15 +67,25 @@ void MemStore::maybe_sleep(Bytes n) const {
 }
 
 Status MemStore::put(const std::string& key, std::string_view value) {
+  return put_payload(key, std::make_shared<const std::string>(value));
+}
+
+Result<std::string> MemStore::get(const std::string& key) const {
+  DITTO_ASSIGN_OR_RETURN(Payload payload, get_payload(key));
+  return std::string(*payload);
+}
+
+Status MemStore::put_payload(const std::string& key, Payload value) {
+  if (value == nullptr) return Status::invalid_argument("null payload for " + key);
   RequestScope scope(kind(), "put");
-  // The copy is made before the lock is taken. `incoming` outlives the
-  // lock, so a rejected or displaced payload is freed after unlocking.
-  Payload incoming = std::make_shared<const std::string>(value);
+  const Bytes size = value->size();
+  // `value` outlives the lock, so a rejected or displaced payload is
+  // freed after unlocking.
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = data_.find(key);
     const Bytes old_size = it != data_.end() ? it->second->size() : 0;
-    if (model_.capacity > 0 && used_ - old_size + value.size() > model_.capacity) {
+    if (model_.capacity > 0 && used_ - old_size + size > model_.capacity) {
       // A rejected put moves no data: it must not count toward the
       // byte telemetry and pays no modeled transfer delay.
       ++stats_.rejected;
@@ -85,20 +95,20 @@ Status MemStore::put(const std::string& key, std::string_view value) {
       return Status::resource_exhausted(std::string(kind()) + " store capacity exceeded");
     }
     if (it != data_.end()) {
-      std::swap(it->second, incoming);  // `incoming` now holds the displaced payload
+      std::swap(it->second, value);  // `value` now holds the displaced payload
     } else {
-      data_.emplace(key, std::move(incoming));
+      data_.emplace(key, std::move(value));
     }
-    used_ = used_ - old_size + value.size();
+    used_ = used_ - old_size + size;
     ++stats_.puts;
-    stats_.bytes_written += value.size();
+    stats_.bytes_written += size;
   }
-  scope.set_bytes(value.size());
-  maybe_sleep(value.size());
+  scope.set_bytes(size);
+  maybe_sleep(size);
   return Status::ok();
 }
 
-Result<std::string> MemStore::get(const std::string& key) const {
+Result<Payload> MemStore::get_payload(const std::string& key) const {
   RequestScope scope(kind(), "get");
   Payload payload;
   {
@@ -113,10 +123,9 @@ Result<std::string> MemStore::get(const std::string& key) const {
     payload = it->second;
     stats_.bytes_read += payload->size();
   }
-  std::string out(*payload);
-  scope.set_bytes(out.size());
-  maybe_sleep(out.size());
-  return out;
+  scope.set_bytes(payload->size());
+  maybe_sleep(payload->size());
+  return payload;
 }
 
 bool MemStore::contains(const std::string& key) const {

@@ -5,13 +5,14 @@
 // Thread-safe. Optionally applies the model's transfer time as a real
 // (scaled) sleep so engine-mode runs experience the latency asymmetry.
 //
-// Payloads are immutable shared strings, so no byte is copied under the
-// store's mutex: put copies the value before locking and only swaps the
-// pointer under it; get copies the pointer under the lock and the bytes
-// after releasing it (get still returns its own copy); overwrite,
-// remove and clear free the displaced payloads after unlocking.
-// Concurrent requests therefore contend only for the map update, not
-// for the memcpy of each other's payloads.
+// Values are immutable shared Payloads, so no byte is copied under the
+// store's mutex. put_payload keeps the caller's pointer and get_payload
+// returns the stored one: neither copies a byte, and a reader's value
+// stays valid after the key is overwritten, removed or cleared. put and
+// get are thin wrappers that copy the value before locking (put) or
+// after unlocking (get). Overwrite, remove and clear drop the displaced
+// payloads after unlocking. Concurrent requests therefore contend only
+// for the map update.
 #pragma once
 
 #include <memory>
@@ -32,6 +33,8 @@ class MemStore : public ObjectStore {
 
   Status put(const std::string& key, std::string_view value) override;
   Result<std::string> get(const std::string& key) const override;
+  Status put_payload(const std::string& key, Payload value) override;
+  Result<Payload> get_payload(const std::string& key) const override;
   bool contains(const std::string& key) const override;
   Status remove(const std::string& key) override;
   std::vector<std::string> list(const std::string& prefix) const override;
@@ -48,8 +51,6 @@ class MemStore : public ObjectStore {
   void clear();
 
  private:
-  using Payload = std::shared_ptr<const std::string>;
-
   void maybe_sleep(Bytes n) const;
 
   StorageModel model_;

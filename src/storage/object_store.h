@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -69,6 +70,9 @@ struct StoreStats {
   Bytes bytes_read = 0;
 };
 
+/// An immutable stored value that the store and its readers can share.
+using Payload = std::shared_ptr<const std::string>;
+
 class ObjectStore {
  public:
   virtual ~ObjectStore() = default;
@@ -82,6 +86,24 @@ class ObjectStore {
 
   /// Fetches a copy of the value; NOT_FOUND if missing.
   virtual Result<std::string> get(const std::string& key) const = 0;
+
+  /// put() for a value the caller hands over whole. A store that keeps
+  /// values in memory may keep the pointer instead of copying the
+  /// bytes; the default copies through put(), with the same accounting
+  /// and fault behaviour.
+  virtual Status put_payload(const std::string& key, Payload value) {
+    if (value == nullptr) return Status::invalid_argument("null payload for " + key);
+    return put(key, *value);
+  }
+
+  /// get() as a shared, immutable value. A store that keeps values in
+  /// memory may return its own pointer instead of a copy; the default
+  /// copies through get(). The value stays valid after the key is
+  /// overwritten or removed.
+  virtual Result<Payload> get_payload(const std::string& key) const {
+    DITTO_ASSIGN_OR_RETURN(std::string value, get(key));
+    return std::make_shared<const std::string>(std::move(value));
+  }
 
   virtual bool contains(const std::string& key) const = 0;
   virtual Status remove(const std::string& key) = 0;

@@ -69,18 +69,14 @@ std::string table_bytes(const Table& t) {
 /// Drains a cursor and concatenates, mirroring what a streaming
 /// consumer sees.
 Result<Table> drain_cursor(ChunkCursor& cur) {
-  std::optional<Table> out;
+  std::vector<Table> chunks;
   while (true) {
     DITTO_ASSIGN_OR_RETURN(auto chunk, cur.next());
     if (!chunk.has_value()) break;
-    if (!out.has_value()) {
-      out = **chunk;
-    } else {
-      DITTO_RETURN_IF_ERROR(out->concat(**chunk));
-    }
+    chunks.push_back(**chunk);
   }
-  if (!out.has_value()) return Status::invalid_argument("empty cursor");
-  return std::move(*out);
+  if (chunks.empty()) return Status::invalid_argument("empty cursor");
+  return concat_tables(std::move(chunks));
 }
 
 TEST(ChunkedExchangeTest, CursorConcatMatchesRecvAllByteIdentically) {

@@ -256,19 +256,15 @@ struct OverlapJob {
         },
         ""};
     b[dst].stream_fn = [](int, int, std::vector<TableChunkFn>& in) -> Result<Table> {
-      std::optional<Table> out;
+      std::vector<Table> chunks;
       while (true) {
         DITTO_ASSIGN_OR_RETURN(auto chunk, in.at(0)());
         if (!chunk.has_value()) break;
         std::this_thread::sleep_for(kStep);  // per-chunk work
-        if (!out.has_value()) {
-          out = std::move(*chunk);
-        } else {
-          DITTO_RETURN_IF_ERROR(out->concat(*chunk));
-        }
+        chunks.push_back(std::move(*chunk));
       }
-      if (!out.has_value()) return Status::invalid_argument("empty stream");
-      return std::move(*out);
+      if (chunks.empty()) return Status::invalid_argument("empty stream");
+      return concat_tables(std::move(chunks));
     };
     return b;
   }

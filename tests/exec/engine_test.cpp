@@ -290,10 +290,9 @@ TEST(MiniEngineTest, CaptureStagesReturnsMergedNonSinkOutputs) {
   const Table& captured = result->captured_outputs.at(0);
   EXPECT_EQ(captured.num_rows(), fact.num_rows());
   const auto parts = range_partition(fact, 3);
-  Table expect = parts[0];
-  ASSERT_TRUE(expect.concat(parts[1]).is_ok());
-  ASSERT_TRUE(expect.concat(parts[2]).is_ok());
-  EXPECT_EQ(captured, expect);
+  const auto expect = concat_tables({&parts[0], &parts[1], &parts[2]});
+  ASSERT_TRUE(expect.ok());
+  EXPECT_EQ(captured, *expect);
   // Sinks are not duplicated into captured_outputs.
   EXPECT_EQ(result->captured_outputs.count(1), 0u);
   EXPECT_EQ(result->sink_outputs.count(1), 1u);

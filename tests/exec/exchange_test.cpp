@@ -319,5 +319,94 @@ TEST(ExchangeTest, CancelUnblocksConsumersWithUnavailable) {
   EXPECT_EQ(t.status().code(), StatusCode::kUnavailable);
 }
 
+// ---- recv_all's gather: a lone part is borrowed, several parts are
+// copied once into exact-size columns.
+
+TEST(ExchangeGatherTest, LoneLocalPartIsBorrowedWithoutCopy) {
+  auto store = storage::make_instant_store();
+  Exchange ex(ExchangeKind::kGather, "", servers({0}), servers({0}), *store, "x");
+  Table t = keyed(0, 1000);
+  const std::int64_t* const sent = t.column(0).int_span().data();
+  ASSERT_TRUE(ex.send(0, std::move(t)).is_ok());
+  const auto got = ex.recv_all(0);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, keyed(0, 1000));
+  EXPECT_TRUE(got->column(0).is_borrowed());
+  EXPECT_EQ(got->column(0).int_span().data(), sent) << "a lone part must not be copied";
+}
+
+TEST(ExchangeGatherTest, LoneRemotePartViewsTheStoredPayload) {
+  auto store = storage::make_instant_store();
+  Exchange ex(ExchangeKind::kGather, "", servers({0}), servers({1}), *store, "x");
+  ASSERT_TRUE(ex.send(0, keyed(0, 1000)).is_ok());
+  const auto got = ex.recv_all(0);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, keyed(0, 1000));
+  const auto payload = store->get_payload("x/0-0/0");
+  ASSERT_TRUE(payload.ok());
+  const auto* data = reinterpret_cast<const char*>(got->column(1).int_span().data());
+  EXPECT_GE(data, (*payload)->data());
+  EXPECT_LT(data, (*payload)->data() + (*payload)->size())
+      << "the received column must view the store's payload, not a copy of it";
+}
+
+/// Producer i's part: an owned int64, a borrowed double and a string
+/// column, with values distinct per producer.
+Table mixed_part(int i, std::size_t rows) {
+  std::vector<std::int64_t> k;
+  std::vector<double> d;
+  std::vector<std::string> s;
+  for (std::size_t r = 0; r < rows; ++r) {
+    k.push_back(static_cast<std::int64_t>(i * 1000 + r));
+    d.push_back(static_cast<double>(r) * 0.5 + i);
+    s.push_back("p" + std::to_string(i) + "r" + std::to_string(r));
+  }
+  auto t = Table::make({{"k", DataType::kInt64}, {"d", DataType::kDouble},
+                        {"s", DataType::kString}},
+                       {Column(std::move(k)), Column(std::move(d)).borrowed_copy(),
+                        Column(std::move(s))});
+  EXPECT_TRUE(t.ok());
+  return std::move(t).value();
+}
+
+TEST(ExchangeGatherTest, MultiPartGatherEqualsTheAppendLoop) {
+  // Three producers (two local, one remote) all feed consumer 0.
+  auto store = storage::make_instant_store();
+  Exchange ex(ExchangeKind::kGather, "", servers({0, 1, 0}), servers({0}), *store, "x");
+  const std::size_t rows[] = {7, 0, 130};
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(ex.send(i, mixed_part(i, rows[i])).is_ok());
+  const auto got = ex.recv_all(0);
+  ASSERT_TRUE(got.ok()) << got.status().to_string();
+
+  // The old formulation: append every row of every part, in order.
+  Table want(mixed_part(0, 0).schema());
+  for (int i = 0; i < 3; ++i) {
+    const Table part = mixed_part(i, rows[i]);
+    for (std::size_t r = 0; r < part.num_rows(); ++r) want.append_row_from(part, r);
+  }
+  EXPECT_EQ(*got, want);
+  for (std::size_t c = 0; c < got->num_columns(); ++c) {
+    EXPECT_FALSE(got->column(c).is_borrowed()) << "column " << c;
+  }
+  EXPECT_EQ(ex.stats().remote_messages, 1u);
+}
+
+TEST(ExchangeGatherTest, ReceivedTableOutlivesItsStoreKey) {
+  // A remote receive views the store's payload; overwriting, removing
+  // or clearing the key must not invalidate tables already received.
+  auto store = storage::make_instant_store();
+  Exchange ex(ExchangeKind::kGather, "", servers({0}), servers({1}), *store, "x");
+  ASSERT_TRUE(ex.send(0, keyed(0, 500)).is_ok());
+  const auto first = ex.recv_all(0);
+  ASSERT_TRUE(store->put("x/0-0/0", std::string(4096, 'z')).is_ok());
+  const auto second = ex.recv_all(0);  // reads the overwritten key
+  EXPECT_FALSE(second.ok());
+  ASSERT_TRUE(store->remove("x/0-0/0").is_ok());
+  store->clear();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, keyed(0, 500));
+  EXPECT_TRUE(first->column(0).is_borrowed());
+}
+
 }  // namespace
 }  // namespace ditto::exec

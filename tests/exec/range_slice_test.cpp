@@ -44,14 +44,16 @@ std::shared_ptr<const Table> source(std::size_t rows, bool borrowed) {
 /// each slice against range_partition's i-th partition on the way.
 Table concat_slices(const std::shared_ptr<const Table>& src, std::size_t n) {
   const std::vector<Table> parts = range_partition(*src, n);
-  Table all(src->schema());
+  std::vector<Table> slices;
   for (std::size_t i = 0; i < n; ++i) {
     const Table slice = range_slice(src, i, n);
     EXPECT_EQ(slice, parts[i]) << "slice " << i << " of " << n;
     EXPECT_EQ(slice.byte_size(), parts[i].byte_size()) << "slice " << i << " of " << n;
-    EXPECT_TRUE(all.concat(slice).is_ok());
+    slices.push_back(slice);
   }
-  return all;
+  auto all = concat_tables(std::move(slices));
+  EXPECT_TRUE(all.ok());
+  return all.ok() ? std::move(all).value() : Table(src->schema());
 }
 
 TEST(RangeSliceTest, SlicesEqualRangePartitionAndConcatenateToSource) {

@@ -66,17 +66,21 @@ TEST(TableTest, TakePreservesSchema) {
 }
 
 TEST(TableTest, ConcatAppendsRows) {
-  Table a = sample();
+  const Table a = sample();
   const Table b = sample();
-  ASSERT_TRUE(a.concat(b).is_ok());
-  EXPECT_EQ(a.num_rows(), 6u);
-  EXPECT_EQ(a.column_by_name("id").int_at(3), 1);
+  const auto out = concat_tables(std::vector<const Table*>{&a, &b});
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->num_rows(), 6u);
+  EXPECT_EQ(out->column_by_name("id").int_at(3), 1);
+  EXPECT_EQ(out->column_by_name("name").string_at(5), "c");
 }
 
 TEST(TableTest, ConcatRejectsSchemaMismatch) {
-  Table a = sample();
+  const Table a = sample();
   const Table b = table_of_ints({{"x", {1}}});
-  EXPECT_FALSE(a.concat(b).is_ok());
+  const auto out = concat_tables(std::vector<const Table*>{&a, &b});
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().message(), "concat schema mismatch");
 }
 
 TEST(TableTest, AppendRowFrom) {

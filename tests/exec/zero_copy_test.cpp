@@ -124,12 +124,13 @@ TEST(ZeroCopyTest, ConcatMaterializesDestinationOnly) {
   const auto a = deserialize_table(buf);
   const auto b = deserialize_table(buf);
   ASSERT_TRUE(a.ok() && b.ok());
-  Table dst = *a;
-  ASSERT_TRUE(dst.concat(*b).is_ok());
-  EXPECT_EQ(dst.num_rows(), 8u);
-  EXPECT_FALSE(dst.column(0).is_borrowed());
-  EXPECT_TRUE(b->column(0).is_borrowed()) << "concat source must stay borrowed";
-  EXPECT_EQ(dst.column(0).int_span()[7], 4);
+  const auto dst = concat_tables(std::vector<const Table*>{&*a, &*b});
+  ASSERT_TRUE(dst.ok());
+  EXPECT_EQ(dst->num_rows(), 8u);
+  EXPECT_FALSE(dst->column(0).is_borrowed());
+  EXPECT_TRUE(a->column(0).is_borrowed()) << "concat sources must stay borrowed";
+  EXPECT_TRUE(b->column(0).is_borrowed()) << "concat sources must stay borrowed";
+  EXPECT_EQ(dst->column(0).int_span()[7], 4);
 }
 
 }  // namespace

@@ -39,6 +39,36 @@ TEST(FlakyStoreTest, InjectedErrorFailsBeforeTouchingInner) {
   EXPECT_EQ(inner.stats().puts, 0u);
 }
 
+TEST(FlakyStoreTest, InjectsOnThePayloadPath) {
+  // FlakyStore keeps the default payload methods, which go through its
+  // put/get: the same injected errors fire, and nothing reaches the
+  // inner store on a failed put_payload.
+  storage::MemStore inner;
+  const auto spec = parse_fault_spec("storage_error=0.999,seed=3");
+  ASSERT_TRUE(spec.ok());
+  FaultInjector injector(*spec);
+  FlakyStore flaky(inner, injector);
+  const Status st = flaky.put_payload("k", std::make_shared<const std::string>("value"));
+  ASSERT_EQ(st.code(), StatusCode::kUnavailable);
+  EXPECT_FALSE(inner.contains("k"));
+  EXPECT_EQ(inner.stats().puts, 0u);
+  ASSERT_TRUE(inner.put("k", "value").is_ok());
+  EXPECT_EQ(flaky.get_payload("k").status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(inner.stats().gets, 0u);
+}
+
+TEST(FlakyStoreTest, PayloadPathIsTransparentWithoutFaults) {
+  storage::MemStore inner;
+  FaultInjector injector(FaultSpec{});
+  FlakyStore flaky(inner, injector);
+  ASSERT_TRUE(flaky.put_payload("k", std::make_shared<const std::string>("value")).is_ok());
+  const auto v = flaky.get_payload("k");
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(**v, "value");
+  EXPECT_EQ(inner.stats().puts, 1u);
+  EXPECT_EQ(inner.stats().gets, 1u);
+}
+
 TEST(FlakyStoreTest, FailureSequenceIsDeterministic) {
   const auto spec = parse_fault_spec("storage_error=0.4,seed=17");
   ASSERT_TRUE(spec.ok());

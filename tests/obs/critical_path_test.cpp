@@ -101,6 +101,34 @@ TEST(CriticalPathTest, PipelinedStageIsChargedOnlyItsTailPastTheGate) {
   // The windows tile the job instead of overlapping: 2.0 + 0.5 + 0.5.
   EXPECT_NEAR(section.path_seconds, 3.0, 1e-12);
   EXPECT_LE(section.path_seconds, section.total_seconds + 1e-12);
+  // Compute is charged for the tail only: the unclamped source keeps its
+  // task mean, the join 0.5 of its 2.3 s span, the sink 0.5 of 2.6 s.
+  EXPECT_DOUBLE_EQ(section.entries[0].compute_seconds, 1.8);
+  EXPECT_NEAR(section.entries[1].compute_seconds, 2.0 * 0.5 / 2.3, 1e-12);
+  EXPECT_NEAR(section.entries[2].compute_seconds, 2.5 * 0.5 / 2.6, 1e-12);
+  for (const CriticalPathEntry& e : section.entries) {
+    EXPECT_LE(e.compute_seconds + e.transport_seconds + e.straggler_seconds,
+              e.window_seconds() + 1e-12)
+        << e.name;
+  }
+}
+
+TEST(CriticalPathTest, StageEndingBeforeItsGateIsChargedNothing) {
+  const JobDag dag = diamond();
+  cluster::RuntimeMonitor monitor;
+  // join finishes (1.5) before its gate scan_b does (2.0); the sink ends
+  // last, so join is on the path with an empty window.
+  monitor.record(record(0, 0, 0.0, 1.0, 0.0, 0.9, 0.0));
+  monitor.record(record(1, 0, 0.0, 2.0, 0.0, 1.8, 0.0));
+  monitor.record(record(2, 0, 0.2, 1.5, 0.1, 1.0, 0.1));
+  monitor.record(record(3, 0, 2.0, 3.0, 0.0, 0.8, 0.0));
+  const CriticalPathSection section = build_critical_path(dag, monitor);
+  ASSERT_EQ(section.entries.size(), 3u);
+  const CriticalPathEntry& join = section.entries[1];
+  EXPECT_EQ(join.window_seconds(), 0.0);
+  EXPECT_EQ(join.compute_seconds, 0.0);
+  EXPECT_EQ(join.transport_seconds, 0.0);
+  EXPECT_EQ(join.straggler_seconds, 0.0);
 }
 
 TEST(CriticalPathTest, EnginePathFitsInJctInWavesAndPipelinedRuns) {
@@ -129,11 +157,33 @@ TEST(CriticalPathTest, EnginePathFitsInJctInWavesAndPipelinedRuns) {
     const CriticalPathSection section = build_critical_path(job.dag, monitor);
     ASSERT_FALSE(section.empty());
     EXPECT_LE(section.path_seconds, section.total_seconds + 1e-9) << "pipeline " << pipeline;
+    // Every share of the path is at most 100%, and no entry is charged
+    // more than its window.
+    for (const double part : {section.queue_seconds, section.compute_seconds,
+                              section.transport_seconds, section.straggler_seconds}) {
+      EXPECT_LE(part, section.path_seconds + 1e-9) << "pipeline " << pipeline;
+    }
+    for (const CriticalPathEntry& e : section.entries) {
+      EXPECT_LE(e.compute_seconds + e.transport_seconds + e.straggler_seconds,
+                e.window_seconds() + 1e-9)
+          << e.name << " pipeline " << pipeline;
+    }
     if (!pipeline) {
       // Waves: every stage starts after its gate ends, so each window
-      // is the stage's observed span, as before the overlap clamp.
+      // is the stage's observed span and compute/transport are the
+      // stage's task means, as before the overlap clamp.
       for (const CriticalPathEntry& e : section.entries) {
         EXPECT_EQ(e.start, monitor.stage_summary(e.stage).stage_start) << e.name;
+        const auto records = monitor.records_for_stage(e.stage);
+        ASSERT_FALSE(records.empty()) << e.name;
+        double compute = 0.0, transport = 0.0;
+        for (const cluster::TaskRecord& r : records) {
+          compute += r.compute_time;
+          transport += r.read_time + r.write_time;
+        }
+        const double n = static_cast<double>(records.size());
+        EXPECT_DOUBLE_EQ(e.compute_seconds, compute / n) << e.name;
+        EXPECT_DOUBLE_EQ(e.transport_seconds, transport / n) << e.name;
       }
     }
   }

@@ -241,6 +241,127 @@ TEST(MemStoreConcurrencyTest, BoundedStoreNeverExceedsCapacity) {
   EXPECT_LE(store.used_bytes(), model.capacity);
 }
 
+// ---- Shared payloads: put_payload keeps the caller's pointer and
+// get_payload hands it back, with the same accounting as put/get.
+
+Payload payload_of(std::string s) { return std::make_shared<const std::string>(std::move(s)); }
+
+TEST(MemStorePayloadTest, GetPayloadReturnsThePointerThatWasPut) {
+  MemStore store;
+  const Payload put = payload_of("shared bytes");
+  ASSERT_TRUE(store.put_payload("k", put).is_ok());
+  const auto got = store.get_payload("k");
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->get(), put.get()) << "get_payload must not copy";
+  EXPECT_EQ(**got, "shared bytes");
+  // The copying wrappers see the same value.
+  const auto copy = store.get("k");
+  ASSERT_TRUE(copy.ok());
+  EXPECT_EQ(*copy, "shared bytes");
+  EXPECT_NE(static_cast<const void*>(copy->data()), static_cast<const void*>(put->data()));
+}
+
+TEST(MemStorePayloadTest, MissAndNullPayloadAreErrors) {
+  MemStore store;
+  EXPECT_EQ(store.get_payload("nope").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.stats().misses, 1u);
+  EXPECT_EQ(store.put_payload("k", nullptr).code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(store.contains("k"));
+  EXPECT_EQ(store.stats().puts, 0u);
+}
+
+/// Stats and used bytes compared field by field.
+void expect_same_accounting(const MemStore& a, const MemStore& b, const char* step) {
+  const StoreStats sa = a.stats();
+  const StoreStats sb = b.stats();
+  EXPECT_EQ(a.used_bytes(), b.used_bytes()) << step;
+  EXPECT_EQ(sa.puts, sb.puts) << step;
+  EXPECT_EQ(sa.gets, sb.gets) << step;
+  EXPECT_EQ(sa.misses, sb.misses) << step;
+  EXPECT_EQ(sa.rejected, sb.rejected) << step;
+  EXPECT_EQ(sa.bytes_written, sb.bytes_written) << step;
+  EXPECT_EQ(sa.bytes_read, sb.bytes_read) << step;
+}
+
+TEST(MemStorePayloadTest, AccountingMatchesPutThroughRejectOverwriteRemoveAndClear) {
+  StorageModel model;
+  model.capacity = 10;
+  MemStore by_copy(model, "bounded");
+  MemStore by_payload(model, "bounded");
+  const auto both = [&](const std::string& key, const std::string& value) {
+    const Status a = by_copy.put(key, value);
+    const Status b = by_payload.put_payload(key, payload_of(value));
+    EXPECT_EQ(a.code(), b.code()) << key << "=" << value;
+    return b.code();
+  };
+  EXPECT_EQ(both("a", "12345"), StatusCode::kOk);
+  EXPECT_EQ(both("b", "1234"), StatusCode::kOk);
+  expect_same_accounting(by_copy, by_payload, "two puts");
+  EXPECT_EQ(both("c", "xx"), StatusCode::kResourceExhausted);
+  EXPECT_FALSE(by_payload.contains("c"));
+  expect_same_accounting(by_copy, by_payload, "rejected put");
+  EXPECT_EQ(by_payload.stats().rejected, 1u);
+  EXPECT_EQ(both("a", "123456"), StatusCode::kOk);  // overwrite grows within capacity
+  expect_same_accounting(by_copy, by_payload, "overwrite");
+  EXPECT_EQ(by_payload.used_bytes(), 10u);
+  (void)by_copy.get("a");
+  (void)by_payload.get_payload("a");
+  (void)by_copy.get("gone");
+  (void)by_payload.get_payload("gone");
+  expect_same_accounting(by_copy, by_payload, "gets");
+  ASSERT_TRUE(by_copy.remove("a").is_ok());
+  ASSERT_TRUE(by_payload.remove("a").is_ok());
+  expect_same_accounting(by_copy, by_payload, "remove");
+  EXPECT_EQ(by_payload.used_bytes(), 4u);
+  by_copy.clear();
+  by_payload.clear();
+  expect_same_accounting(by_copy, by_payload, "clear");
+  EXPECT_EQ(by_payload.used_bytes(), 0u);
+}
+
+TEST(MemStorePayloadTest, ReadPayloadOutlivesOverwriteRemoveAndClear) {
+  MemStore store;
+  ASSERT_TRUE(store.put_payload("k", payload_of("first")).is_ok());
+  const auto first = store.get_payload("k");
+  ASSERT_TRUE(store.put_payload("k", payload_of("second")).is_ok());
+  const auto second = store.get_payload("k");
+  ASSERT_TRUE(store.remove("k").is_ok());
+  ASSERT_TRUE(store.put("k", "third").is_ok());
+  const auto third = store.get_payload("k");
+  store.clear();
+  ASSERT_TRUE(first.ok() && second.ok() && third.ok());
+  EXPECT_EQ(**first, "first");
+  EXPECT_EQ(**second, "second");
+  EXPECT_EQ(**third, "third");
+  EXPECT_EQ(store.used_bytes(), 0u);
+}
+
+TEST(MemStorePayloadTest, ConcurrentPayloadReadersSeeWholeValues) {
+  MemStore store;
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> torn{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      const auto v = store.get_payload("k");
+      if (v.ok() && (*v)->find_first_not_of((**v)[0]) != std::string::npos) ++torn;
+    }
+  });
+  for (int j = 0; j < 200; ++j) {
+    EXPECT_TRUE(
+        store.put_payload("k", payload_of(std::string(4096 + j, static_cast<char>('a' + j % 26))))
+            .is_ok());
+    if (j % 16 == 15) {
+      EXPECT_TRUE(store.remove("k").is_ok());
+    }
+  }
+  done = true;
+  reader.join();
+  EXPECT_EQ(torn.load(), 0u);
+  const auto last = store.get_payload("k");
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(store.used_bytes(), (*last)->size());
+}
+
 TEST(StorageModelTest, TransferTimeLatencyPlusBandwidth) {
   StorageModel m;
   m.request_latency = 0.01;

@@ -9,21 +9,36 @@
 // copy within a server, serialized through the object store across
 // servers, exactly as the placement plan dictates.
 //
-// Resilience (EngineOptions): every task runs as a chain of attempts.
-//   * retries — a failed attempt (crash, thrown exception, storage
-//     error that outlived the fabric's own retry budget) is re-run up
-//     to ResiliencePolicy::max_task_attempts times;
+// A run has three phases:
+//   * plan — plan_run(), a pure function of the DAG, the placement plan
+//     and the options: input checks, topological order, the checked
+//     stream edges, the overlap groups and the private pool widths;
+//   * run-group, once per group in order — launch every task of the
+//     group, drive it (cancellation, speculation) until every attempt
+//     chain has exited, drain it, and record its stages' observed
+//     seconds and drift;
+//   * finish — cancel the exchanges on failure, or merge the sink and
+//     captured outputs and fold the counters.
+//
+// Resilience (EngineOptions): every task runs as a chain of attempts,
+// and one chain function serves both kinds of chain.
+//   * retries — the original chain re-runs a failed attempt (crash,
+//     thrown exception, storage error that outlived the fabric's own
+//     retry budget) up to ResiliencePolicy::max_task_attempts times;
 //   * speculation/deadlines — once half a wave has completed, tasks
 //     slower than speculation_factor x the median (or older than
-//     task_deadline) get a duplicate attempt on another server; the
-//     first successful attempt wins. Duplicates are safe because
-//     Exchange publishes are idempotent and sink outputs are
-//     first-writer-wins per (stage, task) slot;
-//   * server loss — when the FaultInjector kills a server at a wave
+//     task_deadline) get a one-attempt duplicate chain on another
+//     server; the first successful attempt wins the task's slot. A
+//     chain that ends without winning leaves its failure with the
+//     slot, so a failed duplicate cannot fail a slot its original won.
+//     Duplicates are safe because Exchange publishes are idempotent
+//     and sink outputs are first-writer-wins per (stage, task) slot;
+//   * server loss — when the FaultInjector kills a server at a group
 //     boundary, its pending tasks are rerouted to surviving servers'
 //     pools and completed producers whose zero-copy intermediates
 //     lived on the dead server are re-executed to re-publish them
 //     (remote payloads survive in the object store).
+// A stage is done at the latest end among its winning attempts.
 // Everything is deterministic given deterministic bindings: inputs are
 // gathered in producer order and sink outputs assembled in task order,
 // so a faulted run's results are byte-identical to a fault-free run.
@@ -35,6 +50,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -249,6 +265,32 @@ struct EngineResult {
   std::map<StageId, Table> captured_outputs;
   EngineStats stats;
 };
+
+/// The plan phase of a run: its shape, derived from the DAG, the
+/// placement plan and the options alone, before any task runs.
+struct RunPlan {
+  std::vector<StageId> order;  ///< topological
+  /// EngineOptions::stream_edges, each checked to be a shuffle edge.
+  std::set<std::pair<StageId, StageId>> stream_edges;
+  /// Overlap groups in execution order, each a run of consecutive
+  /// `order` stages. A stage joins the current group iff it has a parent
+  /// there and every such parent feeds it through a stream edge; any
+  /// other stage starts a new group. With no stream edges every group is
+  /// one stage: a classic wave.
+  std::vector<std::vector<StageId>> groups;
+  std::vector<std::size_t> group_of;  ///< group index, by StageId
+  /// Private pool width per server 0..max_server: the most tasks any
+  /// one group places on it (at least 1). Empty with shared
+  /// EngineOptions::pools.
+  std::vector<std::size_t> pool_widths;
+  ServerId max_server = 0;  ///< highest server the plan places a task on
+};
+
+/// Plans a run. INVALID_ARGUMENT for a plan not sized to the DAG, a
+/// stream edge that is not a shuffle edge of the DAG, stream edges with
+/// shared pools, and shared pools that do not cover the plan's servers.
+Result<RunPlan> plan_run(const JobDag& dag, const cluster::PlacementPlan& plan,
+                         const EngineOptions& options);
 
 class MiniEngine {
  public:

@@ -1,7 +1,6 @@
 #include "exec/exchange.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -10,46 +9,30 @@ namespace ditto::exec {
 
 Status LocalTableChannel::send(std::shared_ptr<const Table> table) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (closed_) return Status::failed_precondition("send on closed channel");
+  if (aborted_) return Status::unavailable("exchange canceled");
   items_.push_back(std::move(table));  // zero-copy: pointer moves
   cv_.notify_all();
   return Status::ok();
 }
 
-Result<std::vector<std::shared_ptr<const Table>>> LocalTableChannel::snapshot_all() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return closed_; });
-  if (aborted_) return Status::unavailable("exchange canceled");
-  return items_;
-}
-
 Result<std::shared_ptr<const Table>> LocalTableChannel::recv_at(std::size_t idx) const {
   std::unique_lock<std::mutex> lock(mu_);
-  // Deliberately does NOT wait for closed_: chunk `idx` becomes
-  // readable the moment it is buffered. A producer reset clears
-  // items_, in which case we simply wait for the byte-identical
-  // re-publish to refill the slot.
+  // Chunk `idx` becomes readable the moment it is buffered. A producer
+  // reset clears items_, in which case we simply wait for the
+  // byte-identical re-publish to refill the slot.
   cv_.wait(lock, [&] { return idx < items_.size() || aborted_; });
   if (aborted_) return Status::unavailable("exchange canceled");
   return items_[idx];
-}
-
-void LocalTableChannel::close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  closed_ = true;
-  cv_.notify_all();
 }
 
 void LocalTableChannel::reopen() {
   std::lock_guard<std::mutex> lock(mu_);
   if (aborted_) return;  // cancel is terminal; never resurrect readers
   items_.clear();  // the lost server's shared memory is gone
-  closed_ = false;
 }
 
 void LocalTableChannel::abort() {
   std::lock_guard<std::mutex> lock(mu_);
-  closed_ = true;
   aborted_ = true;
   cv_.notify_all();
 }
@@ -58,7 +41,7 @@ Status RemoteTableChannel::send(std::shared_ptr<const Table> table) {
   std::size_t seq;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) return Status::failed_precondition("send on closed channel");
+    if (aborted_) return Status::unavailable("exchange canceled");
     seq = next_send_;
   }
   const std::string key = prefix_ + "/" + std::to_string(seq);
@@ -90,23 +73,6 @@ Result<std::shared_ptr<const Table>> RemoteTableChannel::fetch(std::size_t seq) 
   return std::make_shared<const Table>(std::move(table));
 }
 
-Result<std::vector<std::shared_ptr<const Table>>> RemoteTableChannel::snapshot_all() const {
-  std::size_t n;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return closed_; });
-    if (aborted_) return Status::unavailable("exchange canceled");
-    n = next_send_;
-  }
-  std::vector<std::shared_ptr<const Table>> out;
-  out.reserve(n);
-  for (std::size_t seq = 0; seq < n; ++seq) {
-    DITTO_ASSIGN_OR_RETURN(auto table, fetch(seq));
-    out.push_back(std::move(table));
-  }
-  return out;
-}
-
 Result<std::shared_ptr<const Table>> RemoteTableChannel::recv_at(std::size_t idx) const {
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -119,24 +85,16 @@ Result<std::shared_ptr<const Table>> RemoteTableChannel::recv_at(std::size_t idx
   return fetch(idx);
 }
 
-void RemoteTableChannel::close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  closed_ = true;
-  cv_.notify_all();
-}
-
 void RemoteTableChannel::reopen() {
   std::lock_guard<std::mutex> lock(mu_);
   if (aborted_) return;  // cancel is terminal; never resurrect readers
   // Durable payloads survive in the store; the re-publish overwrites
   // the same deterministic keys with identical bytes.
   next_send_ = 0;
-  closed_ = false;
 }
 
 void RemoteTableChannel::abort() {
   std::lock_guard<std::mutex> lock(mu_);
-  closed_ = true;
   aborted_ = true;
   cv_.notify_all();
 }
@@ -344,7 +302,6 @@ Status Exchange::send_chunked(std::size_t producer, Table table, std::size_t chu
         // Every chunk is routed; this attempt seals the stream.
         s.finished = true;
         lock.unlock();
-        for (std::size_t j = 0; j < consumers_; ++j) channel(producer, j).close();
         pub_cv_.notify_all();
         return Status::ok();
       }
@@ -399,12 +356,12 @@ Status Exchange::send(std::size_t producer, Table table) {
 
 Result<Table> Exchange::recv_all(std::size_t consumer) {
   if (consumer >= consumers_) return Status::out_of_range("bad consumer index");
+  ChunkCursor cursor = open_cursor(consumer);
   std::vector<std::shared_ptr<const Table>> items;
-  for (std::size_t i = 0; i < producers_; ++i) {
-    // Gather sends only on one pipe; others close empty.
-    DITTO_ASSIGN_OR_RETURN(auto part, channel(i, consumer).snapshot_all());
-    items.insert(items.end(), std::make_move_iterator(part.begin()),
-                 std::make_move_iterator(part.end()));
+  for (;;) {
+    DITTO_ASSIGN_OR_RETURN(auto chunk, cursor.next());
+    if (!chunk.has_value()) break;
+    items.push_back(std::move(*chunk));
   }
   // Every routed part's fixed-width columns borrow the producer's output
   // or the fetched payload, so a lone part comes back without copying

@@ -25,9 +25,10 @@
 //     deterministic stage functions re-produce byte-identical chunks,
 //     so a consumer that already read part of the old stream observes
 //     an indistinguishable sequence. See DESIGN.md §14.
-//   * recv_all() is NON-DESTRUCTIVE — it snapshots the routed payloads
-//     without consuming them, so a speculative duplicate of a consumer
-//     task gathers exactly what the original saw.
+//   * reads are NON-DESTRUCTIVE — recv_all() drains a ChunkCursor,
+//     which reads the routed payloads without consuming them, so a
+//     speculative duplicate of a consumer task gathers exactly what the
+//     original saw.
 //   * remote puts/gets run under a RetryPolicy (capped exponential
 //     backoff), so transient storage errors injected by a FlakyStore
 //     are absorbed inside the fabric.
@@ -61,30 +62,25 @@ class TableChannel {
  public:
   virtual ~TableChannel() = default;
 
+  /// Appends one payload; fails UNAVAILABLE once the channel aborted.
   virtual Status send(std::shared_ptr<const Table> table) = 0;
 
-  /// Non-destructive read of every payload sent so far; blocks until
-  /// the channel is closed. Safe to call repeatedly (duplicate-safe
-  /// consumers) and after a producer re-publish.
-  virtual Result<std::vector<std::shared_ptr<const Table>>> snapshot_all() const = 0;
-
   /// Non-destructive indexed read: blocks until payload `idx` has been
-  /// sent (or the channel aborts), without waiting for close. This is
-  /// what lets a consumer start on the first arrived chunk while the
-  /// producer is still streaming. After a producer reset the call
+  /// sent (or the channel aborts). This is what lets a consumer start on
+  /// the first arrived chunk while the producer is still streaming. The
+  /// Exchange knows when a producer's stream ends, so the channel has
+  /// no end-of-stream of its own. After a producer reset the call
   /// simply waits for the re-publish to refill the slot — re-published
   /// chunks are byte-identical, so pre-reset reads stay valid.
   virtual Result<std::shared_ptr<const Table>> recv_at(std::size_t idx) const = 0;
-
-  virtual void close() = 0;
 
   /// Reopens the channel after a producer reset, dropping any locally
   /// buffered payloads (a lost server's shared memory); durable remote
   /// payloads survive and are overwritten by the re-publish.
   virtual void reopen() = 0;
 
-  /// Closes the channel and makes snapshot_all() fail UNAVAILABLE; used
-  /// to unblock consumers when the job aborts.
+  /// Makes every blocked and later recv_at() and send() fail
+  /// UNAVAILABLE; used to unblock consumers when the job aborts.
   virtual void abort() = 0;
 
   virtual bool is_zero_copy() const = 0;
@@ -94,9 +90,7 @@ class TableChannel {
 class LocalTableChannel final : public TableChannel {
  public:
   Status send(std::shared_ptr<const Table> table) override;
-  Result<std::vector<std::shared_ptr<const Table>>> snapshot_all() const override;
   Result<std::shared_ptr<const Table>> recv_at(std::size_t idx) const override;
-  void close() override;
   void reopen() override;
   void abort() override;
   bool is_zero_copy() const override { return true; }
@@ -105,7 +99,6 @@ class LocalTableChannel final : public TableChannel {
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
   std::vector<std::shared_ptr<const Table>> items_;
-  bool closed_ = false;
   bool aborted_ = false;
 };
 
@@ -114,7 +107,7 @@ class LocalTableChannel final : public TableChannel {
 /// read takes get_payload's payload and borrows its fixed-width columns
 /// from it, so a MemStore adds no copy. Payload keys are deterministic
 /// (`prefix/seq`), so re-publishes after failure are idempotent
-/// overwrites and snapshots re-read from the store.
+/// overwrites and repeated reads re-read from the store.
 class RemoteTableChannel final : public TableChannel {
  public:
   RemoteTableChannel(storage::ObjectStore& store, std::string prefix,
@@ -124,9 +117,7 @@ class RemoteTableChannel final : public TableChannel {
         retry_counter_(retry_counter) {}
 
   Status send(std::shared_ptr<const Table> table) override;
-  Result<std::vector<std::shared_ptr<const Table>>> snapshot_all() const override;
   Result<std::shared_ptr<const Table>> recv_at(std::size_t idx) const override;
-  void close() override;
   void reopen() override;
   void abort() override;
   bool is_zero_copy() const override { return false; }
@@ -146,7 +137,6 @@ class RemoteTableChannel final : public TableChannel {
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
   std::size_t next_send_ = 0;
-  bool closed_ = false;
   bool aborted_ = false;
 };
 
@@ -158,7 +148,9 @@ struct ExchangeStats {
   std::size_t storage_retries = 0;      ///< remote put/get retries absorbed
   std::size_t producers_reset = 0;      ///< server-loss recovery resets
   std::size_t chunks_published = 0;     ///< accepted chunk publishes (>=1 per producer)
-  std::size_t chunks_consumed = 0;      ///< chunks handed to streaming cursors
+  /// Chunks read by consumers, through recv_all() or a streaming
+  /// cursor; each read of a chunk counts, a duplicate consumer's too.
+  std::size_t chunks_consumed = 0;
 };
 
 class Exchange;
@@ -206,7 +198,7 @@ class Exchange {
 
   /// Producer `i` publishes its output table; the exchange routes
   /// partitions (shuffle), the whole table (broadcast/all-gather), or a
-  /// 1:1 slice (gather) and then closes producer i's pipes. Idempotent:
+  /// 1:1 slice (gather) and then finishes producer i's stream. Idempotent:
   /// the first publish per producer wins, duplicates are discarded (and
   /// block until the winner's publish resolves, taking over if it
   /// failed), which is what makes speculative re-execution safe.
@@ -229,17 +221,16 @@ class Exchange {
   Status send_chunked(std::size_t producer, Table table, std::size_t chunk_rows,
                       const std::function<Status()>& tick = nullptr);
 
-  /// Consumer `j` receives and concatenates everything routed to it, in
-  /// producer order (deterministic regardless of timing). A lone part
-  /// comes back borrowed, without a copy; several are copied once into
-  /// exact-size columns. Non-destructive: duplicate consumers see
-  /// identical input.
+  /// Consumer `j` drains a cursor and concatenates everything routed to
+  /// it, in the cursor's (producer-major, chunk-seq) order,
+  /// deterministic regardless of timing. A lone part comes back
+  /// borrowed, without a copy; several are copied once into exact-size
+  /// columns. Non-destructive: duplicate consumers see identical input.
   Result<Table> recv_all(std::size_t consumer);
 
-  /// Opens a streaming cursor for consumer `j`. The cursor's chunk
-  /// order (producer-major, chunk-seq) matches recv_all()'s concat
-  /// order, which is what keeps pipelined and materialized execution
-  /// bit-identical for order-preserving consumers.
+  /// Opens a streaming cursor for consumer `j`. recv_all() reads through
+  /// one too, so pipelined and materialized execution see the same
+  /// chunk order and stay bit-identical for order-preserving consumers.
   ChunkCursor open_cursor(std::size_t consumer) { return ChunkCursor(this, consumer); }
 
   /// Forgets producer `i`'s publish and reopens its channels, dropping
@@ -267,7 +258,7 @@ class Exchange {
   struct ChunkStream {
     std::size_t accepted = 0;  ///< chunks fully routed to every consumer
     bool publishing = false;   ///< a chunk route is in flight
-    bool finished = false;     ///< stream complete; channel row closed
+    bool finished = false;     ///< stream complete; cursors move past it
   };
 
   /// Routing telemetry of one publish attempt, committed to stats_ and

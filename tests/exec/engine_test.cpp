@@ -322,6 +322,68 @@ JobDag chain_dag(int n) {
   return dag;
 }
 
+/// s0 (3 tasks) -> s1 (2 tasks) -> s2 (3 tasks): server 0 holds 2, 1
+/// and 0 of them, server 1 holds 1, 1 and 3.
+cluster::PlacementPlan uneven_chain_plan(const JobDag& dag) {
+  return plan_for(dag, {3, 2, 3}, {{0, 0, 1}, {0, 1}, {1, 1, 1}});
+}
+
+TEST(RunPlanTest, WavesRunEachStageAsItsOwnGroupOnThePerStageMaximumWidth) {
+  const JobDag dag = chain_dag(3);
+  const auto plan = plan_run(dag, uneven_chain_plan(dag), EngineOptions{});
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  EXPECT_EQ(plan->order, (std::vector<StageId>{0, 1, 2}));
+  EXPECT_TRUE(plan->stream_edges.empty());
+  EXPECT_EQ(plan->groups, (std::vector<std::vector<StageId>>{{0}, {1}, {2}}));
+  EXPECT_EQ(plan->group_of, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(plan->max_server, 1u);
+  EXPECT_EQ(plan->pool_widths, (std::vector<std::size_t>{2, 3}));
+
+  // Shared pools size nothing: the service's pools are already built.
+  ServerPools pools({1, 1});
+  EngineOptions shared;
+  shared.pools = &pools;
+  const auto on_shared = plan_run(dag, uneven_chain_plan(dag), shared);
+  ASSERT_TRUE(on_shared.ok()) << on_shared.status().to_string();
+  EXPECT_EQ(on_shared->groups.size(), 3u);
+  EXPECT_TRUE(on_shared->pool_widths.empty());
+}
+
+TEST(RunPlanTest, StreamChainIsOneGroupSizedByTheSumOverItsStages) {
+  const JobDag dag = chain_dag(3);
+  EngineOptions opts;
+  opts.stream_edges = {{0, 1}, {1, 2}};
+  const auto plan = plan_run(dag, uneven_chain_plan(dag), opts);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  EXPECT_EQ(plan->stream_edges.size(), 2u);
+  EXPECT_EQ(plan->groups, (std::vector<std::vector<StageId>>{{0, 1, 2}}));
+  EXPECT_EQ(plan->group_of, (std::vector<std::size_t>{0, 0, 0}));
+  // Every task of the group holds a thread: 2 + 1 + 0 and 1 + 1 + 3.
+  EXPECT_EQ(plan->pool_widths, (std::vector<std::size_t>{3, 5}));
+}
+
+TEST(RunPlanTest, NonStreamingParentInTheGroupStartsANewGroup) {
+  // 0 -> {1, 2} -> 3, where only 2 -> 3 does not stream: 3 has two
+  // parents in the current group and must wait for both in full.
+  JobDag dag("diamond");
+  for (int i = 0; i < 4; ++i) dag.add_stage("s" + std::to_string(i));
+  for (const auto& [src, dst] : std::vector<std::pair<StageId, StageId>>{
+           {0, 1}, {0, 2}, {1, 3}, {2, 3}}) {
+    ASSERT_TRUE(dag.add_edge(src, dst, ExchangeKind::kShuffle).is_ok());
+  }
+  EngineOptions opts;
+  opts.stream_edges = {{0, 1}, {0, 2}, {1, 3}};
+  const auto plan = plan_run(dag, plan_for(dag, {1, 1, 1, 1}, {{0}, {0}, {0}, {0}}), opts);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  ASSERT_EQ(plan->groups.size(), 2u);
+  std::vector<StageId> first = plan->groups[0];
+  std::sort(first.begin(), first.end());
+  EXPECT_EQ(first, (std::vector<StageId>{0, 1, 2}));
+  EXPECT_EQ(plan->groups[1], (std::vector<StageId>{3}));
+  EXPECT_EQ(plan->group_of[3], 1u);
+  EXPECT_EQ(plan->pool_widths, (std::vector<std::size_t>{3}));
+}
+
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 constexpr bool kSanitized = true;
 #elif defined(__has_feature)

@@ -205,6 +205,78 @@ TEST(EngineResilienceTest, ExhaustedAttemptsDoNotMaskLaterFatalError) {
       << result.status().to_string();
 }
 
+TEST(EngineResilienceTest, FailedDuplicateDoesNotFailAWonSlot) {
+  // The scan's only attempt is slow but succeeds; its deadline
+  // duplicate, on the other server, fails first. The slot is the
+  // original's, so the duplicate's failure must stay with it.
+  const Table fact = gen_fact_table({.rows = 1000, .num_warehouses = 4, .seed = 29});
+  const JobDag dag = agg_dag();
+  const auto plan = plan_for({1, 1}, {{0}, {1}});
+  const Table reference = reference_sink(fact, plan);
+
+  auto store = storage::make_instant_store();
+  exec::EngineOptions options;
+  options.resilience.max_task_attempts = 1;
+  options.resilience.task_deadline = 0.03;
+  exec::MiniEngine engine(dag, plan, *store, options);
+
+  std::atomic<int> scan_calls{0};
+  auto bindings = agg_bindings(fact);
+  const StageBinding original = bindings[0];
+  bindings[0].fn = [&, original](int task, int dop,
+                                 const std::vector<Table>& in) -> Result<Table> {
+    if (scan_calls.fetch_add(1) == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(150));
+      return original.fn(task, dop, in);
+    }
+    return Status::internal("duplicate scan attempt failed");
+  };
+
+  const auto result = engine.run(bindings);
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  EXPECT_EQ(scan_calls.load(), 2);
+  auto sorted = exec::sort_by_int(result->sink_outputs.at(1), "warehouse_id");
+  ASSERT_TRUE(sorted.ok());
+  EXPECT_EQ(*sorted, reference);
+  EXPECT_GE(result->stats.resilience.speculative_launched, 1u);
+  EXPECT_EQ(result->stats.resilience.speculative_wins, 0u);
+}
+
+TEST(EngineResilienceTest, WinningDuplicateProfilesItsOwnQueueAndNoRetries) {
+  // SpeculationDuplicatesTheHungStraggler's setup with a profile store
+  // and a 0.1 s minimum wait: the duplicate of the hung scan task starts
+  // at least 0.1 s after the original's launch, but right after its own.
+  const Table fact = gen_fact_table({.rows = 4000, .num_warehouses = 8, .seed = 7});
+  const JobDag dag = agg_dag();
+  const auto plan = plan_for({4, 2}, {{0, 0, 1, 1}, {0, 1}});
+
+  const auto spec = parse_fault_spec("hang=0:1:0.8");
+  ASSERT_TRUE(spec.ok());
+  FaultInjector injector(*spec);
+  auto store = storage::make_instant_store();
+  obs::StageProfileStore profiles;
+  exec::EngineOptions options;
+  options.injector = &injector;
+  options.resilience.speculation_factor = 2.0;
+  options.resilience.speculation_min_wait = 0.1;
+  options.profiles = &profiles;
+  options.plan_fingerprint = 0x5eed;
+  exec::MiniEngine engine(dag, plan, *store, options);
+  const auto result = engine.run(agg_bindings(fact));
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  ASSERT_GE(result->stats.resilience.speculative_wins, 1u);
+  EXPECT_EQ(result->stats.resilience.task_retries, 0u);
+
+  const auto scan = profiles.lookup(0x5eed, 0, 4);
+  ASSERT_TRUE(scan.has_value());
+  EXPECT_EQ(scan->count, 4u);
+  EXPECT_EQ(scan->retries, 0u);
+  // The duplicate's sample comes last and weighs kEwmaAlpha = 0.2: a
+  // wait counted from the original's launch (>= 0.1 s) would lift the
+  // mean to at least 0.02 s.
+  EXPECT_LT(scan->ewma_queue, 0.01);
+}
+
 TEST(EngineResilienceTest, ServerLossRecoversPendingAndPublishedWork) {
   const Table fact = gen_fact_table({.rows = 4000, .num_warehouses = 8, .seed = 11});
   const JobDag dag = agg_dag();

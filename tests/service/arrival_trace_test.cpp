@@ -96,7 +96,9 @@ TEST(ArrivalTraceTest, RepeatedTemplateSharesSpecAndUniqueJobsDiffer) {
                             std::to_string(a.spec.seed);
     if (a.repeat) {
       const auto [it, inserted] = seen.emplace(a.template_id, sig);
-      if (!inserted) EXPECT_EQ(it->second, sig);  // identical resubmission
+      if (!inserted) {
+        EXPECT_EQ(it->second, sig);  // identical resubmission
+      }
     } else {
       EXPECT_TRUE(unique_seeds.insert(a.spec.seed).second)
           << "unique arrivals must not collide on data seed";

@@ -517,7 +517,9 @@ TEST(ServiceCacheTest, CacheHitJobsJournalAndRecoveryConverges) {
       ASSERT_TRUE(outcome.ok());
       ASSERT_EQ(outcome->state, JobState::kDone) << outcome->error.to_string();
       EXPECT_NE(outcome->jid, 0u);
-      if (std::string(label) == "second") EXPECT_TRUE(outcome->from_cache);
+      if (std::string(label) == "second") {
+        EXPECT_TRUE(outcome->from_cache);
+      }
     }
     svc.drain();
   }

@@ -9,9 +9,14 @@
 // are the reproduction target.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <ctime>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "faults/fault_injector.h"
@@ -22,6 +27,40 @@
 #include "workload/queries.h"
 
 namespace ditto::bench {
+
+/// Spins hardware_concurrency() threads until a 100 ms window shows
+/// nearly all CPUs busy, so the timing that follows starts on a host
+/// that grants every core: a process that starts on an idle host can
+/// get one effective CPU for about a second. Gives up after 5 s.
+/// Returns the seconds the warm-up took.
+inline double warm_host() {
+  using Clock = std::chrono::steady_clock;
+  constexpr double kMaxSeconds = 5.0;
+  const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> spinners;
+  for (unsigned i = 0; i < cpus; ++i) {
+    spinners.emplace_back([&stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+      }
+    });
+  }
+  const auto start = Clock::now();
+  const auto since = [](Clock::time_point t) {
+    return std::chrono::duration<double>(Clock::now() - t).count();
+  };
+  for (;;) {
+    const std::clock_t cpu0 = std::clock();  // process CPU time, all threads
+    const auto window = Clock::now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const double busy =
+        static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC / since(window);
+    if (busy >= 0.9 * cpus || since(start) >= kMaxSeconds) break;
+  }
+  stop.store(true);
+  for (std::thread& t : spinners) t.join();
+  return since(start);
+}
 
 inline workload::PhysicsParams physics_for(const storage::StorageModel& store) {
   workload::PhysicsParams p;

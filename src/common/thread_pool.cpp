@@ -9,11 +9,11 @@ namespace {
 thread_local const ThreadPool* tl_worker_of = nullptr;
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads) {
+ThreadPool::ThreadPool(std::size_t threads) : wake_(threads), parked_(threads, false) {
   assert(threads > 0);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
@@ -22,39 +22,38 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
   }
-  cv_.notify_all();
+  for (auto& w : wake_) w.notify_all();
   for (auto& w : workers_) w.join();
 }
 
 bool ThreadPool::on_worker_thread() const { return tl_worker_of == this; }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(std::size_t self) {
   tl_worker_of = this;
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (stopping_ && queue_.empty()) return;
+      while (queue_.empty() && !stopping_) {
+        parked_[self] = true;
+        idle_.push_back(self);
+        if (idle_.size() == wake_.size()) idle_cv_.notify_all();
+        wake_[self].wait(lock, [&] { return !parked_[self] || stopping_; });
+      }
+      if (queue_.empty()) return;  // stopping, and every task has run
       task = std::move(queue_.front());
       queue_.pop();
-      ++active_;
     }
     try {
       task();  // packaged_task stores exceptions; this guards raw closures
     } catch (...) {
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
     }
   }
 }
 
 void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
+  idle_cv_.wait(lock, [this] { return queue_.empty() && idle_.size() == wake_.size(); });
 }
 
 }  // namespace ditto

@@ -36,8 +36,12 @@ class ThreadPool {
       std::lock_guard<std::mutex> lock(mu_);
       if (stopping_) throw std::runtime_error("submit on stopped ThreadPool");
       queue_.emplace([task] { (*task)(); });
+      if (!idle_.empty()) {
+        parked_[idle_.back()] = false;
+        wake_[idle_.back()].notify_one();
+        idle_.pop_back();
+      }
     }
-    cv_.notify_one();
     return fut;
   }
 
@@ -76,14 +80,19 @@ class ThreadPool {
   void wait_idle();
 
  private:
-  void worker_loop();
+  void worker_loop(std::size_t self);
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;
   std::mutex mu_;
-  std::condition_variable cv_;
-  std::condition_variable idle_cv_;
-  std::size_t active_ = 0;
+  /// One wake-up per worker: a task goes to the most recently parked
+  /// worker, so a lightly loaded pool keeps reusing the same warm
+  /// threads (and their allocator arenas) instead of rotating through
+  /// all of them.
+  std::vector<std::condition_variable> wake_;
+  std::vector<bool> parked_;       ///< by worker: waiting for a task
+  std::vector<std::size_t> idle_;  ///< parked workers, most recent last
+  std::condition_variable idle_cv_;  ///< every worker parked, queue empty
   bool stopping_ = false;
 };
 

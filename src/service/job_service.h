@@ -4,19 +4,32 @@
 // elastic scheduling).
 //
 // Shape (Netherite-style service over Wukong-style decentralized
-// execution): callers submit executable jobs (DAG + stage bindings +
-// a physics-annotated model DAG) at any time; a dispatcher thread
-// admits them strictly FIFO through a pluggable inter-job policy
-// (admission.h), plans each admitted job with the Ditto scheduler
-// against the slots currently free, leases those slots from the shared
-// Cluster via RAII SlotLease handles, and runs the job on the shared
-// per-server thread pools. Job lifecycle:
+// execution, with Archipelago's split of a fast admission path from
+// per-request workers): callers submit executable jobs (DAG + stage
+// bindings + a physics-annotated model DAG) at any time, and each job
+// goes through three phases:
+//   * admit — a dispatcher thread drains the queue strictly FIFO under
+//     a pluggable inter-job policy (admission.h). admit_pass() decides
+//     each head against one ledger snapshot, off the service lock:
+//     serve from the result cache, run (a Ditto plan against the slots
+//     free now), fail, or wait. The locked commit only re-checks that
+//     the job is still queued, then leases its slots (RAII SlotLease);
+//     the dispatcher is the only thread that leases, so the plan fits;
+//   * run — the engine run on the shared per-server pools, as a task on
+//     a runner pool as wide as the cluster's slots (every running job
+//     holds a slot, so admission, not the pool, bounds concurrency);
+//   * finish — sinks, cache inserts and dedupe followers off the lock,
+//     then the terminal transition and its journal record under it;
+//     last, the run's exchange objects are deleted.
+//
+// Job lifecycle:
 //
 //     QUEUED -> ADMITTED -> RUNNING -> { DONE, FAILED, CANCELLED }
 //
 // Isolation guarantees for co-resident jobs:
-//   * exchange keys are namespaced per job id, so two instances of the
-//     same query never cross-feed shuffles through the shared store;
+//   * exchange keys are namespaced per job id and run epoch, so two
+//     instances of the same query never cross-feed shuffles through the
+//     shared store, nor one job's cleanup touch another's keys;
 //   * slots are leased all-or-nothing and released exactly once (the
 //     ledger rejects double releases), so one job's completion cannot
 //     free another job's slots;
@@ -41,6 +54,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -48,6 +62,7 @@
 #include "cluster/slot_lease.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "dag/job_dag.h"
 #include "exec/engine.h"
 #include "faults/fault_injector.h"
@@ -215,6 +230,77 @@ struct ServiceOptions {
   bool persist_cache = false;
 };
 
+/// Serialized sink tables in stage order: the bytes the store's sink
+/// objects, the cache and dedupe followers share.
+using SinkBytes = std::vector<std::pair<StageId, storage::Payload>>;
+
+/// Partial-hit execution override, built at admission: the pruned DAG
+/// (cached upstream stages replaced by replay sources) the engine runs
+/// instead of the submission's.
+struct PrunedRun {
+  JobDag dag;
+  JobDag model;
+  std::map<StageId, exec::StageBinding> bindings;
+  std::vector<StageId> to_old;   ///< pruned id -> original id
+  std::vector<bool> is_replay;   ///< by pruned id
+  std::vector<StageId> capture_stages;  ///< pruned ids worth re-caching
+  std::map<StageId, exec::Table> cached_sinks;  ///< original ids, decoded
+  std::size_t reused_stages = 0;
+  double slot_seconds_estimate = 0.0;  ///< saved-work estimate
+};
+
+/// A whole-job cache hit: every sink decoded, with the bytes it came
+/// from.
+struct CacheServe {
+  std::map<StageId, exec::Table> sinks;
+  SinkBytes bytes;
+  double slot_seconds = 0.0;  ///< the cold run's, for the saved-work count
+};
+
+/// What the admit phase reads of one queued job. `sub` is the job's
+/// submission, immutable once queued; it must outlive the call.
+struct QueuedJob {
+  JobId id = 0;
+  const JobSubmission* sub = nullptr;
+  int attempt = 1;              ///< 1-based engine-run attempt
+  double earliest_admit = 0.0;  ///< retry backoff gate (service clock)
+  double deadline_at = 0.0;     ///< absolute service clock; 0 = none
+  std::shared_ptr<const PrunedRun> pruned;  ///< built by an earlier pass
+  bool skip_whole_hit = false;  ///< a served hit failed to persist: run it
+};
+
+/// A pass's one snapshot of the slot ledger and the server arenas.
+struct LedgerView {
+  std::vector<int> free;          ///< free slots per server
+  int leased = 0;                 ///< slots out on leases
+  int total = 0;                  ///< cluster slots
+  std::vector<Bytes> arena_free;  ///< available arena bytes per server
+};
+
+/// The admit phase's decision for one queued job.
+struct Admission {
+  enum class Kind { kServe, kRun, kFail, kWait };
+  JobId id = 0;
+  Kind kind = Kind::kWait;
+  Status error;                 ///< kFail: why
+  CacheServe served;            ///< kServe: the hit
+  cluster::PlacementPlan plan;  ///< kRun: the placement
+  std::vector<int> demand;      ///< kRun: slots per server
+  std::vector<Bytes> charge;    ///< kRun: arena bytes per server
+  /// Built by this pass (partial hit); kept by the job while it queues.
+  std::shared_ptr<const PrunedRun> pruned;
+  bool cache_miss = false;  ///< cache on, but nothing reusable
+};
+
+/// Admit phase of one dispatcher pass: one decision per job reached in
+/// `queue`, strict FIFO except that a job in retry backoff at `now` is
+/// overtaken. Each kRun's demand is deducted from `view` before the next
+/// job is planned; the pass stops at its first kWait. A head that cannot
+/// be planned while nothing is leased (the maximal offer) fails instead.
+std::vector<Admission> admit_pass(const std::vector<QueuedJob>& queue, LedgerView view,
+                                  ResultCache* cache, const ServiceOptions& options,
+                                  double now);
+
 class JobService {
  public:
   /// `cluster` supplies slots and per-server arenas; `store` backs all
@@ -277,24 +363,9 @@ class JobService {
   ResultCache* result_cache() { return cache_.get(); }
 
  private:
-  /// Partial-hit execution override, built at admission: the pruned
-  /// DAG (cached upstream stages replaced by replay sources) the
-  /// engine runs instead of the submission's.
-  struct PrunedRun {
-    JobDag dag;
-    JobDag model;
-    std::map<StageId, exec::StageBinding> bindings;
-    std::vector<StageId> to_old;   ///< pruned id -> original id
-    std::vector<bool> is_replay;   ///< by pruned id
-    std::vector<StageId> capture_stages;  ///< pruned ids worth re-caching
-    std::map<StageId, exec::Table> cached_sinks;  ///< original ids, decoded
-    std::size_t reused_stages = 0;
-    double slot_seconds_estimate = 0.0;  ///< saved-work estimate
-  };
-
   struct JobRecord {
     JobId id = 0;
-    JobSubmission sub;
+    JobSubmission sub;  ///< immutable once queued
     JobState state = JobState::kQueued;
     Status error;
     Seconds submitted = 0.0, admitted = 0.0, started = 0.0, finished = 0.0;
@@ -319,53 +390,61 @@ class JobService {
     JobId dedup_leader = 0;           ///< terminal: who served this follower
     std::vector<JobId> followers;     ///< leader: attached identical jobs
     bool inflight_registered = false; ///< this job owns inflight_[cache_id]
-    std::unique_ptr<PrunedRun> pruned;
+    /// Written only by the dispatcher's commit, while the job queues.
+    std::shared_ptr<const PrunedRun> pruned;
+    bool skip_whole_hit = false;      ///< a served hit failed to persist
 
-    std::unique_ptr<faults::FaultInjector> injector;
-    std::unique_ptr<faults::FlakyStore> flaky;
     std::atomic<bool> cancel_token{false};
     /// Set (with mu_ held) before cancel_token, so the runner knows
     /// whether the token meant "user cancel" or "deadline".
     Status pending_stop;
-
-    std::thread runner;
   };
 
   void dispatcher_loop();
-  /// Batched admission (Netherite-style work-queue drain): takes ONE
-  /// free-slot snapshot, then admits the drainable FIFO prefix of the
-  /// queue in a single planning pass — serving queued whole-job cache
-  /// hits, pruning partial hits, and stopping at the first job the
-  /// remaining offer cannot fit (strict FIFO preserved). Returns how
-  /// many jobs made progress (admitted, served, or failed). Caller
-  /// holds mu_.
-  std::size_t admit_batch_locked();
-  /// Serves a whole-job cache hit: every sink decoded from cache, sink
-  /// bytes persisted (when configured), job finished DONE without
-  /// touching the slot ledger. False = some sink missing/corrupt; run
-  /// it normally. Caller holds mu_; rec must not be in queue_.
-  bool try_serve_from_cache_locked(JobRecord& rec);
-  /// Builds rec.pruned when cached upstream stages let the scheduler
-  /// plan a smaller DAG; counts the job's hit/miss class. Caller holds
-  /// mu_.
-  void build_pruned_run_locked(JobRecord& rec);
-  /// Terminal-state fan-out for in-flight dedupe: DONE copies sinks to
-  /// followers, FAILED propagates the same Status, CANCELLED promotes
-  /// the first live follower to a fresh leader. Also releases this
-  /// job's inflight_ registration. Caller holds mu_.
-  void resolve_followers_locked(JobRecord& rec);
-  /// Removes rec from its leader's follower list. Caller holds mu_.
-  void detach_follower_locked(JobRecord& rec);
-  /// Inserts into queue_ honoring tier priority: latency jobs go ahead
-  /// of every queued batch job, FIFO within a tier. Caller holds mu_.
-  void enqueue_locked(JobId id, const std::string& tier);
-  /// Publishes the queue-depth gauge. Caller holds mu_.
-  void note_queue_locked();
+  /// The locked commit of one admit decision; dropped when a cancel, a
+  /// shed or a deadline took the job off the queue since the pass.
+  void commit(Admission a);
+  /// Runner-pool task: run, finish, then the attempt's exchange cleanup
+  /// and the best-effort cache save.
+  void run_job(JobRecord& rec);
+  /// Run phase: the engine result, in the submission's stage ids.
+  Result<exec::EngineResult> run_engine(JobRecord& rec, const std::string& exchange_prefix);
+  /// Finish phase of a run: DONE, CANCELLED, a requeued retry or FAILED.
+  void finish_run(JobRecord& rec, Result<exec::EngineResult> result);
+  /// Finish phase of a whole-job cache hit (ADMITTED, no lease). A
+  /// failed sink persist queues the job again to run cold: at the front
+  /// of its tier when the hit came `from_queue`, else at the back.
+  void serve_from_cache(JobRecord& rec, CacheServe hit, bool from_queue);
+  /// DONE for the job and its dedupe followers, whose sinks are
+  /// persisted from the same bytes first. The followers are ADMITTED
+  /// from the start, so a cancel or a deadline cannot end one between
+  /// its sink puts and its DONE.
+  void publish_done(JobRecord& rec, std::map<StageId, exec::Table> sinks,
+                    const SinkBytes& bytes, exec::EngineStats stats, bool from_cache);
+  /// With persist_sinks, one `sinks/<label>/stage-<id>` object per sink,
+  /// stopping at the first failed put; else OK.
+  Status persist_sinks(const std::string& label, const SinkBytes& sinks);
+
+  // Caller holds mu_ for everything below.
+  /// Overload: sheds the newest queued batch-tier job for a latency
+  /// arrival, else RESOURCE_EXHAUSTED.
+  Status make_room_locked(const std::string& tier);
+  /// Creates the record and journals its SUBMIT.
+  Result<JobRecord*> add_record_locked(JobSubmission sub);
+  /// Inserts into queue_ honoring tier priority (latency jobs go ahead
+  /// of every queued batch job, FIFO within a tier unless `front`),
+  /// then publishes the queue depth and wakes the dispatcher.
+  void enqueue_locked(JobId id, const std::string& tier, bool front = false);
+  void note_queue_locked();  ///< publishes the queue-depth gauge
+  void wake_dispatcher_locked();
   void expire_deadlines_locked();
-  void run_job(JobRecord* rec);
   void finish_job_locked(JobRecord& rec, JobState state, Status error);
-  /// Emits per-job labeled metrics + a job-track trace span (no-ops
-  /// while observability is disabled).
+  /// In-flight dedupe fan-out of a FAILED leader (followers fail with
+  /// its Status) or a CANCELLED one (the first live follower is
+  /// promoted to a fresh leader).
+  void resolve_followers_locked(JobRecord& rec);
+  void release_inflight_locked(JobRecord& rec);
+  /// Per-job labeled metrics + a job-track trace span.
   void observe_terminal_locked(const JobRecord& rec);
   void release_resources_locked(JobRecord& rec);
   JobOutcome outcome_of_locked(const JobRecord& rec) const;
@@ -390,13 +469,12 @@ class JobService {
   /// executing twice.
   std::map<CacheIdentity, JobId> inflight_;
   JobId next_id_ = 1;
-  int running_jobs_ = 0;
+  int running_jobs_ = 0;  ///< jobs holding a lease
+  /// Bumped for every change that may let a pass admit more; the
+  /// dispatcher sleeps only when a whole pass saw none.
+  std::uint64_t wakeups_ = 0;
   bool intake_closed_ = false;
   bool stop_dispatcher_ = false;
-  std::vector<JobId> finished_unjoined_;  ///< runners awaiting join
-  /// Runners past their terminal transition still doing the
-  /// best-effort cache save; drain() waits for them.
-  int runners_saving_ = 0;
 
   // Summary accounting (guarded by mu_).
   Seconds first_submit_ = -1.0;
@@ -404,6 +482,9 @@ class JobService {
   double slot_seconds_at_first_submit_ = 0.0;
   double slot_seconds_at_last_finish_ = 0.0;
 
+  /// Runs the run and finish phases; as wide as the cluster's slots.
+  /// Declared after everything its tasks touch.
+  ThreadPool runners_;
   std::thread dispatcher_;
 };
 

@@ -55,18 +55,16 @@ bool ResultCache::contains(const CacheIdentity& id, StageId stage) const {
   return entries_.count({id, stage}) != 0;
 }
 
-void ResultCache::insert(const CacheIdentity& id, StageId stage, std::string bytes,
+void ResultCache::insert(const CacheIdentity& id, StageId stage, storage::Payload bytes,
                          double slot_seconds) {
-  if (!id.enabled()) return;
-  if (capacity_ > 0 && bytes.size() > capacity_) return;  // could never fit
+  if (!id.enabled() || bytes == nullptr) return;
+  if (capacity_ > 0 && bytes->size() > capacity_) return;  // could never fit
   std::lock_guard<std::mutex> lk(mu_);
-  insert_locked(id, stage, std::make_shared<const std::string>(std::move(bytes)), slot_seconds,
-                /*persisted=*/false);
+  insert_locked(id, stage, std::move(bytes), slot_seconds, /*persisted=*/false);
 }
 
-void ResultCache::insert_locked(const CacheIdentity& id, StageId stage,
-                                std::shared_ptr<const std::string> bytes, double slot_seconds,
-                                bool persisted) {
+void ResultCache::insert_locked(const CacheIdentity& id, StageId stage, storage::Payload bytes,
+                                double slot_seconds, bool persisted) {
   const Key key{id, stage};
   const auto it = entries_.find(key);
   if (it != entries_.end()) {

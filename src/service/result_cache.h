@@ -99,7 +99,7 @@ class ResultCache {
   explicit ResultCache(Bytes capacity_bytes);
 
   struct Hit {
-    std::shared_ptr<const std::string> bytes;  ///< serialized table
+    storage::Payload bytes;  ///< serialized table
     double slot_seconds = 0.0;  ///< cold run's slot-seconds (whole job)
   };
 
@@ -111,11 +111,12 @@ class ResultCache {
   /// Probe without touching recency or stats.
   bool contains(const CacheIdentity& id, StageId stage) const;
 
-  /// Stores serialized output bytes for (id, stage), evicting LRU
-  /// entries as needed. An entry larger than the whole capacity is
-  /// dropped on the floor. Re-inserting an existing key replaces the
-  /// bytes (idempotent under submission races).
-  void insert(const CacheIdentity& id, StageId stage, std::string bytes,
+  /// Stores serialized output bytes for (id, stage), sharing them
+  /// with the caller, and evicts LRU entries as needed. A null entry,
+  /// or one larger than the whole capacity, is dropped on the floor.
+  /// Re-inserting an existing key replaces the bytes (idempotent under
+  /// submission races).
+  void insert(const CacheIdentity& id, StageId stage, storage::Payload bytes,
               double slot_seconds = 0.0);
 
   /// Drops one entry (tests; explicit invalidation). No-op when absent.
@@ -147,7 +148,7 @@ class ResultCache {
   using Key = std::pair<CacheIdentity, StageId>;
 
   struct Entry {
-    std::shared_ptr<const std::string> bytes;
+    storage::Payload bytes;
     double slot_seconds = 0.0;
     bool persisted = false;
     std::list<Key>::iterator lru_it;
@@ -155,9 +156,8 @@ class ResultCache {
 
   static std::string object_key(const std::string& prefix, const CacheIdentity& id,
                                 StageId stage);
-  void insert_locked(const CacheIdentity& id, StageId stage,
-                     std::shared_ptr<const std::string> bytes, double slot_seconds,
-                     bool persisted);
+  void insert_locked(const CacheIdentity& id, StageId stage, storage::Payload bytes,
+                     double slot_seconds, bool persisted);
   void evict_to_capacity_locked();
   void publish_metrics_locked() const;
 

@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <stdexcept>
+#include <thread>
 
 namespace ditto {
 namespace {
@@ -37,6 +39,19 @@ TEST(ThreadPoolTest, WaitIdleBlocksUntilDrained) {
   }
   pool.wait_idle();
   EXPECT_EQ(done.load(), 8);
+}
+
+TEST(ThreadPoolTest, OneTaskAtATimeKeepsReusingOneWarmWorker) {
+  // The most recently parked worker takes the next task, so a lightly
+  // loaded wide pool does not rotate through all of its threads.
+  ThreadPool pool(8);
+  pool.wait_idle();
+  std::set<std::thread::id> ran_on;
+  for (int i = 0; i < 20; ++i) {
+    ran_on.insert(pool.submit([] { return std::this_thread::get_id(); }).get());
+    pool.wait_idle();  // the worker parks again before the next submit
+  }
+  EXPECT_EQ(ran_on.size(), 1u);
 }
 
 TEST(ThreadPoolTest, OnWorkerThreadIsTrueOnlyOnItsOwnWorkers) {

@@ -4,15 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "exec/datagen.h"
 #include "exec/operators.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "scheduler/ditto_scheduler.h"
 #include "storage/sim_store.h"
+#include "workload/micro.h"
 #include "workload/physics.h"
 #include "workload/pipelining.h"
 
@@ -62,6 +68,19 @@ JobSubmission make_sleep_job(const std::string& name, double sleep_seconds,
   workload::apply_physics(model, physics);
   sub.model_dag = std::move(model);
   return sub;
+}
+
+std::size_t process_threads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
 ServiceOptions options_with(AdmissionPolicy policy) {
@@ -375,6 +394,93 @@ TEST(JobServiceTest, EmitsPerJobMetricsAndTraceSpans) {
   EXPECT_TRUE(saw_job_span);
   mx.set_enabled(false);
   tc.set_enabled(false);
+}
+
+TEST(JobServiceTest, SubmitAndQueriesStayResponsiveWhileTheDispatcherPlans) {
+  // A chain too long for 8 slots: the scheduler searches at length and
+  // finds no plan, so the job fails UNAVAILABLE without running. It
+  // grows until one plan takes at least 200 ms, so a tenth of it stays
+  // well above a scheduling hiccup.
+  auto cl = cluster::Cluster::uniform(2, 4);
+  workload::PhysicsParams physics;
+  physics.store = storage::redis_model();
+  JobDag chain;
+  double plan_s = 0.0;
+  for (int stages = 256; plan_s < 0.2 && stages <= 4096; stages += 128) {
+    chain = workload::chain_dag(stages, 1_GB, 0.9, physics);
+    scheduler::DittoScheduler sched;
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto plan = sched.schedule(chain, cl, Objective::kJct, storage::redis_model());
+    plan_s = seconds_since(t0);
+    ASSERT_FALSE(plan.ok());
+  }
+  ASSERT_GE(plan_s, 0.2);
+
+  auto store = storage::make_instant_store();
+  JobService svc(cl, *store, options_with(AdmissionPolicy::kElastic));
+  JobSubmission slow;
+  slow.label = "slow-plan";
+  slow.dag = chain;
+  slow.model_dag = chain;
+  const auto slow_id = svc.submit(std::move(slow));
+  ASSERT_TRUE(slow_id.ok());
+  std::this_thread::sleep_for(std::chrono::duration<double>(plan_s / 4));  // mid-plan
+
+  double worst = 0.0;
+  int quick = 0;
+  for (;;) {
+    if (quick < 5) {
+      JobSubmission sub = make_sleep_job("quick-" + std::to_string(quick++), 0.0);
+      const auto t0 = std::chrono::steady_clock::now();
+      ASSERT_TRUE(svc.submit(std::move(sub)).ok());
+      worst = std::max(worst, seconds_since(t0));
+    }
+    auto t0 = std::chrono::steady_clock::now();
+    const auto state = svc.state(*slow_id);
+    worst = std::max(worst, seconds_since(t0));
+    t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(svc.jobs_snapshot().empty());
+    worst = std::max(worst, seconds_since(t0));
+    ASSERT_TRUE(state.ok());
+    if (is_terminal(*state)) break;
+  }
+  EXPECT_LT(worst, plan_s / 10) << "plan " << plan_s << " s";
+  const auto outcome = svc.wait(*slow_id);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome->error.code(), StatusCode::kUnavailable);
+  for (const JobOutcome& o : svc.drain()) {
+    if (o.id != *slow_id) {
+      EXPECT_EQ(o.state, JobState::kDone) << o.error.to_string();
+    }
+  }
+}
+
+TEST(JobServiceTest, BackToBackJobsStartNoThreads) {
+  auto cl = cluster::Cluster::uniform(2, 4);
+  auto store = storage::make_instant_store();
+  JobService svc(cl, *store, options_with(AdmissionPolicy::kElastic));
+  constexpr int kJobs = 50;
+  std::vector<std::size_t> during(kJobs, 0);
+  for (int i = 0; i < kJobs; ++i) {
+    JobSubmission sub = make_sleep_job("flat-" + std::to_string(i), 0.0);
+    auto seen = std::make_shared<std::atomic<std::size_t>>(0);
+    const exec::StageFn scan = sub.bindings[0].fn;
+    sub.bindings[0].fn = [scan, seen](int task, int dop, const std::vector<exec::Table>& in) {
+      seen->store(process_threads());
+      return scan(task, dop, in);
+    };
+    const auto id = svc.submit(std::move(sub));
+    ASSERT_TRUE(id.ok());
+    const auto outcome = svc.wait(*id);
+    ASSERT_TRUE(outcome.ok());
+    ASSERT_EQ(outcome->state, JobState::kDone) << outcome->error.to_string();
+    during[i] = seen->load();
+  }
+  svc.drain();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let exiting threads go
+  // A running job adds no thread to the idle service's.
+  const std::size_t idle = process_threads();
+  for (int i = 0; i < kJobs; ++i) EXPECT_EQ(during[i], idle) << "job " << i;
 }
 
 }  // namespace

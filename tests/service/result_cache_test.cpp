@@ -24,6 +24,10 @@ CacheIdentity ident(std::uint64_t fp, const std::string& sig, std::uint64_t vers
 
 std::string payload(char fill, std::size_t n) { return std::string(n, fill); }
 
+storage::Payload shared(std::string bytes) {
+  return std::make_shared<const std::string>(std::move(bytes));
+}
+
 TEST(CacheIdentityTest, EnabledRequiresFingerprintAndSignature) {
   EXPECT_FALSE(CacheIdentity{}.enabled());
   EXPECT_FALSE(ident(0, "sig").enabled());
@@ -47,7 +51,7 @@ TEST(ResultCacheTest, LookupMissThenHit) {
   EXPECT_FALSE(cache.lookup(id, 0).has_value());
   EXPECT_FALSE(cache.contains(id, 0));
 
-  cache.insert(id, 0, payload('x', 100), 2.5);
+  cache.insert(id, 0, shared(payload('x', 100)), 2.5);
   ASSERT_TRUE(cache.contains(id, 0));
   const auto hit = cache.lookup(id, 0);
   ASSERT_TRUE(hit.has_value());
@@ -63,8 +67,8 @@ TEST(ResultCacheTest, LookupMissThenHit) {
 TEST(ResultCacheTest, ReinsertReplacesBytes) {
   ResultCache cache(1_MB);
   const CacheIdentity id = ident(1, "a");
-  cache.insert(id, 0, payload('x', 100));
-  cache.insert(id, 0, payload('y', 50));
+  cache.insert(id, 0, shared(payload('x', 100)));
+  cache.insert(id, 0, shared(payload('y', 50)));
   const auto hit = cache.lookup(id, 0);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit->bytes, payload('y', 50));
@@ -75,11 +79,11 @@ TEST(ResultCacheTest, ReinsertReplacesBytes) {
 TEST(ResultCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
   ResultCache cache(250);
   const CacheIdentity id = ident(1, "a");
-  cache.insert(id, 0, payload('a', 100));
-  cache.insert(id, 1, payload('b', 100));
+  cache.insert(id, 0, shared(payload('a', 100)));
+  cache.insert(id, 1, shared(payload('b', 100)));
   // Refresh stage 0's recency; the next insert must evict stage 1.
   ASSERT_TRUE(cache.lookup(id, 0).has_value());
-  cache.insert(id, 2, payload('c', 100));
+  cache.insert(id, 2, shared(payload('c', 100)));
 
   EXPECT_TRUE(cache.contains(id, 0));
   EXPECT_FALSE(cache.contains(id, 1));
@@ -91,19 +95,19 @@ TEST(ResultCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
 TEST(ResultCacheTest, OversizeEntryIsDropped) {
   ResultCache cache(100);
   const CacheIdentity id = ident(1, "a");
-  cache.insert(id, 0, payload('x', 101));
+  cache.insert(id, 0, shared(payload('x', 101)));
   EXPECT_FALSE(cache.contains(id, 0));
   EXPECT_EQ(cache.stats().entries, 0u);
   // It must not have evicted resident entries to make doomed room.
-  cache.insert(id, 1, payload('y', 60));
-  cache.insert(id, 0, payload('x', 101));
+  cache.insert(id, 1, shared(payload('y', 60)));
+  cache.insert(id, 0, shared(payload('x', 101)));
   EXPECT_TRUE(cache.contains(id, 1));
 }
 
 TEST(ResultCacheTest, ZeroCapacityIsUnbounded) {
   ResultCache cache(0);
   const CacheIdentity id = ident(1, "a");
-  for (StageId s = 0; s < 50; ++s) cache.insert(id, s, payload('x', 1000));
+  for (StageId s = 0; s < 50; ++s) cache.insert(id, s, shared(payload('x', 1000)));
   EXPECT_EQ(cache.stats().entries, 50u);
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
@@ -111,7 +115,7 @@ TEST(ResultCacheTest, ZeroCapacityIsUnbounded) {
 TEST(ResultCacheTest, RemoveDropsEntry) {
   ResultCache cache(1_MB);
   const CacheIdentity id = ident(1, "a");
-  cache.insert(id, 0, payload('x', 10));
+  cache.insert(id, 0, shared(payload('x', 10)));
   cache.remove(id, 0);
   EXPECT_FALSE(cache.contains(id, 0));
   cache.remove(id, 0);  // no-op when absent
@@ -136,8 +140,8 @@ TEST(ResultCachePersistTest, SaveLoadRoundTrip) {
   const CacheIdentity id = ident(9, "rows=100,seed=1", 3);
   {
     ResultCache cache(1_MB);
-    cache.insert(id, 0, payload('x', 64), 1.5);
-    cache.insert(id, 2, payload('y', 32), 1.5);
+    cache.insert(id, 0, shared(payload('x', 64)), 1.5);
+    cache.insert(id, 2, shared(payload('y', 32)), 1.5);
     ASSERT_TRUE(cache.save(*store, "cache").is_ok());
   }
   ResultCache warm(1_MB);
@@ -161,7 +165,7 @@ TEST(ResultCachePersistTest, CorruptIndexFailsAndLeavesCacheUntouched) {
   auto store = storage::make_instant_store();
   ASSERT_TRUE(store->put("cache/index", "not a valid index line\n").is_ok());
   ResultCache cache(1_MB);
-  cache.insert(ident(1, "keep"), 0, payload('k', 8));
+  cache.insert(ident(1, "keep"), 0, shared(payload('k', 8)));
   const Status st = cache.load(*store, "cache");
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.to_string();
   EXPECT_TRUE(cache.contains(ident(1, "keep"), 0));
@@ -173,8 +177,8 @@ TEST(ResultCachePersistTest, TornSaveSkipsEntriesWithMissingBytes) {
   const CacheIdentity id = ident(9, "sig");
   {
     ResultCache cache(1_MB);
-    cache.insert(id, 0, payload('x', 64));
-    cache.insert(id, 1, payload('y', 64));
+    cache.insert(id, 0, shared(payload('x', 64)));
+    cache.insert(id, 1, shared(payload('y', 64)));
     ASSERT_TRUE(cache.save(*store, "cache").is_ok());
   }
   // Simulate the crash window: index written, one bytes object lost.
@@ -197,7 +201,7 @@ TEST(ResultCachePersistTest, LoadRespectsCapacity) {
   const CacheIdentity id = ident(9, "sig");
   {
     ResultCache cache(0);
-    for (StageId s = 0; s < 4; ++s) cache.insert(id, s, payload('x', 100));
+    for (StageId s = 0; s < 4; ++s) cache.insert(id, s, shared(payload('x', 100)));
     ASSERT_TRUE(cache.save(*store, "cache").is_ok());
   }
   ResultCache small(150);
@@ -210,11 +214,11 @@ TEST(ResultCachePersistTest, SaveRemovesEvictedPersistedEntries) {
   auto store = storage::make_instant_store();
   ResultCache cache(220);
   const CacheIdentity id = ident(9, "sig");
-  cache.insert(id, 0, payload('a', 100));
-  cache.insert(id, 1, payload('b', 100));
+  cache.insert(id, 0, shared(payload('a', 100)));
+  cache.insert(id, 1, shared(payload('b', 100)));
   ASSERT_TRUE(cache.save(*store, "cache").is_ok());
   // Stage 0 is the LRU victim; after the next save its object is gone.
-  cache.insert(id, 2, payload('c', 100));
+  cache.insert(id, 2, shared(payload('c', 100)));
   ASSERT_TRUE(cache.save(*store, "cache").is_ok());
   ResultCache warm(1_MB);
   ASSERT_TRUE(warm.load(*store, "cache").is_ok());
@@ -231,7 +235,7 @@ TEST(ResultCacheTest, ConcurrentMixedOperations) {
       const CacheIdentity id = ident(static_cast<std::uint64_t>(t % 4 + 1), "sig");
       for (int i = 0; i < 200; ++i) {
         const StageId s = static_cast<StageId>(i % 8);
-        cache.insert(id, s, payload(static_cast<char>('a' + t), 64), 0.1);
+        cache.insert(id, s, shared(payload(static_cast<char>('a' + t), 64)), 0.1);
         if (const auto hit = cache.lookup(id, s)) {
           EXPECT_EQ(hit->bytes->size(), 64u);
         }

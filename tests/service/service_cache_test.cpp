@@ -238,6 +238,30 @@ TEST(ServiceCacheTest, DedupeFollowerInheritsLeaderResult) {
   EXPECT_EQ(sink_bytes(*fo, kSink), sink_bytes(*lo, kSink));
 }
 
+TEST(ServiceCacheTest, DedupeFollowerPersistsTheLeadersSinkBytes) {
+  auto cl = cluster::Cluster::uniform(2, 4);
+  auto store = storage::make_instant_store();
+  ServiceOptions opt = cached_options();
+  opt.persist_sinks = true;
+  JobService svc(cl, *store, opt);
+
+  const auto leader = svc.submit(make_cached_job("leader", "sig", 0.3));
+  ASSERT_TRUE(leader.ok());
+  const auto follower = svc.submit(make_cached_job("follower", "sig", 0.3));
+  ASSERT_TRUE(follower.ok());
+  const auto fo = svc.wait(*follower);
+  ASSERT_TRUE(fo.ok());
+  ASSERT_EQ(fo->state, JobState::kDone) << fo->error.to_string();
+  EXPECT_EQ(fo->dedup_leader, *leader);
+
+  const std::string key = "/stage-" + std::to_string(kSink);
+  const auto leader_bytes = store->get("sinks/leader" + key);
+  const auto follower_bytes = store->get("sinks/follower" + key);
+  ASSERT_TRUE(leader_bytes.ok());
+  ASSERT_TRUE(follower_bytes.ok());
+  EXPECT_EQ(*follower_bytes, *leader_bytes);
+}
+
 TEST(ServiceCacheTest, DedupeLeaderFailurePropagatesSameStatus) {
   auto cl = cluster::Cluster::uniform(2, 4);
   auto store = storage::make_instant_store();
@@ -371,17 +395,18 @@ TEST(ServiceCacheTest, PersistedCacheSurvivesRestart) {
   EXPECT_EQ(sink_bytes(*outcome, kSink), cold_bytes);
 }
 
-/// Forwards to `inner`, but holds every put under "cache/" until
-/// release(): a best-effort cache save that takes as long as the test
-/// wants.
+/// Forwards to `inner`, but holds every put under `prefix` until
+/// release(): a best-effort cache save (or a sink persist) that takes
+/// as long as the test wants.
 class BlockingCacheStore final : public storage::ObjectStore {
  public:
-  explicit BlockingCacheStore(storage::ObjectStore& inner) : inner_(&inner) {}
+  explicit BlockingCacheStore(storage::ObjectStore& inner, std::string prefix = "cache/")
+      : inner_(&inner), prefix_(std::move(prefix)) {}
 
   const char* kind() const override { return inner_->kind(); }
   const storage::StorageModel& model() const override { return inner_->model(); }
   Status put(const std::string& key, std::string_view value) override {
-    if (key.rfind("cache/", 0) == 0) {
+    if (key.rfind(prefix_, 0) == 0) {
       std::unique_lock<std::mutex> lk(mu_);
       ++blocked_;
       cv_.notify_all();
@@ -412,6 +437,7 @@ class BlockingCacheStore final : public storage::ObjectStore {
 
  private:
   storage::ObjectStore* inner_;
+  const std::string prefix_;
   std::mutex mu_;
   std::condition_variable cv_;
   int blocked_ = 0;        ///< guarded by mu_
@@ -541,6 +567,163 @@ TEST(ServiceCacheTest, CacheHitJobsJournalAndRecoveryConverges) {
   ASSERT_TRUE(cold.ok());
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(*cold, *warm);
+}
+
+/// Forwards to `inner`, but fails the first put under `prefix` with
+/// UNAVAILABLE: one transient store error on a job's sink persist.
+class FailFirstPutStore final : public storage::ObjectStore {
+ public:
+  FailFirstPutStore(storage::ObjectStore& inner, std::string prefix)
+      : inner_(&inner), prefix_(std::move(prefix)) {}
+
+  const char* kind() const override { return inner_->kind(); }
+  const storage::StorageModel& model() const override { return inner_->model(); }
+  Status put(const std::string& key, std::string_view value) override {
+    if (key.rfind(prefix_, 0) == 0 && !failed_.exchange(true)) {
+      return Status::unavailable("injected put outage on " + key);
+    }
+    return inner_->put(key, value);
+  }
+  Result<std::string> get(const std::string& key) const override { return inner_->get(key); }
+  bool contains(const std::string& key) const override { return inner_->contains(key); }
+  Status remove(const std::string& key) override { return inner_->remove(key); }
+  std::vector<std::string> list(const std::string& prefix) const override {
+    return inner_->list(prefix);
+  }
+  Bytes used_bytes() const override { return inner_->used_bytes(); }
+  storage::StoreStats stats() const override { return inner_->stats(); }
+
+  bool failed() const { return failed_.load(); }
+
+ private:
+  storage::ObjectStore* inner_;
+  const std::string prefix_;
+  std::atomic<bool> failed_{false};
+};
+
+TEST(ServiceCacheTest, WholeHitWhoseSinkPersistFailsRunsCold) {
+  auto cl = cluster::Cluster::uniform(2, 4);
+  auto inner = storage::make_instant_store();
+  FailFirstPutStore store(*inner, "sinks/warm/");
+  ServiceOptions opt = cached_options();
+  opt.persist_sinks = true;
+  JobService svc(cl, store, opt);
+
+  const auto cold_id = svc.submit(make_cached_job("cold", "sig"));
+  ASSERT_TRUE(cold_id.ok());
+  const auto cold = svc.wait(*cold_id);
+  ASSERT_TRUE(cold.ok());
+  ASSERT_EQ(cold->state, JobState::kDone) << cold->error.to_string();
+
+  // submit() finds the whole hit, but persisting it fails once: the job
+  // runs instead, and that run persists its own sinks.
+  const auto warm_id = svc.submit(make_cached_job("warm", "sig"));
+  ASSERT_TRUE(warm_id.ok());
+  const auto warm = svc.wait(*warm_id);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_EQ(warm->state, JobState::kDone) << warm->error.to_string();
+  EXPECT_TRUE(store.failed());
+  EXPECT_FALSE(warm->from_cache);
+  EXPECT_EQ(warm->attempts, 1);
+  const auto persisted = inner->get("sinks/warm/stage-" + std::to_string(kSink));
+  ASSERT_TRUE(persisted.ok());
+  EXPECT_EQ(*persisted, sink_bytes(*warm, kSink));
+  const auto sorted_warm = exec::sort_by_int(warm->sink_outputs.at(kSink), "warehouse_id");
+  const auto sorted_cold = exec::sort_by_int(cold->sink_outputs.at(kSink), "warehouse_id");
+  ASSERT_TRUE(sorted_warm.ok());
+  ASSERT_TRUE(sorted_cold.ok());
+  EXPECT_EQ(*sorted_warm, *sorted_cold);
+  EXPECT_EQ(svc.result_cache()->stats().hits, 0u);
+}
+
+TEST(ServiceCacheTest, QueuedWholeHitWhoseSinkPersistFailsRunsCold) {
+  auto cl = cluster::Cluster::uniform(2, 4);
+  auto inner = storage::make_instant_store();
+  FailFirstPutStore store(*inner, "sinks/retry/");
+  ServiceOptions opt = cached_options();
+  opt.persist_sinks = true;
+  JobService svc(cl, store, opt);
+
+  // Take a cold run's sink entry out of the cache, so the job below is
+  // submitted against an empty cache.
+  JobSubmission first = make_cached_job("cold", "sig");
+  const CacheIdentity id = first.cache_id;
+  const auto cold_id = svc.submit(std::move(first));
+  ASSERT_TRUE(cold_id.ok());
+  ASSERT_EQ(svc.wait(*cold_id)->state, JobState::kDone);
+  ResultCache* cache = svc.result_cache();
+  const auto sink = cache->lookup(id, kSink);
+  ASSERT_TRUE(sink.has_value());
+  for (StageId s = 0; s <= kSink; ++s) cache->remove(id, s);
+
+  // Its first attempt puts the sink entry back and fails UNAVAILABLE,
+  // so the retry is a whole hit served from the queue. Persisting that
+  // hit fails once: the retry runs instead.
+  auto budget = std::make_shared<std::atomic<int>>(1);
+  JobSubmission sub = make_cached_job("retry", "sig");
+  const exec::StageFn scan = sub.bindings[0].fn;
+  const storage::Payload bytes = sink->bytes;
+  const double slot_seconds = sink->slot_seconds;
+  sub.bindings[0].fn = [=](int task, int dop,
+                           const std::vector<exec::Table>& in) -> Result<exec::Table> {
+    if (budget->fetch_sub(1) > 0) {
+      cache->insert(id, kSink, bytes, slot_seconds);
+      return Status::unavailable("injected scan outage");
+    }
+    return scan(task, dop, in);
+  };
+  sub.resilience.max_task_attempts = 1;
+  sub.job_attempts = 2;
+  sub.job_backoff.initial_backoff = 1e-3;
+  sub.job_backoff.max_backoff = 1e-3;
+  const auto retry_id = svc.submit(std::move(sub));
+  ASSERT_TRUE(retry_id.ok());
+  const auto outcome = svc.wait(*retry_id);
+  ASSERT_TRUE(outcome.ok());
+  ASSERT_EQ(outcome->state, JobState::kDone) << outcome->error.to_string();
+  EXPECT_TRUE(store.failed());
+  EXPECT_FALSE(outcome->from_cache);
+  EXPECT_EQ(outcome->attempts, 2);
+  const auto persisted = inner->get("sinks/retry/stage-" + std::to_string(kSink));
+  ASSERT_TRUE(persisted.ok());
+  EXPECT_EQ(*persisted, sink_bytes(*outcome, kSink));
+}
+
+TEST(ServiceCacheTest, FollowerCancelledDuringItsSinkPersistEndsDone) {
+  auto cl = cluster::Cluster::uniform(2, 4);
+  auto inner = storage::make_instant_store();
+  BlockingCacheStore store(*inner, "sinks/follower/");
+  ServiceOptions opt = cached_options();
+  opt.persist_sinks = true;
+  JobService svc(cl, store, opt);
+  struct ReleaseOnExit {
+    BlockingCacheStore* store;
+    ~ReleaseOnExit() { store->release(); }
+  } release_on_exit{&store};
+
+  const auto leader = svc.submit(make_cached_job("leader", "sig", 0.3));
+  ASSERT_TRUE(leader.ok());
+  const auto follower = svc.submit(make_cached_job("follower", "sig", 0.3));
+  ASSERT_TRUE(follower.ok());
+
+  // The leader is persisting the follower's sinks. Like a running job,
+  // the follower takes the cancel only as a request: its answer objects
+  // are being written, so it must end DONE, not CANCELLED.
+  store.wait_until_blocked();
+  ASSERT_TRUE(svc.cancel(*follower).is_ok());
+  EXPECT_EQ(*svc.state(*follower), JobState::kAdmitted);
+  store.release();
+  const auto fo = svc.wait(*follower);
+  ASSERT_TRUE(fo.ok());
+  EXPECT_EQ(fo->state, JobState::kDone) << fo->error.to_string();
+  EXPECT_EQ(fo->dedup_leader, *leader);
+  const auto lo = svc.wait(*leader);
+  ASSERT_TRUE(lo.ok());
+  EXPECT_EQ(lo->state, JobState::kDone) << lo->error.to_string();
+
+  const std::string key = "/stage-" + std::to_string(kSink);
+  EXPECT_TRUE(inner->contains("sinks/leader" + key));
+  EXPECT_TRUE(inner->contains("sinks/follower" + key));
 }
 
 }  // namespace

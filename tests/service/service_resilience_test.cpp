@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "exec/datagen.h"
 #include "exec/operators.h"
@@ -192,6 +193,49 @@ TEST(ServiceResilienceTest, ExhaustedJobRetryBudgetFails) {
   EXPECT_EQ(outcome->error.code(), StatusCode::kUnavailable);
   EXPECT_EQ(outcome->attempts, 2);
   EXPECT_EQ(svc.free_slots(), svc.total_slots());
+}
+
+TEST(ServiceResilienceTest, DrainLeavesNoExchangeObjects) {
+  // Done, failed after its scan published, retried across two epochs,
+  // and cancelled mid-run: by the time drain() returns, the service has
+  // deleted every run attempt's exchange objects.
+  auto cl = cluster::Cluster::uniform(2, 4);
+  auto store = storage::make_instant_store();
+  ServiceOptions options;
+  options.admission.policy = AdmissionPolicy::kFifoExclusive;
+  options.external = storage::redis_model();
+  JobService svc(cl, *store, options);
+
+  const auto finish = [&](JobSubmission sub, JobState want) {
+    const auto id = svc.submit(std::move(sub));
+    ASSERT_TRUE(id.ok());
+    const auto outcome = svc.wait(*id);
+    ASSERT_TRUE(outcome.ok());
+    EXPECT_EQ(outcome->state, want) << outcome->label << ": " << outcome->error.to_string();
+  };
+  finish(make_job("done", 0.0), JobState::kDone);
+
+  JobSubmission failed = make_job("failed", 0.0);
+  failed.bindings[1].fn = [](int, int, const std::vector<exec::Table>&) -> Result<exec::Table> {
+    return Status::internal("injected agg failure");
+  };
+  finish(std::move(failed), JobState::kFailed);
+
+  JobSubmission retried = make_job("retried", 0.0, 256_MB, std::make_shared<std::atomic<int>>(1));
+  retried.resilience.max_task_attempts = 1;
+  retried.job_attempts = 2;
+  retried.job_backoff.initial_backoff = 1e-3;
+  retried.job_backoff.max_backoff = 1e-3;
+  finish(std::move(retried), JobState::kDone);
+
+  const auto cancelled = svc.submit(make_job("cancelled", 0.2));
+  ASSERT_TRUE(cancelled.ok());
+  wait_until_running(svc);
+  ASSERT_TRUE(svc.cancel(*cancelled).is_ok());
+
+  svc.drain();
+  EXPECT_GT(store->stats().puts, 0u);  // exchange objects were written
+  EXPECT_EQ(store->list("job-"), std::vector<std::string>{});
 }
 
 TEST(ServiceResilienceTest, RejectsDeadlineInfeasiblePlans) {

@@ -60,48 +60,27 @@ namespace {
 
 Table fact(std::size_t rows) { return gen_fact_table({.rows = rows, .seed = 42}); }
 
+/// The exchange's form: a fresh exact-size payload the store keeps.
 void BM_SerializeTable(benchmark::State& state) {
   const Table t = fact(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    auto buf = serialize_table(t);
-    benchmark::DoNotOptimize(buf);
+    auto bytes = serialize_table(t);
+    benchmark::DoNotOptimize(bytes);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * t.byte_size()));
 }
 BENCHMARK(BM_SerializeTable)->Arg(1000)->Arg(10000)->Arg(100000);
 
-/// The exchange's form: a fresh exact-size string the store keeps.
-void BM_SerializeTableToString(benchmark::State& state) {
-  const Table t = fact(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto bytes = serialize_table_to_string(t);
-    benchmark::DoNotOptimize(bytes);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * t.byte_size()));
-}
-BENCHMARK(BM_SerializeTableToString)->Arg(1000)->Arg(10000)->Arg(100000);
-
-/// Owned parse: every column copied out of the wire bytes.
+/// Zero-copy parse: fixed-width columns borrow from the payload.
 void BM_DeserializeTable(benchmark::State& state) {
-  const shm::Buffer buf = serialize_table(fact(static_cast<std::size_t>(state.range(0))));
+  const storage::Payload bytes = serialize_table(fact(static_cast<std::size_t>(state.range(0))));
   for (auto _ : state) {
-    auto t = deserialize_table(buf.view());
+    auto t = deserialize_table(bytes);
     benchmark::DoNotOptimize(t);
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * buf.size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes->size()));
 }
 BENCHMARK(BM_DeserializeTable)->Arg(1000)->Arg(10000)->Arg(100000);
-
-/// Zero-copy parse: fixed-width columns borrow from the buffer.
-void BM_DeserializeTableZeroCopy(benchmark::State& state) {
-  const shm::Buffer buf = serialize_table(fact(static_cast<std::size_t>(state.range(0))));
-  for (auto _ : state) {
-    auto t = deserialize_table(buf);
-    benchmark::DoNotOptimize(t);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * buf.size()));
-}
-BENCHMARK(BM_DeserializeTableZeroCopy)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_HashJoin(benchmark::State& state) {
   const Table left = fact(static_cast<std::size_t>(state.range(0)));
@@ -372,8 +351,7 @@ class DelayStore final : public storage::ObjectStore {
 };
 
 std::string engine_sink_bytes(const EngineResult& result, StageId sink) {
-  const shm::Buffer buf = serialize_table(result.sink_outputs.at(sink));
-  return std::string(buf.view());
+  return *serialize_table(result.sink_outputs.at(sink));
 }
 
 cluster::PlacementPlan uniform_plan(const JobDag& dag, int dop, int servers) {
@@ -670,10 +648,10 @@ int run_quick_check() {
   }
 
   // --- serde: v1 owned parse vs v2 zero-copy parse ---
-  const shm::Buffer v1_bytes = serialize_table_v1(t);
-  const shm::Buffer v2_bytes = serialize_table(t);
+  const storage::Payload v1_bytes = serialize_table_v1(t);
+  const storage::Payload v2_bytes = serialize_table(t);
   {
-    const auto from_v1 = deserialize_table(v1_bytes.view());
+    const auto from_v1 = deserialize_table(v1_bytes);
     const auto from_v2 = deserialize_table(v2_bytes);
     if (!from_v1.ok() || !(*from_v1 == t)) {
       std::fprintf(stderr, "FAIL: v1 payload did not round-trip\n");
@@ -685,7 +663,7 @@ int run_quick_check() {
     }
   }
   const double t_v1 = time_best(5, [&] {
-    auto r = deserialize_table(v1_bytes.view());
+    auto r = deserialize_table(v1_bytes);
     benchmark::DoNotOptimize(r);
   });
   const double t_v2 = time_best(5, [&] {
@@ -702,15 +680,14 @@ int run_quick_check() {
 
   // --- informational: end-to-end shuffle (partition + serialize each
   // partition + receiver-side parse). The receiver in both formulations
-  // owns its bytes (as after a store get); the new path borrows columns
-  // from that owned copy instead of re-copying them. Not gated: the
+  // holds the payload (as after a store get); the v1 parse copies every
+  // column out of it, the v2 parse borrows them in place. Not gated: the
   // ratio is dominated by raw byte movement common to both sides.
   const auto legacy_shuffle = [&] {
     std::vector<Table> received;
     received.reserve(kParts);
     for (const Table& part : legacy_partition()) {
-      const shm::Buffer b = serialize_table_v1(part);
-      received.push_back(std::move(deserialize_table(b.view())).value());
+      received.push_back(std::move(deserialize_table(serialize_table_v1(part))).value());
     }
     return received;
   };
@@ -718,8 +695,7 @@ int run_quick_check() {
     std::vector<Table> received;
     received.reserve(kParts);
     for (const Table& part : single_pass()) {
-      const auto owner = std::make_shared<const std::string>(serialize_table_to_string(part));
-      received.push_back(std::move(deserialize_table_borrowing(*owner, owner)).value());
+      received.push_back(std::move(deserialize_table(serialize_table(part))).value());
     }
     return received;
   };

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "bench_common.h"
 #include "service/engine_jobs.h"
@@ -63,8 +64,8 @@ void report(const char* title, const sim::QueueResult& r) {
               r.avg_utilization * 100.0);
 }
 
-/// One live-service run: the four paper queries submitted back-to-back
-/// through a fresh JobService under `policy`. Cost objective keeps
+/// One live-service run: the four paper queries, all built first, then
+/// submitted back-to-back through a fresh JobService under `policy`. Cost objective keeps
 /// per-job DoP lean so co-residency is possible; fifo-exclusive
 /// serializes regardless. The backing store applies scaled real
 /// latency, so jobs spend wall-clock time in storage waits — the
@@ -85,6 +86,11 @@ service::ServiceSummary run_live(service::AdmissionPolicy policy) {
   options.external = external;
   service::JobService svc(cl, store, options);
 
+  // Every job is built before the first submit: building one takes
+  // about as long as running one, so submitting each as it is built
+  // would let it finish before the next arrives and no policy would
+  // ever queue anything.
+  std::vector<service::JobSubmission> jobs;
   for (const std::string_view q : service::engine_query_names()) {
     auto job = service::make_engine_query_job(q, spec, external);
     if (!job.ok()) {
@@ -93,7 +99,10 @@ service::ServiceSummary run_live(service::AdmissionPolicy policy) {
     }
     job->submission.label = std::string(q);
     job->submission.objective = Objective::kCost;
-    const auto id = svc.submit(job->submission);
+    jobs.push_back(std::move(job->submission));
+  }
+  for (service::JobSubmission& sub : jobs) {
+    const auto id = svc.submit(std::move(sub));
     if (!id.ok()) {
       std::fprintf(stderr, "submit failed: %s\n", id.status().to_string().c_str());
       std::exit(1);

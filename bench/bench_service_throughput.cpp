@@ -174,7 +174,7 @@ std::map<StageId, std::string> cold_sink_bytes(const Prepared& p,
       std::exit(1);
     }
     for (const auto& [stage, table] : o.sink_outputs) {
-      bytes[stage] = std::string(exec::serialize_table(table).view());
+      bytes[stage] = *exec::serialize_table(table);
     }
   }
   return bytes;
@@ -299,7 +299,7 @@ int run_quick_check() {
     }
     const auto cold_bytes = cold_sink_bytes(*src, external);
     for (const auto& [stage, table] : hit->sink_outputs) {
-      const std::string got(exec::serialize_table(table).view());
+      const std::string got = *exec::serialize_table(table);
       const auto want = cold_bytes.find(stage);
       if (want == cold_bytes.end() || want->second != got) {
         std::fprintf(stderr,

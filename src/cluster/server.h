@@ -9,7 +9,7 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "dag/types.h"
-#include "shm/arena.h"
+#include "cluster/arena.h"
 
 namespace ditto::cluster {
 
@@ -19,7 +19,7 @@ class Server {
       : id_(id),
         total_slots_(total_slots),
         free_slots_(total_slots),
-        arena_(std::make_unique<shm::Arena>(memory, "server-" + std::to_string(id))) {}
+        arena_(std::make_unique<Arena>(memory, "server-" + std::to_string(id))) {}
 
   ServerId id() const { return id_; }
   int total_slots() const { return total_slots_; }
@@ -54,14 +54,14 @@ class Server {
     return Status::ok();
   }
 
-  shm::Arena& arena() { return *arena_; }
-  const shm::Arena& arena() const { return *arena_; }
+  Arena& arena() { return *arena_; }
+  const Arena& arena() const { return *arena_; }
 
  private:
   ServerId id_;
   int total_slots_;
   int free_slots_;
-  std::unique_ptr<shm::Arena> arena_;
+  std::unique_ptr<Arena> arena_;
 };
 
 }  // namespace ditto::cluster

@@ -9,10 +9,12 @@
 //   * OWNED — the column holds its values in a std::vector (the only
 //     mode that supports mutation);
 //   * BORROWED — fixed-width columns may view values that live inside
-//     a received wire buffer (deserialize_table's zero-copy path). The
-//     column holds a refcount on the buffer, so the view can never
-//     dangle. Reads go through ColumnSpan; the first vector-reference
-//     access (or any mutation) materializes an owned copy.
+//     a storage::Payload (deserialize_table borrows every aligned v2
+//     fixed-width column) or inside a shared source table
+//     (range_slice). The column holds a refcount on that memory, so
+//     the view can never dangle. Reads go through ColumnSpan; the
+//     first vector-reference access (or any mutation) materializes an
+//     owned copy.
 #pragma once
 
 #include <cassert>

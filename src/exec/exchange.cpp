@@ -47,8 +47,7 @@ Status RemoteTableChannel::send(std::shared_ptr<const Table> table) {
   const std::string key = prefix_ + "/" + std::to_string(seq);
   // Serialized once into a fresh exact-size payload that the store may
   // keep as is; a retried put hands over the same bytes again.
-  const storage::Payload bytes =
-      std::make_shared<const std::string>(serialize_table_to_string(*table));
+  const storage::Payload bytes = serialize_table(*table);
   DITTO_RETURN_IF_ERROR(faults::retry_status(
       policy(), "exchange.put", [&] { return store_->put_payload(key, bytes); },
       retry_counter_));
@@ -69,7 +68,7 @@ Result<std::shared_ptr<const Table>> RemoteTableChannel::fetch(std::size_t seq) 
   // Zero-copy receive: fixed-width columns view the payload in place,
   // which the table keeps alive, so it outlives an overwrite or removal
   // of the key.
-  DITTO_ASSIGN_OR_RETURN(Table table, deserialize_table_borrowing(*bytes, bytes));
+  DITTO_ASSIGN_OR_RETURN(Table table, deserialize_table(bytes));
   return std::make_shared<const Table>(std::move(table));
 }
 

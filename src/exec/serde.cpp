@@ -200,9 +200,9 @@ Result<Column> read_fixed_v2(Reader& r, std::uint64_t rows,
   const char* payload = r.cursor();
   DITTO_ASSIGN_OR_RETURN(const std::string_view raw, r.bytes(rows * sizeof(T)));
   const bool aligned = reinterpret_cast<std::uintptr_t>(payload) % alignof(T) == 0;
-  if (owner != nullptr && aligned && rows > 0) {
+  if (aligned && rows > 0) {
     // Zero-copy: view the values where they already are; `owner` keeps
-    // the wire buffer alive for as long as the column does.
+    // the payload alive for as long as the column does.
     if constexpr (std::is_same_v<T, std::int64_t>) {
       return Column::borrow_ints(owner, reinterpret_cast<const std::int64_t*>(payload),
                                  static_cast<std::size_t>(rows));
@@ -237,7 +237,7 @@ Result<Column> read_strings_v2(Reader& r, std::uint64_t rows) {
   return Column(std::move(v));
 }
 
-Result<Table> deserialize_impl(std::string_view bytes, std::shared_ptr<const void> owner) {
+Result<Table> deserialize_impl(std::string_view bytes, const std::shared_ptr<const void>& owner) {
   Reader r(bytes);
   DITTO_ASSIGN_OR_RETURN(const std::uint64_t magic, r.u64());
   int version;
@@ -281,32 +281,16 @@ Result<Table> deserialize_impl(std::string_view bytes, std::shared_ptr<const voi
 
 }  // namespace
 
-std::string serialize_table_to_string(const Table& table) {
+storage::Payload serialize_table(const Table& table) {
   const std::size_t n = size_v2(table);
-  std::string out(n, '\0');
-  write_v2(table, reinterpret_cast<std::uint8_t*>(out.data()), n);
+  auto out = std::make_shared<std::string>(n, '\0');
+  write_v2(table, reinterpret_cast<std::uint8_t*>(out->data()), n);
   return out;
 }
 
-shm::Buffer serialize_table(const Table& table) {
-  const std::size_t n = size_v2(table);
-  std::vector<std::uint8_t> out(n);
-  write_v2(table, out.data(), n);
-  return shm::Buffer::adopt(std::move(out));
-}
-
-Result<Table> deserialize_table(std::string_view bytes) {
-  return deserialize_impl(bytes, nullptr);
-}
-
-Result<Table> deserialize_table_borrowing(std::string_view bytes,
-                                          std::shared_ptr<const void> owner) {
-  return deserialize_impl(bytes, std::move(owner));
-}
-
-Result<Table> deserialize_table(const shm::Buffer& buf) {
-  if (buf.empty()) return deserialize_impl(buf.view(), nullptr);
-  return deserialize_impl(buf.view(), std::make_shared<shm::Buffer>(buf));
+Result<Table> deserialize_table(const storage::Payload& bytes) {
+  if (bytes == nullptr) return Status::invalid_argument("null table payload");
+  return deserialize_impl(*bytes, bytes);
 }
 
 }  // namespace ditto::exec

@@ -156,6 +156,9 @@ void HttpEndpoint::serve_loop() {
                                      ? http_response(400, "Bad Request", "text/plain",
                                                      "bad request\n")
                                      : respond(method, target);
+    // Counted before the send: a client that has read the whole
+    // response must already see it in requests_served().
+    requests_.fetch_add(1, std::memory_order_relaxed);
     // Large bodies (/metrics grows with every chunk counter) need the
     // full partial-write loop: send() can return short or -1/EINTR on
     // a signal, and MSG_NOSIGNAL turns a peer reset into EPIPE instead
@@ -169,7 +172,6 @@ void HttpEndpoint::serve_loop() {
       off += static_cast<std::size_t>(n);
     }
     ::close(conn);
-    requests_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

@@ -73,7 +73,8 @@ std::optional<CachedTable> decode_cached(ResultCache& cache, const CacheIdentity
                                          StageId stage) {
   auto hit = cache.lookup(id, stage);
   if (!hit.has_value()) return std::nullopt;
-  auto table = exec::deserialize_table(std::string_view(*hit->bytes));
+  // Fixed-width columns borrow the cache's bytes: a hit copies nothing.
+  auto table = exec::deserialize_table(hit->bytes);
   if (!table.ok()) {
     cache.remove(id, stage);
     return std::nullopt;
@@ -245,10 +246,6 @@ Admission admit_job(const QueuedJob& job, const LedgerView& view, ResultCache* c
   a.kind = Admission::Kind::kRun;
   a.plan = std::move(plan->placement);
   return a;
-}
-
-storage::Payload serialize_payload(const exec::Table& table) {
-  return std::make_shared<const std::string>(exec::serialize_table_to_string(table));
 }
 
 Status validate_submission(const JobSubmission& sub) {
@@ -825,7 +822,9 @@ void JobService::finish_run(JobRecord& rec, Result<exec::EngineResult> result) {
     const bool cache_on = cache_ != nullptr && rec.sub.cache_id.enabled();
     SinkBytes bytes;
     for (const auto& [stage, table] : result->sink_outputs) {
-      if (options_.persist_sinks || cache_on) bytes.emplace_back(stage, serialize_payload(table));
+      if (options_.persist_sinks || cache_on) {
+        bytes.emplace_back(stage, exec::serialize_table(table));
+      }
     }
     const Status persisted = persist_sinks(rec.sub.label, bytes);
     if (persisted.is_ok()) {
@@ -837,7 +836,7 @@ void JobService::finish_run(JobRecord& rec, Result<exec::EngineResult> result) {
           cache_->insert(rec.sub.cache_id, stage, payload, slot_secs);
         }
         for (const auto& [stage, table] : result->captured_outputs) {
-          cache_->insert(rec.sub.cache_id, stage, serialize_payload(table), slot_secs);
+          cache_->insert(rec.sub.cache_id, stage, exec::serialize_table(table), slot_secs);
         }
       }
       publish_done(rec, std::move(result->sink_outputs), bytes, result->stats,

@@ -176,7 +176,7 @@ Status ResultCache::save(storage::ObjectStore& store, const std::string& prefix)
   for (auto& [key, entry] : entries_) {
     if (entry.persisted) continue;
     DITTO_RETURN_IF_ERROR(
-        store.put(object_key(prefix, key.first, key.second), *entry.bytes));
+        store.put_payload(object_key(prefix, key.first, key.second), entry.bytes));
     entry.persisted = true;
   }
   std::ostringstream index;
@@ -202,7 +202,7 @@ Status ResultCache::load(storage::ObjectStore& store, const std::string& prefix)
     CacheIdentity id;
     StageId stage = kNoStage;
     double slot_seconds = 0.0;
-    std::shared_ptr<const std::string> bytes;
+    storage::Payload bytes;
   };
   std::vector<Loaded> loaded;
 
@@ -238,14 +238,14 @@ Status ResultCache::load(storage::ObjectStore& store, const std::string& prefix)
     }
     const std::string okey = object_key(prefix, l.id, l.stage);
     if (!store.contains(okey)) continue;  // torn save: entry never landed
-    auto bytes = store.get(okey);
+    auto bytes = store.get_payload(okey);
     if (!bytes.ok()) return bytes.status();
-    if (bytes->size() != size) {
+    if ((*bytes)->size() != size) {
       return Status::invalid_argument("corrupt cache entry '" + okey + "': size " +
-                                      std::to_string(bytes->size()) + " != indexed " +
+                                      std::to_string((*bytes)->size()) + " != indexed " +
                                       std::to_string(size));
     }
-    l.bytes = std::make_shared<const std::string>(std::move(*bytes));
+    l.bytes = std::move(*bytes);
     loaded.push_back(std::move(l));
   }
 

@@ -132,16 +132,16 @@ class ResultCache {
   Bytes capacity_bytes() const { return capacity_; }
 
   /// Persists the cache: one `<prefix>/<key>/stage-<N>` object per
-  /// entry (raw serialized table bytes) plus a `<prefix>/index` text
-  /// object written last, so a torn save degrades to skipped entries
-  /// at load. Already-persisted entries are not rewritten; evicted
-  /// persisted entries are removed.
+  /// entry (its Payload, shared through put_payload) plus a
+  /// `<prefix>/index` text object written last, so a torn save
+  /// degrades to skipped entries at load. Already-persisted entries
+  /// are not rewritten; evicted persisted entries are removed.
   Status save(storage::ObjectStore& store, const std::string& prefix = "cache");
 
-  /// Loads entries under `prefix`, merging into the cache (respecting
-  /// capacity). A missing index is OK (fresh store; no-op). A corrupt
-  /// index or entry fails INVALID_ARGUMENT and leaves the cache
-  /// exactly as it was.
+  /// Loads entries under `prefix` through get_payload, merging into
+  /// the cache (respecting capacity). A missing index is OK (fresh
+  /// store; no-op). A corrupt index or entry fails INVALID_ARGUMENT
+  /// and leaves the cache exactly as it was.
   Status load(storage::ObjectStore& store, const std::string& prefix = "cache");
 
  private:

@@ -32,16 +32,20 @@ Result<std::string> FileStore::path_of(const std::string& key) const {
 
 Status FileStore::put(const std::string& key, std::string_view value) {
   DITTO_ASSIGN_OR_RETURN(const std::string path, path_of(key));
+  std::ofstream out;
   {
+    // Held until the file is open: after that a prune sees a non-empty
+    // directory and leaves it.
+    std::shared_lock<std::shared_mutex> tree(tree_mu_);
     std::error_code ec;
     fs::create_directories(fs::path(path).parent_path(), ec);
     if (ec) {
       return Status::unavailable("cannot create directories for " + key + ": " + ec.message());
     }
+    // Truncate-then-stream on purpose: a crash mid-write leaves a torn
+    // prefix, the failure mode journal replay must tolerate.
+    out.open(path, std::ios::binary | std::ios::trunc);
   }
-  // Truncate-then-stream on purpose: a crash mid-write leaves a torn
-  // prefix, the failure mode journal replay must tolerate.
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::unavailable("cannot open " + key + " for writing");
   out.write(value.data(), static_cast<std::streamsize>(value.size()));
   out.flush();
@@ -81,11 +85,22 @@ Status FileStore::remove(const std::string& key) {
   DITTO_ASSIGN_OR_RETURN(const std::string path, path_of(key));
   std::error_code ec;
   if (!fs::remove(path, ec) || ec) return Status::not_found("no object '" + key + "'");
+  // Prune the directories this removal emptied, deepest first. Removing
+  // a directory fails unless it is empty, which ends the walk; the
+  // root is never a candidate because only key segments are.
+  std::unique_lock<std::shared_mutex> tree(tree_mu_);
+  std::string dir = key;
+  for (std::size_t slash = dir.rfind('/'); slash != std::string::npos;
+       slash = dir.rfind('/')) {
+    dir.resize(slash);
+    if (!fs::remove(root_ + "/" + dir, ec) || ec) break;
+  }
   return Status::ok();
 }
 
 std::vector<std::string> FileStore::list(const std::string& prefix) const {
   std::vector<std::string> keys;
+  std::shared_lock<std::shared_mutex> tree(tree_mu_);
   std::error_code ec;
   const fs::path root(root_);
   for (fs::recursive_directory_iterator it(root, ec), end; !ec && it != end;
@@ -101,6 +116,7 @@ std::vector<std::string> FileStore::list(const std::string& prefix) const {
 
 Bytes FileStore::used_bytes() const {
   Bytes total = 0;
+  std::shared_lock<std::shared_mutex> tree(tree_mu_);
   std::error_code ec;
   for (fs::recursive_directory_iterator it(root_, ec), end; !ec && it != end;
        it.increment(ec)) {

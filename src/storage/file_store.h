@@ -14,12 +14,21 @@
 // mid-append). Making puts atomic here would hide the failure mode the
 // chaos-restart harness exists to exercise.
 //
+// remove() also deletes the parent directories the removal emptied,
+// up to but never including the root, so removed keys leave no empty
+// directories behind.
+//
 // Thread-safe: a single mutex serializes metadata; values stream
-// outside the byte-counting bookkeeping. Intended for journal/sink
-// traffic (tens of objects), not the exchange hot path.
+// outside the byte-counting bookkeeping. A second, reader-writer lock
+// orders the directory tree: puts (directory creation and open) and
+// directory walks share it, and remove's prune holds it alone, so a
+// prune never deletes a directory a concurrent put is about to write
+// into. Intended for journal/sink traffic (tens of objects), not the
+// exchange hot path.
 #pragma once
 
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 
 #include "storage/object_store.h"
@@ -55,6 +64,9 @@ class FileStore final : public ObjectStore {
   StorageModel model_;
   mutable std::mutex mu_;
   mutable StoreStats stats_;
+  /// Shared: creating directories and opening in put, list, used_bytes.
+  /// Exclusive: remove's prune of emptied directories.
+  mutable std::shared_mutex tree_mu_;
 };
 
 }  // namespace ditto::storage

@@ -62,8 +62,7 @@ class FailPutsStore final : public storage::ObjectStore {
 };
 
 std::string table_bytes(const Table& t) {
-  const shm::Buffer buf = serialize_table(t);
-  return std::string(buf.view());
+  return *serialize_table(t);
 }
 
 /// Drains a cursor and concatenates, mirroring what a streaming

@@ -36,8 +36,7 @@ cluster::PlacementPlan plan_for(std::vector<int> dop,
 }
 
 std::string sink_bytes(const EngineResult& result, StageId sink) {
-  const shm::Buffer buf = serialize_table(result.sink_outputs.at(sink));
-  return std::string(buf.view());
+  return *serialize_table(result.sink_outputs.at(sink));
 }
 
 /// scan -> (shuffle) filter -> (`tail`) agg: the middle stage streams

@@ -5,6 +5,10 @@
 namespace ditto::exec {
 namespace {
 
+storage::Payload payload_of(std::string bytes) {
+  return std::make_shared<const std::string>(std::move(bytes));
+}
+
 Table sample() {
   auto t = Table::make(
       {{"id", DataType::kInt64}, {"v", DataType::kDouble}, {"s", DataType::kString}},
@@ -31,36 +35,39 @@ TEST(SerdeTest, EmptyTableRoundTrips) {
 }
 
 TEST(SerdeTest, RejectsGarbage) {
-  EXPECT_FALSE(deserialize_table(std::string_view("nonsense")).ok());
-  EXPECT_FALSE(deserialize_table(std::string_view("")).ok());
+  EXPECT_FALSE(deserialize_table(payload_of("nonsense")).ok());
+  EXPECT_FALSE(deserialize_table(payload_of("")).ok());
+}
+
+TEST(SerdeTest, RejectsNullPayload) {
+  const Result<Table> r = deserialize_table(nullptr);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SerdeTest, RejectsTruncation) {
-  const shm::Buffer buf = serialize_table(sample());
-  const std::string_view full = buf.view();
+  const std::string full = *serialize_table(sample());
   for (std::size_t cut : {8u, 24u, 40u}) {
-    EXPECT_FALSE(deserialize_table(full.substr(0, full.size() - cut)).ok());
+    EXPECT_FALSE(deserialize_table(payload_of(full.substr(0, full.size() - cut))).ok());
   }
 }
 
 TEST(SerdeTest, RejectsTrailingBytes) {
-  const shm::Buffer buf = serialize_table(sample());
-  std::string padded(buf.view());
+  std::string padded = *serialize_table(sample());
   padded += "extra";
-  EXPECT_FALSE(deserialize_table(std::string_view(padded)).ok());
+  EXPECT_FALSE(deserialize_table(payload_of(padded)).ok());
 }
 
 TEST(SerdeTest, RejectsBadMagic) {
-  std::string bytes(serialize_table(sample()).view());
+  std::string bytes = *serialize_table(sample());
   bytes[0] ^= 0xff;
-  EXPECT_FALSE(deserialize_table(std::string_view(bytes)).ok());
+  EXPECT_FALSE(deserialize_table(payload_of(bytes)).ok());
 }
 
 TEST(SerdeTest, SerializedSizeTracksPayload) {
   const Table small = table_of_ints({{"a", {1}}});
   const Table big = table_of_ints(
       {{"a", std::vector<std::int64_t>(10000, 7)}});
-  EXPECT_GT(serialize_table(big).size(), serialize_table(small).size() + 9000 * 8);
+  EXPECT_GT(serialize_table(big)->size(), serialize_table(small)->size() + 9000 * 8);
 }
 
 }  // namespace

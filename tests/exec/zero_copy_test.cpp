@@ -22,15 +22,15 @@ Table fixed_width_sample() {
 }
 
 TEST(ZeroCopyTest, BufferDeserializeBorrowsFixedWidthColumns) {
-  const shm::Buffer buf = serialize_table(fixed_width_sample());
+  const storage::Payload buf = serialize_table(fixed_width_sample());
   const auto t = deserialize_table(buf);
   ASSERT_TRUE(t.ok());
   EXPECT_TRUE(t->column(0).is_borrowed());
   EXPECT_TRUE(t->column(1).is_borrowed());
-  // The borrowed values point INTO the wire buffer.
-  const auto* p = reinterpret_cast<const std::uint8_t*>(t->column(0).int_span().data());
-  EXPECT_GE(p, buf.data());
-  EXPECT_LT(p, buf.data() + buf.size());
+  // The borrowed values point INTO the wire payload.
+  const auto* p = reinterpret_cast<const char*>(t->column(0).int_span().data());
+  EXPECT_GE(p, buf->data());
+  EXPECT_LT(p, buf->data() + buf->size());
 }
 
 TEST(ZeroCopyTest, StringColumnsAreAlwaysOwned) {
@@ -42,18 +42,9 @@ TEST(ZeroCopyTest, StringColumnsAreAlwaysOwned) {
   EXPECT_FALSE(back->column(0).is_borrowed());
 }
 
-TEST(ZeroCopyTest, OwnedDeserializeNeverBorrows) {
-  const shm::Buffer buf = serialize_table(fixed_width_sample());
-  const auto t = deserialize_table(buf.view());  // no owner handed over
-  ASSERT_TRUE(t.ok());
-  EXPECT_FALSE(t->column(0).is_borrowed());
-  EXPECT_FALSE(t->column(1).is_borrowed());
-}
-
 TEST(ZeroCopyTest, BorrowKeepsBufferAlive) {
-  auto owner = std::make_shared<const std::string>(
-      std::string(serialize_table(fixed_width_sample()).view()));
-  auto t = deserialize_table_borrowing(*owner, owner);
+  storage::Payload owner = serialize_table(fixed_width_sample());
+  auto t = deserialize_table(owner);
   ASSERT_TRUE(t.ok());
   const long before = owner.use_count();
   EXPECT_GT(before, 1) << "table should hold refcounts on the payload";
@@ -63,7 +54,7 @@ TEST(ZeroCopyTest, BorrowKeepsBufferAlive) {
 }
 
 TEST(ZeroCopyTest, LazyMaterializationAndEnsureOwned) {
-  const shm::Buffer buf = serialize_table(fixed_width_sample());
+  const storage::Payload buf = serialize_table(fixed_width_sample());
   auto t = deserialize_table(buf);
   ASSERT_TRUE(t.ok());
   Table table = std::move(t).value();
@@ -84,7 +75,7 @@ TEST(ZeroCopyTest, LazyMaterializationAndEnsureOwned) {
 }
 
 TEST(ZeroCopyTest, ConcurrentConstReadsAreSafe) {
-  const shm::Buffer buf = serialize_table(fixed_width_sample());
+  const storage::Payload buf = serialize_table(fixed_width_sample());
   const auto t = deserialize_table(buf);
   ASSERT_TRUE(t.ok());
   std::vector<std::thread> threads;
@@ -105,12 +96,11 @@ TEST(ZeroCopyTest, OwnedAndBorrowedCompareEqual) {
   ASSERT_TRUE(borrowed->column(0).is_borrowed());
   EXPECT_EQ(*borrowed, owned);
   // Serialization is value-based too: identical bytes either way.
-  EXPECT_EQ(std::string(serialize_table(*borrowed).view()),
-            std::string(serialize_table(owned).view()));
+  EXPECT_EQ(*serialize_table(*borrowed), *serialize_table(owned));
 }
 
 TEST(ZeroCopyTest, SliceOfBorrowedStaysZeroCopy) {
-  const shm::Buffer buf = serialize_table(fixed_width_sample());
+  const storage::Payload buf = serialize_table(fixed_width_sample());
   const auto t = deserialize_table(buf);
   ASSERT_TRUE(t.ok());
   const Table mid = t->slice(1, 2);
@@ -120,7 +110,7 @@ TEST(ZeroCopyTest, SliceOfBorrowedStaysZeroCopy) {
 }
 
 TEST(ZeroCopyTest, ConcatMaterializesDestinationOnly) {
-  const shm::Buffer buf = serialize_table(fixed_width_sample());
+  const storage::Payload buf = serialize_table(fixed_width_sample());
   const auto a = deserialize_table(buf);
   const auto b = deserialize_table(buf);
   ASSERT_TRUE(a.ok() && b.ok());

@@ -77,8 +77,7 @@ struct ChaosJob {
 
 /// Serialized sink output: the byte-identity witness.
 std::string sink_bytes(const exec::EngineResult& result, StageId sink) {
-  const shm::Buffer buf = exec::serialize_table(result.sink_outputs.at(sink));
-  return std::string(buf.view());
+  return *exec::serialize_table(result.sink_outputs.at(sink));
 }
 
 constexpr const char* kChaosSpec =

@@ -80,10 +80,6 @@ QueuedJob queued(JobId id, const JobSubmission& sub) {
   return job;
 }
 
-storage::Payload serialized(const exec::Table& table) {
-  return std::make_shared<const std::string>(exec::serialize_table_to_string(table));
-}
-
 ServiceOptions elastic() {
   ServiceOptions options;
   options.external = storage::redis_model();
@@ -94,7 +90,7 @@ TEST(AdmitPassTest, WholeHitIsServedFromTheCacheWithTheCachedBytes) {
   const JobSubmission sub = small_job("hit");
   const exec::Table sink = exec::gen_fact_table({.rows = 50, .num_warehouses = 4, .seed = 3});
   ResultCache cache(0);
-  const storage::Payload bytes = serialized(sink);
+  const storage::Payload bytes = exec::serialize_table(sink);
   cache.insert(sub.cache_id, 2, bytes, 1.5);
 
   const auto decisions =
@@ -116,11 +112,40 @@ TEST(AdmitPassTest, WholeHitIsServedFromTheCacheWithTheCachedBytes) {
   EXPECT_FALSE(rerun[0].plan.task_server.empty());
 }
 
+TEST(AdmitPassTest, WholeHitSinkBorrowsTheCachedPayload) {
+  const JobSubmission sub = small_job("borrowed-hit");
+  const exec::Table sink = exec::gen_fact_table({.rows = 50, .num_warehouses = 4, .seed = 5});
+  ResultCache cache(0);
+  const storage::Payload bytes = exec::serialize_table(sink);
+  cache.insert(sub.cache_id, 2, bytes);
+
+  const auto decisions =
+      admit_pass({queued(1, sub)}, view_of({4, 4}, 0), &cache, elastic(), 0.0);
+  ASSERT_EQ(decisions.size(), 1u);
+  ASSERT_EQ(decisions[0].kind, Kind::kServe);
+  const exec::Table& served = decisions[0].served.sinks.at(2);
+  EXPECT_EQ(served, sink);
+  // Every fixed-width column views the cache's own bytes: decoding the
+  // hit copied none of them.
+  const char* lo = bytes->data();
+  const char* hi = lo + bytes->size();
+  for (std::size_t c = 0; c < served.num_columns(); ++c) {
+    const exec::Column& col = served.column(c);
+    ASSERT_TRUE(col.is_borrowed()) << served.schema()[c].name;
+    const char* p = col.type() == exec::DataType::kInt64
+                        ? reinterpret_cast<const char*>(col.int_span().data())
+                        : reinterpret_cast<const char*>(col.double_span().data());
+    EXPECT_GE(p, lo) << served.schema()[c].name;
+    EXPECT_LT(p, hi) << served.schema()[c].name;
+  }
+}
+
 TEST(AdmitPassTest, PartialHitIsPrunedBeforePlanning) {
   const JobSubmission sub = small_job("partial");
   ResultCache cache(0);
   cache.insert(sub.cache_id, 0,
-               serialized(exec::gen_fact_table({.rows = 50, .num_warehouses = 4, .seed = 3})));
+               exec::serialize_table(
+                   exec::gen_fact_table({.rows = 50, .num_warehouses = 4, .seed = 3})));
 
   const auto decisions =
       admit_pass({queued(1, sub)}, view_of({4, 4}, 0), &cache, elastic(), 0.0);

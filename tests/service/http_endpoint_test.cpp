@@ -110,6 +110,21 @@ TEST(HttpEndpointTest, ServesOverRealSocketsOnEphemeralPort) {
   ep.stop();  // idempotent
 }
 
+TEST(HttpEndpointTest, RequestIsCountedBeforeItsResponseIsRead) {
+  HttpEndpoint::Options opt;
+  opt.port = 0;
+  HttpEndpoint ep(opt);
+  ASSERT_TRUE(ep.start().is_ok());
+  // The serve loop closes the connection right after its send, so a
+  // count taken after the close could trail a client that has already
+  // read the whole response.
+  for (std::size_t i = 1; i <= 50; ++i) {
+    ASSERT_NE(http_get(ep.port(), "/healthz").find("200 OK"), std::string::npos);
+    ASSERT_EQ(ep.requests_served(), i) << "after response " << i;
+  }
+  ep.stop();
+}
+
 TEST(HttpEndpointTest, LargeMetricsBodyIsDeliveredCompletely) {
   // Chunk counters grow the /metrics exposition well past one socket
   // buffer; the serve loop's partial-write handling must deliver every

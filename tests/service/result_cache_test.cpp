@@ -154,6 +154,26 @@ TEST(ResultCachePersistTest, SaveLoadRoundTrip) {
   EXPECT_EQ(warm.stats().entries, 2u);
 }
 
+TEST(ResultCachePersistTest, SaveAndLoadShareTheEntryPayload) {
+  auto store = storage::make_instant_store();  // a MemStore
+  const CacheIdentity id = ident(9, "sig");
+  const storage::Payload bytes = shared(payload('x', 64));
+  ResultCache cache(1_MB);
+  cache.insert(id, 4, bytes);
+  ASSERT_TRUE(cache.save(*store, "cache").is_ok());
+  // The store keeps the cache's own Payload: saving copied no bytes.
+  const auto stored = store->get_payload("cache/" + id.key() + "/stage-4");
+  ASSERT_TRUE(stored.ok()) << stored.status().to_string();
+  EXPECT_EQ(stored->get(), bytes.get());
+
+  // Loading shares the stored Payload in turn.
+  ResultCache warm(1_MB);
+  ASSERT_TRUE(warm.load(*store, "cache").is_ok());
+  const auto hit = warm.lookup(id, 4);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->bytes.get(), bytes.get());
+}
+
 TEST(ResultCachePersistTest, MissingIndexIsFreshStore) {
   auto store = storage::make_instant_store();
   ResultCache cache(1_MB);

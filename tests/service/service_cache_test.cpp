@@ -93,7 +93,7 @@ ServiceOptions cached_options(Bytes cache_bytes = 32_MB) {
 }
 
 std::string sink_bytes(const JobOutcome& outcome, StageId stage) {
-  return std::string(exec::serialize_table(outcome.sink_outputs.at(stage)).view());
+  return *exec::serialize_table(outcome.sink_outputs.at(stage));
 }
 
 constexpr StageId kSink = 2;  ///< `final` in make_cached_job's DAG

@@ -27,7 +27,7 @@ workload::EngineQuerySpec small_spec(std::uint64_t seed) {
 }
 
 std::string table_bytes(const exec::Table& t) {
-  return std::string(exec::serialize_table(t).view());
+  return *exec::serialize_table(t);
 }
 
 /// Re-runs the job isolated (own engine, own store, same plan) and

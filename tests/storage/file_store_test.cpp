@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace ditto::storage {
@@ -96,6 +99,57 @@ TEST(FileStoreTest, RemoveDeletesAndCountsBytes) {
   EXPECT_EQ(store.remove("a").code(), StatusCode::kNotFound);
   const auto stats = store.stats();
   EXPECT_EQ(stats.puts, 2u);
+}
+
+TEST(FileStoreTest, RemovingTheLastKeyPrunesItsDirectoriesButNotTheRoot) {
+  const std::string root = fresh_root("prune");
+  FileStore store(root);
+  ASSERT_TRUE(store.put("a/b/k", "v").is_ok());
+  ASSERT_TRUE(store.remove("a/b/k").is_ok());
+  EXPECT_FALSE(std::filesystem::exists(root + "/a"));
+  EXPECT_TRUE(std::filesystem::is_directory(root));
+  // A top-level key has no directory of its own to prune.
+  ASSERT_TRUE(store.put("top", "v").is_ok());
+  ASSERT_TRUE(store.remove("top").is_ok());
+  EXPECT_TRUE(std::filesystem::is_directory(root));
+}
+
+TEST(FileStoreTest, SiblingKeyKeepsItsDirectory) {
+  const std::string root = fresh_root("prune_sibling");
+  FileStore store(root);
+  ASSERT_TRUE(store.put("a/b/k1", "1").is_ok());
+  ASSERT_TRUE(store.put("a/b/k2", "2").is_ok());
+  ASSERT_TRUE(store.put("a/c/k3", "3").is_ok());
+  ASSERT_TRUE(store.remove("a/b/k1").is_ok());
+  EXPECT_TRUE(std::filesystem::is_directory(root + "/a/b"));
+  EXPECT_TRUE(store.contains("a/b/k2"));
+  ASSERT_TRUE(store.remove("a/b/k2").is_ok());
+  EXPECT_FALSE(std::filesystem::exists(root + "/a/b"));
+  EXPECT_TRUE(std::filesystem::is_directory(root + "/a"));  // a/c still holds k3
+  EXPECT_TRUE(store.contains("a/c/k3"));
+}
+
+TEST(FileStoreTest, PutRacingRemovesInOneDirectoryNeverFails) {
+  const std::string root = fresh_root("prune_race");
+  FileStore store(root);
+  // The remover keeps emptying d/e, so its prune keeps deleting the
+  // directory the writer's next put creates and opens a file in.
+  std::atomic<int> failures{0};
+  std::thread remover([&] {
+    for (int i = 0; i < 400; ++i) {
+      if (!store.put("d/e/r", "r").is_ok()) failures.fetch_add(1);
+      (void)store.remove("d/e/r");
+    }
+  });
+  for (int i = 0; i < 400; ++i) {
+    const std::string key = "d/e/w" + std::to_string(i);
+    const Status put = store.put(key, "w");
+    EXPECT_TRUE(put.is_ok()) << put.to_string();
+    EXPECT_TRUE(store.remove(key).is_ok()) << key;
+  }
+  remover.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_FALSE(std::filesystem::exists(root + "/d"));
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
+#include <memory>
+#include <string>
 
 namespace ditto::exec {
 namespace {
@@ -43,9 +44,9 @@ class Writer {
 
 }  // namespace
 
-shm::Buffer serialize_table_v1(const Table& t) {
-  std::vector<std::uint8_t> out(size_v1(t));
-  Writer w(out.data());
+storage::Payload serialize_table_v1(const Table& t) {
+  auto out = std::make_shared<std::string>(size_v1(t), '\0');
+  Writer w(reinterpret_cast<std::uint8_t*>(out->data()));
   w.u64(kMagicV1);
   w.u64(t.num_columns());
   w.u64(t.num_rows());
@@ -74,7 +75,7 @@ shm::Buffer serialize_table_v1(const Table& t) {
         break;
     }
   }
-  return shm::Buffer::adopt(std::move(out));
+  return out;
 }
 
 }  // namespace ditto::exec

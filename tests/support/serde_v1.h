@@ -7,11 +7,11 @@
 #pragma once
 
 #include "exec/table.h"
-#include "shm/buffer.h"
+#include "storage/object_store.h"
 
 namespace ditto::exec {
 
 /// Serializes `table` in the v1 wire format (one exact-size allocation).
-shm::Buffer serialize_table_v1(const Table& table);
+storage::Payload serialize_table_v1(const Table& table);
 
 }  // namespace ditto::exec

@@ -49,9 +49,9 @@
 #include "storage/sim_store.h"
 #include "support/serde_v1.h"
 #include "timemodel/predictor.h"
+#include "workload/engine_queries.h"
 #include "workload/physics.h"
 #include "workload/pipelining.h"
-#include "workload/q95_engine.h"
 
 using namespace ditto;
 using namespace ditto::exec;
@@ -538,11 +538,9 @@ bool run_pipelined_quick_check() {
   // streaming stages (reduce1/join1/join2) must not grow vs the
   // materialized run judged by the unannotated model.
   {
-    workload::Q95EngineSpec spec;
-    spec.sales_rows = 200'000;
-    spec.num_orders = 30'000;
-    workload::Q95EngineJob job = workload::build_q95_engine_job(spec);
-    workload::annotate_q95_volumes(job);
+    const workload::EngineQuerySpec spec{
+        .fact_rows = 200'000, .num_orders = 30'000, .seed = 1234};
+    const workload::EngineJob job = workload::build_q95_engine_job(spec);
     JobDag model = job.dag;
     workload::PhysicsParams physics;
     physics.store = storage::redis_model();
@@ -569,10 +567,11 @@ bool run_pipelined_quick_check() {
       std::fprintf(stderr, "FAIL: Q95 drift bench run errored\n");
       return false;
     }
-    const auto expected = workload::q95_reference(job, spec);
+    const auto expected = workload::q95_engine_reference(job, spec);
     for (const auto* r : {&wave, &piped}) {
-      const auto answer = workload::q95_answer_from_sink((*r)->sink_outputs.at(8));
-      if (!answer.ok() || answer->order_count != expected.order_count) {
+      const auto answer = workload::engine_answer_from_sink((*r)->sink_outputs.at(job.sink));
+      if (!answer.ok() || answer->rows != expected.rows ||
+          std::abs(answer->value - expected.value) > 1e-6 * std::max(1.0, expected.value)) {
         std::fprintf(stderr, "FAIL: Q95 answer mismatch in drift bench\n");
         ok = false;
       }

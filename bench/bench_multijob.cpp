@@ -91,7 +91,8 @@ service::ServiceSummary run_live(service::AdmissionPolicy policy) {
   // would let it finish before the next arrives and no policy would
   // ever queue anything.
   std::vector<service::JobSubmission> jobs;
-  for (const std::string_view q : service::engine_query_names()) {
+  for (const workload::EngineQuery& query : workload::engine_queries()) {
+    const std::string_view q = query.name;
     auto job = service::make_engine_query_job(q, spec, external);
     if (!job.ok()) {
       std::fprintf(stderr, "job build failed: %s\n", job.status().to_string().c_str());
@@ -142,11 +143,12 @@ bool run_overload() {
   options.max_queue_depth = kQueueDepth;
   service::JobService svc(cl, store, options);
 
-  const auto& names = service::engine_query_names();
+  const std::vector<workload::EngineQuery>& queries = workload::engine_queries();
   std::map<std::string, std::size_t> rejected;  // tier -> fast-rejects
   std::size_t accepted = 0;
   for (std::size_t i = 0; i < kJobs; ++i) {
-    auto job = service::make_engine_query_job(names[i % names.size()], spec, external);
+    const char* query = queries[i % queries.size()].name;
+    auto job = service::make_engine_query_job(query, spec, external);
     if (!job.ok()) {
       std::fprintf(stderr, "job build failed: %s\n", job.status().to_string().c_str());
       return false;
@@ -155,7 +157,7 @@ bool run_overload() {
     // latency arrivals to displace.
     job->submission.tier = i % 2 == 1 ? "latency" : "batch";
     job->submission.label =
-        std::string(names[i % names.size()]) + "-" + job->submission.tier + std::to_string(i);
+        std::string(query) + "-" + job->submission.tier + std::to_string(i);
     job->submission.objective = Objective::kCost;
     const auto id = svc.submit(job->submission);
     if (!id.ok()) {

@@ -24,6 +24,8 @@
 // FlakyStore, task attempts can crash or hang, a server can die at a
 // wave boundary. The answer must still match the reference — retries,
 // speculation and server-loss recovery absorb the injected chaos.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -43,16 +45,16 @@
 #include "scheduler/ditto_scheduler.h"
 #include "scheduler/explain.h"
 #include "storage/sim_store.h"
+#include "workload/engine_queries.h"
 #include "workload/physics.h"
 #include "workload/pipelining.h"
-#include "workload/q95_engine.h"
 
 using namespace ditto;
 
 namespace {
 
 struct RunStats {
-  workload::Q95Answer answer;
+  workload::EngineAnswer answer;
   exec::EngineStats stats;
 };
 
@@ -64,7 +66,7 @@ struct Profiling {
 };
 
 /// Runs `job` under `plan`, streaming the edges `model` annotates.
-Result<RunStats> execute(workload::Q95EngineJob& job, const JobDag& model,
+Result<RunStats> execute(const workload::EngineJob& job, const JobDag& model,
                          const cluster::PlacementPlan& plan,
                          cluster::RuntimeMonitor* monitor = nullptr,
                          faults::FaultInjector* injector = nullptr,
@@ -89,7 +91,8 @@ Result<RunStats> execute(workload::Q95EngineJob& job, const JobDag& model,
   exec::MiniEngine engine(job.dag, plan, backing, options);
   DITTO_ASSIGN_OR_RETURN(exec::EngineResult result, engine.run(job.bindings, monitor));
   RunStats out;
-  DITTO_ASSIGN_OR_RETURN(out.answer, workload::q95_answer_from_sink(result.sink_outputs.at(8)));
+  DITTO_ASSIGN_OR_RETURN(out.answer,
+                         workload::engine_answer_from_sink(result.sink_outputs.at(job.sink)));
   out.stats = result.stats;
   return out;
 }
@@ -137,20 +140,19 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(fault_cfg.seed));
   }
 
-  workload::Q95EngineSpec spec;
-  spec.sales_rows = 100000;
-  spec.num_orders = 15000;
-  workload::Q95EngineJob job = workload::build_q95_engine_job(spec);
-  std::printf("web_sales: %zu rows (%s); web_returns: %zu rows\n",
-              job.web_sales->num_rows(), bytes_to_string(job.web_sales->byte_size()).c_str(),
-              job.web_returns->num_rows());
+  const workload::EngineQuerySpec spec{.fact_rows = 100000, .num_orders = 15000, .seed = 1234};
+  const workload::EngineJob job = workload::build_q95_engine_job(spec);
+  const exec::Table& web_sales = *job.sources.at("web_sales");
+  std::printf("web_sales: %zu rows (%s); web_returns: %zu rows\n", web_sales.num_rows(),
+              bytes_to_string(web_sales.byte_size()).c_str(),
+              job.sources.at("web_returns")->num_rows());
 
-  const auto expected = workload::q95_reference(job, spec);
+  const auto expected = workload::q95_engine_reference(job, spec);
   std::printf("reference answer: %lld qualifying orders, revenue %.2f\n\n",
-              static_cast<long long>(expected.order_count), expected.total_revenue);
+              static_cast<long long>(expected.rows), expected.value);
 
-  // Plan with Ditto on a 4x8-slot cluster, using physics-derived models.
-  workload::annotate_q95_volumes(job);
+  // Plan with Ditto on a 4x8-slot cluster, using physics-derived models
+  // over the volumes the builder annotated.
   JobDag model_dag = job.dag;
   workload::PhysicsParams physics;
   physics.store = storage::redis_model();
@@ -202,10 +204,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "execution failed: %s\n", run.status().to_string().c_str());
       return 1;
     }
+    const bool matches =
+        run->answer.rows == expected.rows &&
+        std::abs(run->answer.value - expected.value) <= 1e-6 * std::max(1.0, expected.value);
     std::printf("  executed: %lld orders, revenue %.2f (%s)\n",
-                static_cast<long long>(run->answer.order_count), run->answer.total_revenue,
-                run->answer.order_count == expected.order_count ? "matches reference"
-                                                                : "MISMATCH");
+                static_cast<long long>(run->answer.rows), run->answer.value,
+                matches ? "matches reference" : "MISMATCH");
     std::printf("  data plane: %zu zero-copy msgs, %zu via store (%s), "
                 "%zu chunks published, wall %.1f ms\n",
                 run->stats.exchange.zero_copy_messages, run->stats.exchange.remote_messages,

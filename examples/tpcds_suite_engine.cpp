@@ -1,6 +1,9 @@
 // The whole TPC-DS miniature suite (Q1, Q16, Q94, Q95) executed for
 // real: Ditto plans each engine-executable query and the MiniEngine
-// runs it; every answer is checked against a single-node reference.
+// runs it; every answer's rows and value are checked against the
+// query's single-node reference. Exits 1 on any mismatch or failure.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "exec/engine.h"
@@ -8,25 +11,23 @@
 #include "storage/sim_store.h"
 #include "workload/engine_queries.h"
 #include "workload/physics.h"
-#include "workload/q95_engine.h"
 
 using namespace ditto;
 
 namespace {
 
 struct SuiteRow {
-  const char* name;
-  std::int64_t rows = 0;
-  double value = 0.0;
+  workload::EngineAnswer answer;
   bool matches = false;
   std::size_t zero_copy = 0;
   std::size_t remote = 0;
   double wall_ms = 0.0;
 };
 
-Result<SuiteRow> run_generic(const char* name, workload::EngineJob job,
-                             const workload::EngineAnswer& ref) {
-  workload::annotate_engine_volumes(job);
+Result<SuiteRow> run_query(const workload::EngineQuery& query,
+                           const workload::EngineQuerySpec& spec) {
+  const workload::EngineJob job = query.build(spec);
+  const workload::EngineAnswer ref = query.reference(job, spec);
   JobDag model_dag = job.dag;
   workload::PhysicsParams physics;
   physics.store = storage::redis_model();
@@ -41,24 +42,15 @@ Result<SuiteRow> run_generic(const char* name, workload::EngineJob job,
   auto store = storage::make_instant_store();
   exec::MiniEngine engine(job.dag, plan.placement, *store);
   DITTO_ASSIGN_OR_RETURN(exec::EngineResult result, engine.run(job.bindings));
-  DITTO_ASSIGN_OR_RETURN(workload::EngineAnswer answer,
-                         workload::engine_answer_from_sink(result.sink_outputs.at(job.sink)));
-
   SuiteRow row;
-  row.name = name;
-  row.rows = answer.rows;
-  row.value = answer.value;
-  row.matches = answer.rows == ref.rows && std::abs(answer.value - ref.value) < 1e-6;
+  DITTO_ASSIGN_OR_RETURN(row.answer,
+                         workload::engine_answer_from_sink(result.sink_outputs.at(job.sink)));
+  row.matches = row.answer.rows == ref.rows &&
+                std::abs(row.answer.value - ref.value) <= 1e-6 * std::max(1.0, ref.value);
   row.zero_copy = result.stats.exchange.zero_copy_messages;
   row.remote = result.stats.exchange.remote_messages;
   row.wall_ms = result.stats.wall_seconds * 1e3;
   return row;
-}
-
-void print_row(const SuiteRow& row) {
-  std::printf("%-5s %8lld rows  value %14.2f  %-9s  %3zu shm / %3zu store msgs  %6.1f ms\n",
-              row.name, static_cast<long long>(row.rows), row.value,
-              row.matches ? "VERIFIED" : "MISMATCH", row.zero_copy, row.remote, row.wall_ms);
 }
 
 }  // namespace
@@ -69,62 +61,19 @@ int main() {
   spec.num_orders = 6000;
 
   std::printf("TPC-DS miniature suite on the MiniEngine (Ditto-planned, 4x8 cluster)\n\n");
-
-  {
-    workload::EngineJob job = workload::build_q1_engine_job(spec);
-    const auto ref = workload::q1_engine_reference(job, spec);
-    const auto row = run_generic("Q1", std::move(job), ref);
+  int failures = 0;
+  for (const workload::EngineQuery& query : workload::engine_queries()) {
+    const auto row = run_query(query, spec);
     if (!row.ok()) {
-      std::fprintf(stderr, "Q1 failed: %s\n", row.status().to_string().c_str());
-      return 1;
+      std::fprintf(stderr, "%s failed: %s\n", query.name, row.status().to_string().c_str());
+      ++failures;
+      continue;
     }
-    print_row(*row);
+    std::printf("%-5s %8lld rows  value %14.2f  %-9s  %3zu shm / %3zu store msgs  %6.1f ms\n",
+                query.name, static_cast<long long>(row->answer.rows), row->answer.value,
+                row->matches ? "VERIFIED" : "MISMATCH", row->zero_copy, row->remote,
+                row->wall_ms);
+    if (!row->matches) ++failures;
   }
-  {
-    workload::EngineJob job = workload::build_q16_engine_job(spec);
-    const auto ref = workload::q16_engine_reference(job, spec);
-    const auto row = run_generic("Q16", std::move(job), ref);
-    if (!row.ok()) return 1;
-    print_row(*row);
-  }
-  {
-    workload::EngineJob job = workload::build_q94_engine_job(spec);
-    const auto ref = workload::q94_engine_reference(job, spec);
-    const auto row = run_generic("Q94", std::move(job), ref);
-    if (!row.ok()) return 1;
-    print_row(*row);
-  }
-  {
-    // Q95 uses its dedicated module (richer semantics).
-    workload::Q95EngineSpec q95_spec;
-    q95_spec.sales_rows = spec.fact_rows;
-    q95_spec.num_orders = spec.num_orders;
-    workload::Q95EngineJob job = workload::build_q95_engine_job(q95_spec);
-    const auto ref = workload::q95_reference(job, q95_spec);
-    workload::annotate_q95_volumes(job);
-    JobDag model_dag = job.dag;
-    workload::PhysicsParams physics;
-    physics.store = storage::redis_model();
-    workload::apply_physics(model_dag, physics);
-    auto cl = cluster::Cluster::uniform(4, 8);
-    scheduler::DittoScheduler sched;
-    const auto plan = sched.schedule(model_dag, cl, Objective::kJct, storage::redis_model());
-    if (!plan.ok()) return 1;
-    auto store = storage::make_instant_store();
-    exec::MiniEngine engine(job.dag, plan->placement, *store);
-    const auto result = engine.run(job.bindings);
-    if (!result.ok()) return 1;
-    const auto answer = workload::q95_answer_from_sink(result->sink_outputs.at(8));
-    if (!answer.ok()) return 1;
-    SuiteRow row;
-    row.name = "Q95";
-    row.rows = answer->order_count;
-    row.value = answer->total_revenue;
-    row.matches = answer->order_count == ref.order_count;
-    row.zero_copy = result->stats.exchange.zero_copy_messages;
-    row.remote = result->stats.exchange.remote_messages;
-    row.wall_ms = result->stats.wall_seconds * 1e3;
-    print_row(row);
-  }
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

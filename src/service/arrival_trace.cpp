@@ -8,9 +8,6 @@
 namespace ditto::service {
 namespace {
 
-constexpr const char* kQueries[] = {"q1", "q16", "q94", "q95"};
-constexpr std::size_t kNumQueries = 4;
-
 /// Instantaneous rate multiplier at time t for the chosen shape; the
 /// mean over the trace stays ~1 so rate_hz keeps its meaning.
 double shape_factor(const TraceOptions& o, double t) {
@@ -65,12 +62,14 @@ Result<std::vector<TraceArrival>> generate_trace(const TraceOptions& options) {
   }
 
   Rng rng(options.seed);
+  const std::vector<workload::EngineQuery>& queries = workload::engine_queries();
+  const auto num_queries = static_cast<std::int64_t>(queries.size());
 
   // The recurring pool: each template is one (query, spec) pair with a
   // pool-stable seed, so every repeat of template k is byte-identical.
   std::vector<TraceArrival> pool(options.distinct_jobs);
   for (std::size_t k = 0; k < options.distinct_jobs; ++k) {
-    pool[k].query = kQueries[k % kNumQueries];
+    pool[k].query = queries[k % queries.size()].name;
     pool[k].spec.fact_rows = static_cast<std::size_t>(options.fact_rows);
     pool[k].spec.num_orders = options.num_orders;
     pool[k].spec.seed = options.seed * 1000003ULL + k;
@@ -100,7 +99,7 @@ Result<std::vector<TraceArrival>> generate_trace(const TraceOptions& options) {
           rng.uniform_int(0, static_cast<std::int64_t>(options.distinct_jobs) - 1))];
     } else {
       // Fresh job: unique seed, guaranteed cold for the cache.
-      a.query = kQueries[static_cast<std::size_t>(rng.uniform_int(0, kNumQueries - 1))];
+      a.query = queries[static_cast<std::size_t>(rng.uniform_int(0, num_queries - 1))].name;
       a.spec.fact_rows = static_cast<std::size_t>(options.fact_rows);
       a.spec.num_orders = options.num_orders;
       a.spec.seed = options.seed * 2000003ULL + next_unique;

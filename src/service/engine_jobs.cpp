@@ -7,124 +7,39 @@
 
 #include "dag/dag_algorithms.h"
 #include "workload/physics.h"
-#include "workload/q95_engine.h"
 
 namespace ditto::service {
-namespace {
-
-JobDag model_of(const JobDag& dag, const storage::StorageModel& external) {
-  JobDag model = dag;
-  workload::PhysicsParams physics;
-  physics.store = external;
-  workload::apply_physics(model, physics);
-  return model;
-}
-
-CacheIdentity cache_identity(std::string_view query, const workload::EngineQuerySpec& spec,
-                             const JobDag& model) {
-  CacheIdentity id;
-  id.plan_fingerprint = structural_fingerprint(model);
-  id.input_signature = engine_query_signature(query, spec);
-  return id;
-}
-
-EngineQueryJob from_engine_job(workload::EngineJob job, const workload::EngineAnswer& ref,
-                               const storage::StorageModel& external) {
-  workload::annotate_engine_volumes(job);
-  EngineQueryJob out;
-  out.ref_rows = ref.rows;
-  out.ref_value = ref.value;
-  out.sink = job.sink;
-  out.extract = &workload::engine_answer_from_sink;
-  out.submission.model_dag = model_of(job.dag, external);
-  auto keep = std::make_shared<workload::EngineJob>(std::move(job));
-  out.submission.dag = keep->dag;
-  out.submission.bindings = keep->bindings;
-  out.submission.keepalive = std::move(keep);
-  return out;
-}
-
-workload::Q95EngineSpec q95_spec_of(const workload::EngineQuerySpec& spec) {
-  workload::Q95EngineSpec q95;
-  q95.sales_rows = spec.fact_rows;
-  q95.num_orders = spec.num_orders;
-  q95.num_warehouses = spec.num_warehouses;
-  q95.num_dates = spec.num_dates;
-  q95.num_sites = spec.num_sites;
-  q95.return_fraction = spec.return_fraction;
-  q95.price_threshold = spec.price_threshold;
-  q95.date_attr_allowed = spec.dim_attr_allowed;
-  q95.seed = spec.seed;
-  return q95;
-}
-
-}  // namespace
-
-const std::vector<std::string_view>& engine_query_names() {
-  static const std::vector<std::string_view> names = {"q1", "q16", "q94", "q95"};
-  return names;
-}
 
 std::string engine_query_signature(std::string_view query,
                                    const workload::EngineQuerySpec& spec) {
   std::ostringstream os;
   os << query << "|rows=" << spec.fact_rows << "|orders=" << spec.num_orders
-     << "|wh=" << spec.num_warehouses << "|dates=" << spec.num_dates
-     << "|sites=" << spec.num_sites << "|rf=" << spec.return_fraction
-     << "|pt=" << spec.price_threshold << "|avg=" << spec.q1_avg_factor
-     << "|attr=" << spec.dim_attr_allowed << "|seed=" << spec.seed;
+     << "|seed=" << spec.seed;
   return os.str();
 }
 
 Result<EngineQueryJob> make_engine_query_job(std::string_view query,
                                              const workload::EngineQuerySpec& spec,
                                              const storage::StorageModel& external) {
-  if (query == "q1") {
-    workload::EngineJob job = workload::build_q1_engine_job(spec);
-    const workload::EngineAnswer ref = workload::q1_engine_reference(job, spec);
-    EngineQueryJob out = from_engine_job(std::move(job), ref, external);
-    out.submission.cache_id = cache_identity(query, spec, out.submission.model_dag);
-    return out;
-  }
-  if (query == "q16") {
-    workload::EngineJob job = workload::build_q16_engine_job(spec);
-    const workload::EngineAnswer ref = workload::q16_engine_reference(job, spec);
-    EngineQueryJob out = from_engine_job(std::move(job), ref, external);
-    out.submission.cache_id = cache_identity(query, spec, out.submission.model_dag);
-    return out;
-  }
-  if (query == "q94") {
-    workload::EngineJob job = workload::build_q94_engine_job(spec);
-    const workload::EngineAnswer ref = workload::q94_engine_reference(job, spec);
-    EngineQueryJob out = from_engine_job(std::move(job), ref, external);
-    out.submission.cache_id = cache_identity(query, spec, out.submission.model_dag);
-    return out;
-  }
-  if (query == "q95") {
-    const workload::Q95EngineSpec q95_spec = q95_spec_of(spec);
-    workload::Q95EngineJob job = workload::build_q95_engine_job(q95_spec);
-    const workload::Q95Answer ref = workload::q95_reference(job, q95_spec);
-    workload::annotate_q95_volumes(job);
+  DITTO_ASSIGN_OR_RETURN(const workload::EngineQuery q, workload::find_engine_query(query));
+  auto job = std::make_shared<workload::EngineJob>(q.build(spec));
+  const workload::EngineAnswer ref = q.reference(*job, spec);
 
-    EngineQueryJob out;
-    out.ref_rows = ref.order_count;
-    out.ref_value = ref.total_revenue;
-    out.sink = static_cast<StageId>(job.dag.num_stages() - 1);  // reduce2
-    out.extract = +[](const exec::Table& sink) -> Result<workload::EngineAnswer> {
-      auto answer = workload::q95_answer_from_sink(sink);
-      if (!answer.ok()) return answer.status();
-      return workload::EngineAnswer{answer->order_count, answer->total_revenue};
-    };
-    out.submission.model_dag = model_of(job.dag, external);
-    out.submission.cache_id = cache_identity(query, spec, out.submission.model_dag);
-    auto keep = std::make_shared<workload::Q95EngineJob>(std::move(job));
-    out.submission.dag = keep->dag;
-    out.submission.bindings = keep->bindings;
-    out.submission.keepalive = std::move(keep);
-    return out;
-  }
-  return Status::invalid_argument("unknown engine query '" + std::string(query) +
-                                  "' (want q1|q16|q94|q95)");
+  EngineQueryJob out;
+  out.ref_rows = ref.rows;
+  out.ref_value = ref.value;
+  out.sink = job->sink;
+  JobDag model = job->dag;
+  workload::PhysicsParams physics;
+  physics.store = external;
+  workload::apply_physics(model, physics);
+  out.submission.cache_id.plan_fingerprint = structural_fingerprint(model);
+  out.submission.cache_id.input_signature = engine_query_signature(query, spec);
+  out.submission.model_dag = std::move(model);
+  out.submission.dag = job->dag;
+  out.submission.bindings = job->bindings;
+  out.submission.keepalive = std::move(job);
+  return out;
 }
 
 }  // namespace ditto::service

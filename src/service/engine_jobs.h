@@ -1,13 +1,13 @@
-// Bridges the workload library's executable TPC-DS miniatures (Q1,
-// Q16, Q94, Q95) into service::JobSubmissions: builds the engine job,
-// annotates volumes, applies physics for the scheduling model, and
-// packages the source tables as the submission's keepalive — one call
-// turns a query name into something JobService::submit() accepts.
+// Bridges the workload library's catalogue of executable TPC-DS
+// miniatures (workload::engine_queries(): Q1, Q16, Q94, Q95) into
+// service::JobSubmissions: builds the volume-annotated engine job,
+// applies physics for the scheduling model, and packages the source
+// tables as the submission's keepalive — one call turns a query name
+// into something JobService::submit() accepts.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 #include "exec/table.h"
@@ -29,11 +29,10 @@ struct EngineQueryJob {
   StageId sink = kNoStage;
 
   /// Reads (rows, value) from the sink stage's output table.
-  Result<workload::EngineAnswer> (*extract)(const exec::Table&) = nullptr;
+  Result<workload::EngineAnswer> extract(const exec::Table& sink_output) const {
+    return workload::engine_answer_from_sink(sink_output);
+  }
 };
-
-/// Supported query names for make_engine_query_job().
-const std::vector<std::string_view>& engine_query_names();
 
 /// Canonical, whitespace-free signature of the input data a query
 /// reads: every EngineQuerySpec field, so two submissions share a
@@ -43,9 +42,10 @@ const std::vector<std::string_view>& engine_query_names();
 std::string engine_query_signature(std::string_view query,
                                    const workload::EngineQuerySpec& spec);
 
-/// Builds a submission-ready engine job for `query` in {q1, q16, q94,
-/// q95}. `external` is the storage model physics instantiates step
-/// models against (it should match the store the service runs on).
+/// Builds a submission-ready engine job for the
+/// workload::engine_queries() entry named `query`. `external` is the
+/// storage model physics instantiates step models against (it should
+/// match the store the service runs on).
 Result<EngineQueryJob> make_engine_query_job(std::string_view query,
                                              const workload::EngineQuerySpec& spec,
                                              const storage::StorageModel& external);

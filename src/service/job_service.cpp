@@ -719,7 +719,9 @@ void JobService::commit(Admission a) {
 }
 
 void JobService::run_job(JobRecord& rec) {
+  std::string base;  // epoch 0's prefix
   std::string prefix;
+  int dead_epochs = 0;
   {
     std::lock_guard<std::mutex> lk(mu_);
     rec.state = JobState::kRunning;
@@ -728,12 +730,20 @@ void JobService::run_job(JobRecord& rec) {
     // when journaled, else the in-memory id) and, past epoch 0, by the
     // run epoch — so a crash re-run or job retry never reads the dead
     // attempt's partial publishes. Epoch 0 keeps the legacy prefix.
-    prefix = "job-" + std::to_string(rec.jid != 0 ? rec.jid : rec.id);
+    base = "job-" + std::to_string(rec.jid != 0 ? rec.jid : rec.id);
+    prefix = base;
     if (rec.epoch > 0) prefix += "e" + std::to_string(rec.epoch);
+    // A journaled job past epoch 0 may be a crash re-run: nothing else
+    // removes what the dead process's attempts published.
+    if (rec.jid != 0) dead_epochs = rec.epoch;
     if (options_.journal != nullptr && rec.jid != 0) {
       const Status journaled = options_.journal->append_start(rec.jid, rec.epoch);
       (void)journaled;  // best effort: a lost START degrades to resubmit
     }
+  }
+  for (int e = 0; e < dead_epochs; ++e) {
+    const std::string dead = base + (e > 0 ? "e" + std::to_string(e) : "") + "/";
+    for (const std::string& key : store_->list(dead)) (void)store_->remove(key);
   }
   prefix += "/" + (rec.pruned != nullptr ? rec.pruned->dag : rec.sub.dag).name();
   // A throw must still reach a terminal state: a pool task's exception

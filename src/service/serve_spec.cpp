@@ -1,6 +1,5 @@
 #include "service/serve_spec.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "service/engine_jobs.h"
@@ -173,13 +172,10 @@ Result<ServeSpec> parse_serve_spec(const std::string& text) {
     if (head == "job") {
       ServeJobSpec job;
       if (!(tokens >> job.query)) {
-        return fail(Status::invalid_argument("job needs a query name (q1|q16|q94|q95)"));
+        return fail(Status::invalid_argument("job needs a query name"));
       }
-      const auto& names = engine_query_names();
-      if (std::find(names.begin(), names.end(), job.query) == names.end()) {
-        return fail(
-            Status::invalid_argument("unknown query '" + job.query + "' (want q1|q16|q94|q95)"));
-      }
+      const auto known = workload::find_engine_query(job.query);
+      if (!known.ok()) return fail(known.status());
       std::string token;
       while (tokens >> token) {
         const auto eq = token.find('=');

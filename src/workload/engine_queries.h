@@ -1,7 +1,8 @@
-// Engine-executable miniatures of the paper's remaining queries (Q1,
-// Q16, Q94 — Q95 lives in q95_engine.h): real stage DAGs bound to real
-// operators over generated data, each with a single-node reference
-// implementation for verification.
+// Engine-executable miniatures of the paper's four TPC-DS queries (Q1,
+// Q16, Q94, Q95): real stage DAGs bound to real operators over
+// generated data, each with a single-node reference implementation for
+// verification. engine_queries() is the catalogue every caller that
+// runs "the four queries" iterates over.
 //
 // Semantics (faithful miniatures of the TPC-DS originals):
 //   Q1  — customers whose total store returns exceed 1.2x the average
@@ -12,34 +13,39 @@
 //         EXISTS); reports distinct orders and their revenue.
 //   Q94 — the web analogue of Q16: the dimension filter runs on the
 //         date dimension instead of sites.
+//   Q95 — web orders over the price threshold shipped from two
+//         warehouses, with a return, on an allowed date, excluding some
+//         sites; nine stages in the Fig. 13 shape (map1, groupby, map2,
+//         reduce1, map3, join1, map4, join2, reduce2), with streaming
+//         probe sides on its three joins.
+//
+// Every sink writes one (rows:int64, value:double) summary row; every
+// builder annotates its DAG with the data volumes the scheduler plans
+// against.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "dag/job_dag.h"
 #include "exec/engine.h"
-#include "exec/operators.h"
 
 namespace ditto::workload {
 
+/// The data a query reads; every other knob (domains, filters) is a
+/// constant of the miniature.
 struct EngineQuerySpec {
   std::size_t fact_rows = 50000;
   std::int64_t num_orders = 8000;      ///< doubles as the customer domain (Q1)
-  std::int64_t num_warehouses = 12;    ///< doubles as the store domain (Q1)
-  std::int64_t num_dates = 120;
-  std::int64_t num_sites = 24;
-  double return_fraction = 0.45;
-  double price_threshold = 100.0;
-  double q1_avg_factor = 1.2;          ///< Q1's "above 1.2x store average"
-  std::int64_t dim_attr_allowed = 0;   ///< dimension filter value
   std::uint64_t seed = 99;
 };
 
-/// An executable job: DAG + per-stage bindings + the source tables the
-/// bindings capture (kept alive here).
+/// An executable job: DAG (volume-annotated) + per-stage bindings + the
+/// source tables the bindings capture (kept alive here).
 struct EngineJob {
   JobDag dag;
   std::map<StageId, exec::StageBinding> bindings;
@@ -56,25 +62,27 @@ struct EngineAnswer {
 EngineJob build_q1_engine_job(const EngineQuerySpec& spec);
 EngineJob build_q16_engine_job(const EngineQuerySpec& spec);
 EngineJob build_q94_engine_job(const EngineQuerySpec& spec);
+EngineJob build_q95_engine_job(const EngineQuerySpec& spec);
 
 EngineAnswer q1_engine_reference(const EngineJob& job, const EngineQuerySpec& spec);
 EngineAnswer q16_engine_reference(const EngineJob& job, const EngineQuerySpec& spec);
 EngineAnswer q94_engine_reference(const EngineJob& job, const EngineQuerySpec& spec);
+EngineAnswer q95_engine_reference(const EngineJob& job, const EngineQuerySpec& spec);
 
 /// Reads the (rows, value) answer from the sink stage's output table.
 Result<EngineAnswer> engine_answer_from_sink(const exec::Table& sink_output);
 
-/// Generic data-volume annotation for scheduling an engine job: source
-/// stages take their real table sizes; downstream volumes decay by an
-/// operator-class selectivity; edges carry the producer's output.
-void annotate_engine_volumes(EngineJob& job);
+/// One catalogue entry: a query's name, builder and reference.
+struct EngineQuery {
+  const char* name;  ///< "q1", "q16", "q94" or "q95"
+  EngineJob (*build)(const EngineQuerySpec&);
+  EngineAnswer (*reference)(const EngineJob&, const EngineQuerySpec&);
+};
 
-/// The scan stage of every engine query: task t of dop reads only its
-/// own row range of `src` (exec::range_slice, borrowed, no copy), keeps
-/// the rows satisfying all `preds`, and emits `columns`; `key` is the
-/// binding's output key. Shared by the Q1/Q16/Q94 and Q95 miniatures.
-exec::StageBinding scan_binding(std::shared_ptr<const exec::Table> src,
-                                std::vector<exec::ColumnPred> preds,
-                                std::vector<std::string> columns, std::string key);
+/// The four miniatures, in the paper's order.
+const std::vector<EngineQuery>& engine_queries();
+
+/// The entry named `name`, or INVALID_ARGUMENT listing the names.
+Result<EngineQuery> find_engine_query(std::string_view name);
 
 }  // namespace ditto::workload

@@ -16,7 +16,6 @@
 #include "exec/partition.h"
 #include "storage/sim_store.h"
 #include "workload/engine_queries.h"
-#include "workload/q95_engine.h"
 
 namespace ditto::exec {
 namespace {
@@ -544,16 +543,12 @@ cluster::PlacementPlan round_robin_plan(const JobDag& dag, int dop, int servers)
 }
 
 TEST(SharedComputePoolTest, ConcurrentStandaloneRunsMatchReferences) {
-  workload::Q95EngineSpec q95_spec;
-  q95_spec.sales_rows = 20000;
-  q95_spec.num_orders = 3000;
-  const workload::Q95EngineJob q95 = workload::build_q95_engine_job(q95_spec);
-  const workload::Q95Answer q95_ref = workload::q95_reference(q95, q95_spec);
-  workload::EngineQuerySpec q16_spec;
-  q16_spec.fact_rows = 20000;
-  q16_spec.num_orders = 3000;
-  const workload::EngineJob q16 = workload::build_q16_engine_job(q16_spec);
-  const workload::EngineAnswer q16_ref = workload::q16_engine_reference(q16, q16_spec);
+  const workload::EngineQuerySpec q95_spec{.fact_rows = 20000, .num_orders = 3000, .seed = 1234};
+  const workload::EngineQuerySpec q16_spec{.fact_rows = 20000, .num_orders = 3000};
+  const workload::EngineJob jobs[] = {workload::build_q95_engine_job(q95_spec),
+                                      workload::build_q16_engine_job(q16_spec)};
+  const workload::EngineAnswer refs[] = {workload::q95_engine_reference(jobs[0], q95_spec),
+                                         workload::q16_engine_reference(jobs[1], q16_spec)};
 
   // Four standalone engines at once, each with private server pools,
   // all sharing the one process-wide compute pool.
@@ -565,28 +560,16 @@ TEST(SharedComputePoolTest, ConcurrentStandaloneRunsMatchReferences) {
     threads.emplace_back([&, i] {
       for (int r = 0; r < kRunsPerThread; ++r) {
         auto store = storage::make_instant_store();
-        if (i % 2 == 0) {
-          const auto plan = round_robin_plan(q95.dag, 3, 2);
-          MiniEngine engine(q95.dag, plan, *store);
-          const auto result = engine.run(q95.bindings);
-          const auto got = result.ok() ? workload::q95_answer_from_sink(
-                                             result->sink_outputs.at(8))
-                                       : Result<workload::Q95Answer>(result.status());
-          if (!got.ok() || got->order_count != q95_ref.order_count ||
-              std::abs(got->total_revenue - q95_ref.total_revenue) > 1e-6) {
-            ++wrong[i];
-          }
-        } else {
-          const auto plan = round_robin_plan(q16.dag, 3, 2);
-          MiniEngine engine(q16.dag, plan, *store);
-          const auto result = engine.run(q16.bindings);
-          const auto got = result.ok() ? workload::engine_answer_from_sink(
-                                             result->sink_outputs.at(q16.sink))
-                                       : Result<workload::EngineAnswer>(result.status());
-          if (!got.ok() || got->rows != q16_ref.rows ||
-              std::abs(got->value - q16_ref.value) > 1e-6) {
-            ++wrong[i];
-          }
+        const workload::EngineJob& job = jobs[i % 2];
+        const workload::EngineAnswer& ref = refs[i % 2];
+        const auto plan = round_robin_plan(job.dag, 3, 2);
+        MiniEngine engine(job.dag, plan, *store);
+        const auto result = engine.run(job.bindings);
+        const auto got = result.ok() ? workload::engine_answer_from_sink(
+                                           result->sink_outputs.at(job.sink))
+                                     : Result<workload::EngineAnswer>(result.status());
+        if (!got.ok() || got->rows != ref.rows || std::abs(got->value - ref.value) > 1e-6) {
+          ++wrong[i];
         }
       }
     });

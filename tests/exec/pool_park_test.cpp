@@ -20,7 +20,7 @@
 #include "exec/datagen.h"
 #include "exec/engine.h"
 #include "storage/sim_store.h"
-#include "workload/q95_engine.h"
+#include "workload/engine_queries.h"
 
 namespace ditto::exec {
 namespace {
@@ -108,10 +108,11 @@ TEST(EnginePoolParkTest, ParkedThreadsStayUnderTheBound) {
   EXPECT_GT(park.parked_threads(), kBound - 8);
 }
 
-workload::Q95EngineSpec small_q95() {
-  workload::Q95EngineSpec spec;
-  spec.sales_rows = 20000;
+workload::EngineQuerySpec small_q95() {
+  workload::EngineQuerySpec spec;
+  spec.fact_rows = 20000;
   spec.num_orders = 3000;
+  spec.seed = 1234;
   return spec;
 }
 
@@ -123,8 +124,7 @@ cluster::PlacementPlan spread_plan(const JobDag& dag) {
 }
 
 TEST(EnginePoolParkTest, BackToBackRunsKeepAnswersAndThreadCountFlat) {
-  const workload::Q95EngineSpec spec = small_q95();
-  const workload::Q95EngineJob job = workload::build_q95_engine_job(spec);
+  const workload::EngineJob job = workload::build_q95_engine_job(small_q95());
   const cluster::PlacementPlan plan = spread_plan(job.dag);
   std::map<StageId, Table> first;
   std::size_t threads_after_first = 0;
@@ -201,8 +201,7 @@ TEST(EnginePoolParkTest, ConcurrentRunsNeverShareAPool) {
 }
 
 TEST(EnginePoolParkTest, FailedAndCancelledRunsReturnIdlePools) {
-  const workload::Q95EngineSpec spec = small_q95();
-  const workload::Q95EngineJob job = workload::build_q95_engine_job(spec);
+  const workload::EngineJob job = workload::build_q95_engine_job(small_q95());
   const cluster::PlacementPlan plan = spread_plan(job.dag);
   const auto clean_run = [&] {
     auto store = storage::make_instant_store();

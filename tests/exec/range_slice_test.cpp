@@ -11,7 +11,6 @@
 #include "exec/engine.h"
 #include "storage/sim_store.h"
 #include "workload/engine_queries.h"
-#include "workload/q95_engine.h"
 
 namespace ditto::exec {
 namespace {
@@ -134,16 +133,11 @@ TEST(RangeSliceEngineTest, SourcesOwnedOnlyByBindingsMatchReference) {
   // run, so the scan bindings' captures are the only owners: every
   // borrowed scan slice must keep its source alive through the
   // exchange and the downstream stages.
-  workload::Q95EngineSpec q95_spec;
-  q95_spec.sales_rows = 20000;
-  q95_spec.num_orders = 3000;
-  workload::Q95EngineJob q95 = workload::build_q95_engine_job(q95_spec);
-  const workload::Q95Answer q95_expected = workload::q95_reference(q95, q95_spec);
-  const std::weak_ptr<const Table> sales = q95.web_sales;
-  q95.web_sales.reset();
-  q95.web_returns.reset();
-  q95.date_dim.reset();
-  q95.web_site.reset();
+  const workload::EngineQuerySpec q95_spec{.fact_rows = 20000, .num_orders = 3000, .seed = 1234};
+  workload::EngineJob q95 = workload::build_q95_engine_job(q95_spec);
+  const workload::EngineAnswer q95_expected = workload::q95_engine_reference(q95, q95_spec);
+  const std::weak_ptr<const Table> sales = q95.sources.at("web_sales");
+  q95.sources.clear();
   ASSERT_FALSE(sales.expired());
   {
     auto store = storage::make_instant_store();
@@ -151,10 +145,10 @@ TEST(RangeSliceEngineTest, SourcesOwnedOnlyByBindingsMatchReference) {
     MiniEngine engine(q95.dag, plan, *store);
     const auto result = engine.run(q95.bindings);
     ASSERT_TRUE(result.ok()) << result.status().to_string();
-    const auto answer = workload::q95_answer_from_sink(result->sink_outputs.at(8));
+    const auto answer = workload::engine_answer_from_sink(result->sink_outputs.at(q95.sink));
     ASSERT_TRUE(answer.ok());
-    EXPECT_EQ(answer->order_count, q95_expected.order_count);
-    EXPECT_NEAR(answer->total_revenue, q95_expected.total_revenue, 1e-6);
+    EXPECT_EQ(answer->rows, q95_expected.rows);
+    EXPECT_NEAR(answer->value, q95_expected.value, 1e-6);
   }
   q95.bindings.clear();
   EXPECT_TRUE(sales.expired());

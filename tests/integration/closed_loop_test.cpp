@@ -18,27 +18,19 @@
 #include "timemodel/drift.h"
 #include "timemodel/fitting.h"
 #include "timemodel/predictor.h"
+#include "workload/engine_queries.h"
 #include "workload/physics.h"
-#include "workload/q95_engine.h"
 
 namespace ditto {
 namespace {
 
-using workload::build_q95_engine_job;
-using workload::Q95EngineJob;
-using workload::Q95EngineSpec;
-
 struct Fixture {
-  Q95EngineJob job;
+  workload::EngineJob job =
+      workload::build_q95_engine_job({.fact_rows = 20000, .num_orders = 3000, .seed = 1234});
   JobDag model_dag;
   std::uint64_t fingerprint = 0;
 
   Fixture() {
-    Q95EngineSpec spec;
-    spec.sales_rows = 20000;
-    spec.num_orders = 3000;
-    job = build_q95_engine_job(spec);
-    workload::annotate_q95_volumes(job);
     model_dag = job.dag;
     workload::PhysicsParams physics;
     physics.store = storage::redis_model();
@@ -63,7 +55,7 @@ struct Fixture {
   /// One engine run recording profiles for this job's fingerprint.
   void run_once(const cluster::PlacementPlan& plan, obs::StageProfileStore* profiles,
                 cluster::RuntimeMonitor* monitor) const {
-    Q95EngineJob copy = job;
+    workload::EngineJob copy = job;
     auto store = storage::make_instant_store();
     exec::EngineOptions options;
     options.profiles = profiles;

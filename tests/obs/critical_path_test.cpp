@@ -9,9 +9,9 @@
 #include "dag/dag_builder.h"
 #include "exec/engine.h"
 #include "storage/sim_store.h"
+#include "workload/engine_queries.h"
 #include "workload/physics.h"
 #include "workload/pipelining.h"
-#include "workload/q95_engine.h"
 
 namespace ditto::obs {
 namespace {
@@ -132,11 +132,8 @@ TEST(CriticalPathTest, StageEndingBeforeItsGateIsChargedNothing) {
 }
 
 TEST(CriticalPathTest, EnginePathFitsInJctInWavesAndPipelinedRuns) {
-  workload::Q95EngineSpec spec;
-  spec.sales_rows = 20000;
-  spec.num_orders = 3000;
-  workload::Q95EngineJob job = workload::build_q95_engine_job(spec);
-  workload::annotate_q95_volumes(job);
+  const workload::EngineJob job =
+      workload::build_q95_engine_job({.fact_rows = 20000, .num_orders = 3000, .seed = 1234});
   JobDag piped = job.dag;
   workload::apply_physics(piped, workload::PhysicsParams{});
   ASSERT_GT(workload::pipeline_all_shuffles(piped), 0);

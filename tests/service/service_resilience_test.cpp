@@ -291,6 +291,43 @@ TEST(ServiceResilienceTest, TinyDeadlineTerminatesWhereverItExpires) {
   EXPECT_EQ(svc.free_slots(), svc.total_slots());
 }
 
+TEST(ServiceResilienceTest, CrashRerunRemovesTheDeadAttemptsExchangeObjects) {
+  // A journaled job re-run at epoch 2 after two dead attempts: both
+  // attempts' prefixes (`job-<jid>/` and `job-<jid>e1/`) are emptied by
+  // the re-run, another job's prefix is left alone.
+  auto store = storage::make_instant_store();
+  JobJournal journal(*store, "journal/serve.log");
+  const auto jid = journal.append_submit("job dead", "batch", 0.0);
+  ASSERT_TRUE(jid.ok());
+  const std::string base = "job-" + std::to_string(*jid);
+  ASSERT_TRUE(store->put(base + "/dead/scan/part-0", "epoch 0 partial").is_ok());
+  ASSERT_TRUE(store->put(base + "e1/dead/scan/part-1", "epoch 1 partial").is_ok());
+  const std::string bystander = "job-" + std::to_string(*jid + 1) + "/other/scan/part-0";
+  ASSERT_TRUE(store->put(bystander, "another job's output").is_ok());
+
+  auto cl = cluster::Cluster::uniform(2, 4);
+  ServiceOptions options;
+  options.admission.policy = AdmissionPolicy::kFifoExclusive;
+  options.external = storage::redis_model();
+  options.journal = &journal;
+  JobService svc(cl, *store, options);
+  auto sub = make_job("dead", 0.0);
+  sub.spec_line = "job dead";
+  sub.jid = *jid;
+  sub.epoch = 2;
+  const auto id = svc.submit(std::move(sub));
+  ASSERT_TRUE(id.ok());
+  const auto outcome = svc.wait(*id);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome->state, JobState::kDone) << outcome->error.to_string();
+  EXPECT_EQ(outcome->epoch, 2);
+  svc.drain();
+  EXPECT_EQ(store->list(base + "/"), std::vector<std::string>{});
+  EXPECT_EQ(store->list(base + "e1/"), std::vector<std::string>{});
+  EXPECT_EQ(store->list(base + "e2/"), std::vector<std::string>{});
+  EXPECT_TRUE(store->get(bystander).ok());
+}
+
 // The crash-recovery loop in-process: two jobs complete and journal
 // FINISH; a third is journaled SUBMIT/ADMIT/START (the crash point).
 // Recovery skips the completed jobs, re-runs the interrupted one under

@@ -72,7 +72,8 @@ TEST_P(ServiceStressTest, ConcurrentQueriesMatchIsolatedRuns) {
   const auto& external = storage::redis_model();
   for (const std::uint64_t seed : {11u, 22u}) {
     std::vector<EngineQueryJob> jobs;
-    for (const std::string_view q : engine_query_names()) {
+    for (const workload::EngineQuery& query : workload::engine_queries()) {
+    const std::string_view q = query.name;
       auto job = make_engine_query_job(q, small_spec(seed + q.size()), external);
       ASSERT_TRUE(job.ok()) << job.status().to_string();
       job->submission.label = std::string(q) + "-s" + std::to_string(seed);
@@ -108,7 +109,8 @@ TEST(ServiceChaosTest, FaultStormStillMatchesIsolatedRuns) {
   const auto& external = storage::redis_model();
   std::vector<EngineQueryJob> jobs;
   std::uint64_t fault_seed = 5;
-  for (const std::string_view q : engine_query_names()) {
+  for (const workload::EngineQuery& query : workload::engine_queries()) {
+    const std::string_view q = query.name;
     auto job = make_engine_query_job(q, small_spec(33), external);
     ASSERT_TRUE(job.ok());
     job->submission.label = std::string(q) + "-chaos";

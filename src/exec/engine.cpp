@@ -12,6 +12,8 @@
 #include "common/stopwatch.h"
 #include "dag/dag_algorithms.h"
 #include "exec/kernels.h"
+#include "exec/partition.h"
+#include "exec/serde.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -124,8 +126,13 @@ Status slot_failure(const JobDag& dag, StageId s, int t, const TaskSlot& slot) {
 /// shares it. That is deadlock-free because it only ever runs leaf work
 /// (run_chunked bodies, which never wait on the pool from its own
 /// workers), never a task body that could block on another task.
+/// Capture-frame writes run here too and may outlive a failed run, so
+/// the trace and metrics globals they report to are built first and
+/// destroyed after the pool.
 ThreadPool* shared_compute_pool() {
   static const std::unique_ptr<ThreadPool> pool = []() -> std::unique_ptr<ThreadPool> {
+    (void)obs::TraceCollector::global();
+    (void)obs::MetricsRegistry::global();
     const unsigned hw = std::thread::hardware_concurrency();
     if (hw < 2) return nullptr;
     return std::make_unique<ThreadPool>(std::min<unsigned>(hw, 8));
@@ -166,7 +173,7 @@ struct RunState {
         max_attempts(std::max(1, o.resilience.max_task_attempts)),
         chunk_rows(std::max<std::size_t>(1, o.chunk_rows)),
         exchanges(make_exchanges(d, pp, b, store, o)),
-        task_server(pp.task_server), keep(d.num_stages(), 0) {
+        task_server(pp.task_server), keep(d.num_stages(), 0), framed(d.num_stages(), 0) {
     for (StageId s = 0; s < d.num_stages(); ++s) keep[s] = d.children(s).empty() ? 1 : 0;
     for (const StageId s : o.capture_stages) {
       if (s < keep.size()) keep[s] = 1;
@@ -201,9 +208,17 @@ struct RunState {
   /// or in EngineOptions::capture_stages.
   std::vector<char> keep;
   std::mutex parts_mu;
-  /// Kept outputs per stage and task; the first writer wins, so
-  /// speculative duplicates stay safe.
-  std::map<StageId, std::map<TaskId, Table>> parts;
+  /// Kept outputs per stage and task, shared with the views the task's
+  /// children read; the first writer wins, so speculative duplicates
+  /// stay safe. A captured stage's parts leave once its frame is
+  /// submitted.
+  std::map<StageId, std::map<TaskId, std::shared_ptr<const Table>>> parts;
+  /// By stage, guarded by parts_mu: 1 once the captured stage's frame
+  /// write is submitted, so a server-loss re-run keeps nothing more.
+  std::vector<char> framed;
+  /// Captured stages' frame writes (driver thread only). A failed run
+  /// drops these futures without waiting: each write owns its parts.
+  std::map<StageId, std::future<Result<storage::Payload>>> frames;
 
   std::atomic<bool> failed{false};
   std::mutex error_mu;
@@ -330,12 +345,16 @@ Status run_task_once(RunState& rs, StageId s, TaskId t, int dop, TaskIo* io) {
   io->rows_out = out.num_rows();
   io->bytes_out = out.byte_size();
 
+  // A kept or multi-child output is shared, never copied: the kept part
+  // holds it and every child publishes a borrowed whole-table view.
   const auto& children = rs.dag->children(s);
+  std::shared_ptr<const Table> shared;
+  if (rs.keep[s] != 0 || children.size() > 1) {
+    shared = std::make_shared<const Table>(std::move(out));
+  }
   if (rs.keep[s] != 0) {
-    // A sink's output has no other use and moves; a captured one copies.
-    Table part = children.empty() ? std::move(out) : out;
     std::lock_guard<std::mutex> lock(rs.parts_mu);
-    rs.parts[s].try_emplace(t, std::move(part));
+    if (rs.framed[s] == 0) rs.parts[s].try_emplace(t, shared);
   }
   // Cancellation at chunk boundaries: a failing run stops a streaming
   // producer between chunks instead of finishing the stream.
@@ -344,8 +363,7 @@ Status run_task_once(RunState& rs, StageId s, TaskId t, int dop, TaskIo* io) {
                                                      : Status::ok();
   };
   for (std::size_t c = 0; c < children.size(); ++c) {
-    // The last child may take the table by move.
-    Table payload = (c + 1 == children.size()) ? std::move(out) : out;
+    Table payload = shared != nullptr ? range_slice(shared, 0, 1) : std::move(out);
     Exchange* ex = rs.exchanges.at({s, children[c]}).get();
     if (rs.streams(s, children[c])) {
       DITTO_RETURN_IF_ERROR(ex->send_chunked(static_cast<std::size_t>(t), std::move(payload),
@@ -747,8 +765,53 @@ void run_group(RunState& rs, const std::vector<StageId>& group,
   if (!rs.failed.load()) record_stage_seconds(rs, waves, stage_seconds);
 }
 
-/// The finish phase: cancel the exchanges on failure, or merge the kept
-/// outputs and fold the counters into the result.
+/// Submits the frame write of every captured stage of a drained group to
+/// the shared compute pool, or runs it inline on a single-core host, so
+/// the write overlaps later groups. The write takes the stage's parts
+/// (task order, whichever attempt won) and drops them once the frame
+/// exists, leaving the tables to whichever children still read them.
+void frame_captured(RunState& rs, const std::vector<StageId>& group) {
+  for (const StageId s : group) {
+    if (rs.keep[s] == 0 || rs.dag->children(s).empty()) continue;
+    std::vector<std::shared_ptr<const Table>> parts;
+    {
+      std::lock_guard<std::mutex> lock(rs.parts_mu);
+      rs.framed[s] = 1;
+      auto node = rs.parts.extract(s);
+      if (!node.empty()) {
+        for (auto& [t, part] : node.mapped()) parts.push_back(std::move(part));
+      }
+    }
+    auto write = [name = rs.dag->stage(s).name(), s,
+                  parts = std::move(parts)]() mutable -> Result<storage::Payload> {
+      obs::ScopedSpan span("engine", "capture_frame", -1, static_cast<std::int64_t>(s));
+      std::vector<const Table*> tables;
+      tables.reserve(parts.size());
+      for (const auto& part : parts) tables.push_back(part.get());
+      Result<storage::Payload> frame = serialize_tables(tables);
+      parts.clear();
+      if (frame.ok()) {
+        const std::size_t bytes = (*frame)->size();
+        span.arg("stage", name);
+        span.arg("bytes", std::to_string(bytes));
+        obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
+        if (mx.enabled()) mx.counter("engine.capture_bytes").add(bytes);
+      }
+      return frame;
+    };
+    if (rs.compute_pool != nullptr) {
+      rs.frames.emplace(s, rs.compute_pool->submit(std::move(write)));
+    } else {
+      std::promise<Result<storage::Payload>> inline_write;
+      inline_write.set_value(write());
+      rs.frames.emplace(s, inline_write.get_future());
+    }
+  }
+}
+
+/// The finish phase: cancel the exchanges on failure, or collect the
+/// captured frames, merge the sink outputs and fold the counters into
+/// the result.
 Result<EngineResult> finish_run(RunState& rs, std::vector<double> stage_seconds) {
   if (rs.failed.load()) {
     for (auto& [edge, ex] : rs.exchanges) ex->cancel();
@@ -757,15 +820,23 @@ Result<EngineResult> finish_run(RunState& rs, std::vector<double> stage_seconds)
   }
 
   EngineResult result;
-  // Each stage's parts concatenate in task order (std::map iterates
-  // tasks in order), independent of which attempt produced each part.
-  for (auto& [s, parts] : rs.parts) {
-    std::vector<Table> tables;
+  for (auto& [s, frame] : rs.frames) {
+    DITTO_ASSIGN_OR_RETURN(storage::Payload bytes, frame.get());
+    result.captured_outputs.emplace(s, std::move(bytes));
+  }
+  // Only sink parts are left. Each sink's parts concatenate in task
+  // order (std::map iterates tasks in order), independent of which
+  // attempt produced each part; a lone part comes back as a view.
+  for (const auto& [s, parts] : rs.parts) {
+    if (parts.size() == 1) {
+      result.sink_outputs.emplace(s, range_slice(parts.begin()->second, 0, 1));
+      continue;
+    }
+    std::vector<const Table*> tables;
     tables.reserve(parts.size());
-    for (auto& [t, table] : parts) tables.push_back(std::move(table));
-    DITTO_ASSIGN_OR_RETURN(Table merged, concat_tables(std::move(tables)));
-    auto& out = rs.dag->children(s).empty() ? result.sink_outputs : result.captured_outputs;
-    out.emplace(s, std::move(merged));
+    for (const auto& [t, table] : parts) tables.push_back(table.get());
+    DITTO_ASSIGN_OR_RETURN(Table merged, concat_tables(tables));
+    result.sink_outputs.emplace(s, std::move(merged));
   }
 
   ExchangeStats& ex = result.stats.exchange;
@@ -955,6 +1026,7 @@ Result<EngineResult> MiniEngine::run(const std::map<StageId, StageBinding>& bind
     if (!st.is_ok()) rs.fail(st);
     if (rs.failed.load()) break;
     run_group(rs, group, stage_seconds);
+    if (!rs.failed.load()) frame_captured(rs, group);
     next_idx += group.size();
   }
   return finish_run(rs, std::move(stage_seconds));

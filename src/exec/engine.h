@@ -17,8 +17,9 @@
 //     group, drive it (cancellation, speculation) until every attempt
 //     chain has exited, drain it, and record its stages' observed
 //     seconds and drift;
-//   * finish — cancel the exchanges on failure, or merge the sink and
-//     captured outputs and fold the counters.
+//   * finish — cancel the exchanges on failure, or collect the captured
+//     stages' frames (each written on the shared compute pool once its
+//     group drained), merge the sink outputs and fold the counters.
 //
 // Resilience (EngineOptions): every task runs as a chain of attempts,
 // and one chain function serves both kinds of chain.
@@ -238,10 +239,12 @@ struct EngineOptions {
   /// chunk granularity; slices of borrowed columns are zero-copy).
   std::size_t chunk_rows = 64 * 1024;
 
-  /// Non-sink stages whose merged outputs should also be returned in
-  /// EngineResult::captured_outputs (the service result cache feeds on
-  /// these). Costs one table copy per captured task; sink stages are
-  /// already returned and need no capturing.
+  /// Non-sink stages whose merged outputs should also be returned, as
+  /// serialized frames, in EngineResult::captured_outputs (the service
+  /// result cache feeds on these). Copies nothing: the tasks' own
+  /// outputs are kept and written once, into the frame, on the shared
+  /// compute pool while later groups run. Sink stages are already
+  /// returned and need no capturing.
   std::vector<StageId> capture_stages;
 };
 
@@ -261,8 +264,10 @@ struct EngineStats {
 struct EngineResult {
   /// Concatenated outputs of each sink stage's tasks, keyed by StageId.
   std::map<StageId, Table> sink_outputs;
-  /// Same per-task-order assembly for EngineOptions::capture_stages.
-  std::map<StageId, Table> captured_outputs;
+  /// For each of EngineOptions::capture_stages, the serde v2 frame of
+  /// the same task-order concatenation (exec/serde.h): the bytes of
+  /// serialize_table(concat of its tasks' outputs), ready to store.
+  std::map<StageId, storage::Payload> captured_outputs;
   EngineStats stats;
 };
 

@@ -21,43 +21,39 @@ std::size_t align8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
 // ---------------------------------------------------------------- write
 
-/// Writes at computed offsets into a pre-sized buffer; the exact-size
-/// pass has already run, so no bounds checks and no reallocation here.
-class RawWriter {
+/// Appends to a string reserved to the frame's exact size, so the bytes
+/// are written once: no zero-fill pass and no reallocation.
+class FrameWriter {
  public:
-  explicit RawWriter(std::uint8_t* out) : out_(out) {}
+  explicit FrameWriter(std::string& out) : out_(out) {}
 
-  void u64(std::uint64_t v) {
-    std::memcpy(out_ + pos_, &v, sizeof(v));
-    pos_ += sizeof(v);
-  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
   void bytes(const void* p, std::size_t n) {
-    if (n > 0) std::memcpy(out_ + pos_, p, n);
-    pos_ += n;
+    if (n > 0) out_.append(static_cast<const char*>(p), n);
   }
-  void pad8() {
-    while (pos_ % 8 != 0) out_[pos_++] = 0;
-  }
-  std::size_t pos() const { return pos_; }
+  void pad8() { out_.append(align8(out_.size()) - out_.size(), '\0'); }
 
  private:
-  std::uint8_t* out_;
-  std::size_t pos_ = 0;
+  std::string& out_;
 };
 
-std::size_t size_v2(const Table& t) {
-  const std::size_t rows = t.num_rows();
+/// Exact v2 size of the concatenation of `parts` (same schema, at
+/// least one part).
+std::size_t size_v2(const std::vector<const Table*>& parts, std::size_t rows) {
+  const Schema& schema = parts.front()->schema();
   std::size_t n = 3 * 8;
-  for (std::size_t c = 0; c < t.num_columns(); ++c) {
-    n += 8 + t.schema()[c].name.size() + 8;
-    switch (t.schema()[c].type) {
+  for (std::size_t c = 0; c < schema.size(); ++c) {
+    n += 8 + schema[c].name.size() + 8;
+    switch (schema[c].type) {
       case DataType::kInt64:
       case DataType::kDouble:
         n = align8(n) + rows * 8;
         break;
       case DataType::kString: {
         n = align8(n) + (rows + 1) * 8;
-        for (const std::string& s : t.column(c).strings()) n += s.size();
+        for (const Table* t : parts) {
+          for (const std::string& s : t->column(c).strings()) n += s.size();
+        }
         break;
       }
     }
@@ -65,49 +61,59 @@ std::size_t size_v2(const Table& t) {
   return n;
 }
 
-/// Writes `t` as v2 into `out`, which holds exactly size_v2(t) bytes.
-void write_v2(const Table& t, std::uint8_t* out, std::size_t expect) {
-  RawWriter w(out);
+/// Writes the v2 frame of the concatenation of `parts` (same schema,
+/// at least one part) in one pass: each column's values go straight
+/// from every part into the frame.
+storage::Payload write_v2(const std::vector<const Table*>& parts) {
+  const Schema& schema = parts.front()->schema();
+  std::size_t rows = 0;
+  for (const Table* t : parts) rows += t->num_rows();
+  const std::size_t expect = size_v2(parts, rows);
+  auto out = std::make_shared<std::string>();
+  out->reserve(expect);
+  FrameWriter w(*out);
   w.u64(kMagicV2);
-  w.u64(t.num_columns());
-  w.u64(t.num_rows());
-  for (std::size_t c = 0; c < t.num_columns(); ++c) {
-    const Field& f = t.schema()[c];
+  w.u64(schema.size());
+  w.u64(rows);
+  for (std::size_t c = 0; c < schema.size(); ++c) {
+    const Field& f = schema[c];
     w.u64(f.name.size());
     w.bytes(f.name.data(), f.name.size());
     w.u64(static_cast<std::uint64_t>(f.type));
-    const Column& col = t.column(c);
-    switch (col.type()) {
-      case DataType::kInt64: {
-        const auto v = col.int_span();
-        w.pad8();
-        w.bytes(v.data(), v.size() * sizeof(std::int64_t));
+    w.pad8();
+    switch (f.type) {
+      case DataType::kInt64:
+        for (const Table* t : parts) {
+          const auto v = t->column(c).int_span();
+          w.bytes(v.data(), v.size() * sizeof(std::int64_t));
+        }
         break;
-      }
-      case DataType::kDouble: {
-        const auto v = col.double_span();
-        w.pad8();
-        w.bytes(v.data(), v.size() * sizeof(double));
+      case DataType::kDouble:
+        for (const Table* t : parts) {
+          const auto v = t->column(c).double_span();
+          w.bytes(v.data(), v.size() * sizeof(double));
+        }
         break;
-      }
       case DataType::kString: {
-        // One offsets array (rows+1 entries, offsets[0] == 0) and one
-        // contiguous blob: two bulk writes instead of 2·rows small ones.
-        const auto& v = col.strings();
-        w.pad8();
+        // One offsets array (rows+1 entries, offsets[0] == 0) running
+        // across the parts, then one contiguous blob.
         std::uint64_t off = 0;
         w.u64(off);
-        for (const std::string& s : v) {
-          off += s.size();
-          w.u64(off);
+        for (const Table* t : parts) {
+          for (const std::string& s : t->column(c).strings()) {
+            off += s.size();
+            w.u64(off);
+          }
         }
-        for (const std::string& s : v) w.bytes(s.data(), s.size());
+        for (const Table* t : parts) {
+          for (const std::string& s : t->column(c).strings()) w.bytes(s.data(), s.size());
+        }
         break;
       }
     }
   }
-  assert(w.pos() == expect && "serialized size mismatch");
-  (void)expect;
+  assert(out->size() == expect && "serialized size mismatch");
+  return out;
 }
 
 // ----------------------------------------------------------------- read
@@ -281,11 +287,16 @@ Result<Table> deserialize_impl(std::string_view bytes, const std::shared_ptr<con
 
 }  // namespace
 
-storage::Payload serialize_table(const Table& table) {
-  const std::size_t n = size_v2(table);
-  auto out = std::make_shared<std::string>(n, '\0');
-  write_v2(table, reinterpret_cast<std::uint8_t*>(out->data()), n);
-  return out;
+storage::Payload serialize_table(const Table& table) { return write_v2({&table}); }
+
+Result<storage::Payload> serialize_tables(const std::vector<const Table*>& parts) {
+  if (parts.empty()) return serialize_table(Table());
+  for (const Table* t : parts) {
+    if (t->schema() != parts.front()->schema()) {
+      return Status::invalid_argument("concat schema mismatch");
+    }
+  }
+  return write_v2(parts);
 }
 
 Result<Table> deserialize_table(const storage::Payload& bytes) {

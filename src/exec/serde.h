@@ -22,14 +22,24 @@
 // throw, or over-allocate.
 #pragma once
 
+#include <vector>
+
 #include "common/status.h"
 #include "exec/table.h"
 #include "storage/object_store.h"
 
 namespace ditto::exec {
 
-/// Serializes a table as v2 into a fresh exact-size payload.
+/// Serializes a table as v2 into a fresh exact-size payload: the
+/// one-part case of serialize_tables.
 storage::Payload serialize_table(const Table& table);
+
+/// Serializes the concatenation of `parts` as v2 in one pass, without
+/// building the concatenated table: the bytes equal
+/// serialize_table(concat_tables(parts)), and each value is written
+/// once. INVALID_ARGUMENT ("concat schema mismatch") when a part's
+/// schema differs from the first part's; no parts give an empty table.
+Result<storage::Payload> serialize_tables(const std::vector<const Table*>& parts);
 
 /// Parses a v1 or v2 payload. Fixed-width v2 columns borrow from
 /// `bytes` in place and hold a refcount on it, so the table (or any

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "dag/dag_algorithms.h"
@@ -814,9 +815,8 @@ Result<exec::EngineResult> JobService::run_engine(JobRecord& rec,
   // Outputs go back into the submission's stage ids, with the cached
   // sinks the pruning dropped, so callers (and the persisted sink
   // layout) never see pruned ids.
-  const auto to_old = [pruned](std::map<StageId, exec::Table>& outputs,
-                               std::map<StageId, exec::Table> remapped) {
-    for (auto& [ns, table] : outputs) remapped.emplace(pruned->to_old.at(ns), std::move(table));
+  const auto to_old = [pruned](auto& outputs, std::decay_t<decltype(outputs)> remapped) {
+    for (auto& [ns, out] : outputs) remapped.emplace(pruned->to_old.at(ns), std::move(out));
     outputs = std::move(remapped);
   };
   to_old(result->sink_outputs, pruned->cached_sinks);
@@ -845,8 +845,8 @@ void JobService::finish_run(JobRecord& rec, Result<exec::EngineResult> result) {
         for (const auto& [stage, payload] : bytes) {
           cache_->insert(rec.sub.cache_id, stage, payload, slot_secs);
         }
-        for (const auto& [stage, table] : result->captured_outputs) {
-          cache_->insert(rec.sub.cache_id, stage, exec::serialize_table(table), slot_secs);
+        for (const auto& [stage, frame] : result->captured_outputs) {
+          cache_->insert(rec.sub.cache_id, stage, frame, slot_secs);
         }
       }
       publish_done(rec, std::move(result->sink_outputs), bytes, result->stats,

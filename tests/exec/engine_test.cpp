@@ -14,6 +14,10 @@
 #include "exec/kernels.h"
 #include "exec/operators.h"
 #include "exec/partition.h"
+#include "exec/serde.h"
+#include "faults/fault_injector.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "storage/sim_store.h"
 #include "workload/engine_queries.h"
 
@@ -283,15 +287,19 @@ TEST(MiniEngineTest, CaptureStagesReturnsMergedNonSinkOutputs) {
   const auto result = engine.run(agg_bindings(fact));
   ASSERT_TRUE(result.ok()) << result.status().to_string();
 
-  // The captured scan output is the whole fact table, assembled in
-  // task order — exactly what the scan tasks collectively emitted.
+  // The captured scan output is the frame of the whole fact table,
+  // assembled in task order — exactly what the scan tasks collectively
+  // emitted, in the bytes serialize_table gives their concatenation.
   ASSERT_EQ(result->captured_outputs.count(0), 1u);
-  const Table& captured = result->captured_outputs.at(0);
-  EXPECT_EQ(captured.num_rows(), fact.num_rows());
+  const storage::Payload& frame = result->captured_outputs.at(0);
   const auto parts = range_partition(fact, 3);
   const auto expect = concat_tables({&parts[0], &parts[1], &parts[2]});
   ASSERT_TRUE(expect.ok());
-  EXPECT_EQ(captured, *expect);
+  EXPECT_EQ(*frame, *serialize_table(*expect));
+  const auto captured = deserialize_table(frame);
+  ASSERT_TRUE(captured.ok());
+  EXPECT_EQ(captured->num_rows(), fact.num_rows());
+  EXPECT_EQ(*captured, *expect);
   // Sinks are not duplicated into captured_outputs.
   EXPECT_EQ(result->captured_outputs.count(1), 0u);
   EXPECT_EQ(result->sink_outputs.count(1), 1u);
@@ -306,6 +314,185 @@ TEST(MiniEngineTest, NoCaptureByDefault) {
   const auto result = engine.run(agg_bindings(fact));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->captured_outputs.empty());
+}
+
+/// src -> {left, right} over broadcast edges, all on server 0; stage 0
+/// is captured. Each consumer passes its input through and reports the
+/// address of its first column's values.
+struct TwoChildRun {
+  const std::int64_t* produced = nullptr;
+  std::atomic<const std::int64_t*> left{nullptr};
+  std::atomic<const std::int64_t*> right{nullptr};
+};
+
+JobDag two_child_dag() {
+  JobDag dag("two_child");
+  const StageId src = dag.add_stage("src");
+  const StageId left = dag.add_stage("left");
+  const StageId right = dag.add_stage("right");
+  EXPECT_TRUE(dag.add_edge(src, left, ExchangeKind::kBroadcast).is_ok());
+  EXPECT_TRUE(dag.add_edge(src, right, ExchangeKind::kBroadcast).is_ok());
+  return dag;
+}
+
+std::map<StageId, StageBinding> two_child_bindings(const Table& fact, TwoChildRun& run) {
+  std::map<StageId, StageBinding> bindings;
+  bindings[0] = StageBinding{
+      [&fact, &run](int, int, const std::vector<Table>&) -> Result<Table> {
+        Table out = fact;
+        out.ensure_owned();
+        run.produced = out.column(0).int_span().data();
+        return out;
+      },
+      ""};
+  const auto consumer = [](std::atomic<const std::int64_t*>& seen) {
+    return [&seen](int, int, const std::vector<Table>& in) -> Result<Table> {
+      seen.store(in.at(0).column(0).int_span().data());
+      return in.at(0);
+    };
+  };
+  bindings[1] = StageBinding{consumer(run.left), ""};
+  bindings[2] = StageBinding{consumer(run.right), ""};
+  return bindings;
+}
+
+TEST(EngineCaptureTest, TwoChildStageConsumersReadOneColumnBuffer) {
+  const Table fact = gen_fact_table({.rows = 2000, .seed = 4});
+  const JobDag dag = two_child_dag();
+  auto store = storage::make_instant_store();
+  const auto plan = plan_for(dag, {1, 1, 1}, {{0}, {0}, {0}});
+  for (const bool capture : {false, true}) {
+    EngineOptions opts;
+    if (capture) opts.capture_stages = {0};
+    TwoChildRun run;
+    MiniEngine engine(dag, plan, *store, opts);
+    const auto result = engine.run(two_child_bindings(fact, run));
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    // Both consumers (and the capture) read the producer's own buffer:
+    // no child gets a deep copy.
+    ASSERT_NE(run.produced, nullptr);
+    EXPECT_EQ(run.left.load(), run.produced) << "capture " << capture;
+    EXPECT_EQ(run.right.load(), run.produced) << "capture " << capture;
+    EXPECT_EQ(result->sink_outputs.at(1), fact);
+    EXPECT_EQ(result->sink_outputs.at(2), fact);
+    EXPECT_EQ(result->captured_outputs.size(), capture ? 1u : 0u);
+    if (capture) {
+      EXPECT_EQ(*result->captured_outputs.at(0), *serialize_table(fact));
+    }
+  }
+}
+
+TEST(EngineCaptureTest, FailedRunReturnsWhileFrameWritesAreStillQueued) {
+  // scan (captured) -> pass. The first scan task parks one blocker per
+  // worker of the shared compute pool, so the scan frame's write queues
+  // behind them (the pool is FIFO) and cannot have run when pass's
+  // injected crash fails the run. The write owns what it reads:
+  // releasing the blockers afterwards lets it finish against a run that
+  // is gone, which ASan and TSan check.
+  const Table fact = gen_fact_table({.rows = 20000, .seed = 6});
+  JobDag dag("crash");
+  const StageId scan = dag.add_stage("scan");
+  const StageId pass = dag.add_stage("pass");
+  ASSERT_TRUE(dag.add_edge(scan, pass, ExchangeKind::kGather).is_ok());
+
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<ThreadPool*> compute{nullptr};
+  std::map<StageId, StageBinding> bindings;
+  bindings[scan] = StageBinding{
+      [&](int task, int dop, const std::vector<Table>&) -> Result<Table> {
+        ThreadPool* expected = nullptr;
+        ThreadPool* pool = task_compute_pool();
+        if (pool != nullptr && compute.compare_exchange_strong(expected, pool)) {
+          for (std::size_t i = 0; i < pool->size(); ++i) {
+            pool->submit([released] { released.wait(); });
+          }
+        }
+        return range_partition(fact, dop)[task];
+      },
+      ""};
+  bindings[pass] = StageBinding{
+      [](int, int, const std::vector<Table>& in) -> Result<Table> { return in.at(0); }, ""};
+
+  const auto spec = faults::parse_fault_spec("crash=1:0");
+  ASSERT_TRUE(spec.ok());
+  faults::FaultInjector injector(*spec);
+  EngineOptions opts;
+  opts.injector = &injector;
+  opts.resilience.max_task_attempts = 1;
+  opts.capture_stages = {scan};
+  auto store = storage::make_instant_store();
+  const auto plan = plan_for(dag, {2, 2}, {{0, 1}, {0, 1}});
+  Result<EngineResult> result = Status::internal("not run");
+  {
+    MiniEngine engine(dag, plan, *store, opts);
+    result = engine.run(bindings);
+  }
+  release.set_value();
+  if (ThreadPool* pool = compute.load(); pool != nullptr) pool->wait_idle();
+
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().to_string().find("injected crash"), std::string::npos)
+      << result.status().to_string();
+}
+
+TEST(EngineCaptureTest, ServerLossRerunAfterFramingLeavesTheFrame) {
+  // Scan task 1 lives on server 1 with both consumers, so losing server
+  // 1 before the agg wave re-runs it after the scan frame was written.
+  const Table fact = gen_fact_table({.rows = 4000, .num_warehouses = 8, .seed = 11});
+  const JobDag dag = agg_dag();
+  const auto plan = plan_for(dag, {2, 2}, {{0, 1}, {1, 1}});
+  const auto run = [&](const char* faults) {
+    const auto spec = faults::parse_fault_spec(faults);
+    EXPECT_TRUE(spec.ok());
+    faults::FaultInjector injector(*spec);
+    EngineOptions opts;
+    if (spec->any()) opts.injector = &injector;
+    opts.capture_stages = {0};
+    auto store = storage::make_instant_store();
+    MiniEngine engine(dag, plan, *store, opts);
+    return engine.run(agg_bindings(fact));
+  };
+  const auto clean = run("");
+  const auto lossy = run("server_loss=1@1");
+  ASSERT_TRUE(clean.ok()) << clean.status().to_string();
+  ASSERT_TRUE(lossy.ok()) << lossy.status().to_string();
+  EXPECT_GE(lossy->stats.resilience.producers_recovered, 1u);
+  ASSERT_EQ(lossy->captured_outputs.count(0), 1u);
+  EXPECT_EQ(*lossy->captured_outputs.at(0), *clean->captured_outputs.at(0));
+  // The re-run's output is not kept again: stage 0 stays a capture.
+  EXPECT_EQ(lossy->sink_outputs.count(0), 0u);
+  EXPECT_EQ(lossy->sink_outputs.size(), 1u);
+}
+
+TEST(EngineCaptureTest, FrameWriteIsTracedAndCounted) {
+  const Table fact = gen_fact_table({.rows = 3000, .num_warehouses = 8, .seed = 3});
+  const JobDag dag = agg_dag();
+  auto store = storage::make_instant_store();
+  const auto plan = plan_for(dag, {3, 2}, {{0, 0, 1}, {0, 1}});
+  EngineOptions opts;
+  opts.capture_stages = {0};
+  obs::TraceCollector& tc = obs::TraceCollector::global();
+  obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
+  tc.clear();
+  mx.reset();
+  obs::set_observability_enabled(true);
+  MiniEngine engine(dag, plan, *store, opts);
+  const auto result = engine.run(agg_bindings(fact));
+  obs::set_observability_enabled(false);
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  const std::size_t bytes = result->captured_outputs.at(0)->size();
+  EXPECT_EQ(mx.counter("engine.capture_bytes").value(), bytes);
+  std::size_t spans = 0;
+  for (const obs::TraceEvent& e : tc.events()) {
+    if (e.cat != "engine" || e.name != "capture_frame") continue;
+    ++spans;
+    const obs::TraceArgs want = {{"stage", "scan"}, {"bytes", std::to_string(bytes)}};
+    EXPECT_EQ(e.args, want);
+  }
+  EXPECT_EQ(spans, 1u);
+  tc.clear();
+  mx.reset();
 }
 
 /// A chain of `n` single-task stages on one server, each passing its

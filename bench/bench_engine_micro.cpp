@@ -223,54 +223,59 @@ void BM_HashPartitionParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_HashPartitionParallel)->Arg(8)->Arg(32);
 
-/// The zero-copy path: send a table handle through a local channel.
+/// One publish and one read through a fresh 1x1 gather edge whose
+/// producer and consumer sit on servers `prod` and `cons`. The sent
+/// table borrows `src`'s columns, so handing it over copies nothing;
+/// `prefix` keys a remote pipe's chunk in `store`.
+void exchange_round_trip(const Table& src, ServerId prod, ServerId cons,
+                         storage::ObjectStore& store, std::string prefix,
+                         const faults::RetryPolicy* retry = nullptr) {
+  Exchange ex(ExchangeKind::kGather, "", {prod}, {cons}, store, std::move(prefix), retry);
+  (void)ex.send(0, src);
+  ChunkCursor cur = ex.open_cursor(0);
+  auto out = cur.next();
+  benchmark::DoNotOptimize(out);
+}
+
+/// The zero-copy path: producer and consumer share a server, so the
+/// consumer reads the producer's table handle.
 void BM_ExchangeLocalZeroCopy(benchmark::State& state) {
-  auto table = std::make_shared<const Table>(fact(static_cast<std::size_t>(state.range(0))));
-  for (auto _ : state) {
-    LocalTableChannel ch;
-    (void)ch.send(table);
-    auto out = ch.recv_at(0);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * table->byte_size()));
+  const Table table = borrowed_table(fact(static_cast<std::size_t>(state.range(0))));
+  auto store = storage::make_instant_store();
+  for (auto _ : state) exchange_round_trip(table, 0, 0, *store, "bench");
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * table.byte_size()));
 }
 BENCHMARK(BM_ExchangeLocalZeroCopy)->Arg(1000)->Arg(100000);
 
 /// The remote path: serialize into the store, read back, deserialize.
 void BM_ExchangeRemoteSerialized(benchmark::State& state) {
-  auto table = std::make_shared<const Table>(fact(static_cast<std::size_t>(state.range(0))));
+  const Table table = borrowed_table(fact(static_cast<std::size_t>(state.range(0))));
   auto store = storage::make_instant_store();
   std::size_t i = 0;
   for (auto _ : state) {
-    RemoteTableChannel ch(*store, "bench" + std::to_string(i++));
-    (void)ch.send(table);
-    auto out = ch.recv_at(0);
-    benchmark::DoNotOptimize(out);
+    exchange_round_trip(table, 0, 1, *store, "bench" + std::to_string(i++));
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * table->byte_size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * table.byte_size()));
 }
 BENCHMARK(BM_ExchangeRemoteSerialized)->Arg(1000)->Arg(100000);
 
 faults::FaultSpec g_fault_spec;  // set by --faults; defaults inject nothing
 
-/// The remote path behind a FlakyStore + retrying channel. With no
+/// The remote path behind a FlakyStore + retrying exchange. With no
 /// --faults this measures the resilience wiring's overhead (should be
 /// indistinguishable from BM_ExchangeRemoteSerialized); with --faults
 /// it measures the cost of absorbing the injected error rate.
 void BM_ExchangeRemoteFlaky(benchmark::State& state) {
-  auto table = std::make_shared<const Table>(fact(static_cast<std::size_t>(state.range(0))));
+  const Table table = borrowed_table(fact(static_cast<std::size_t>(state.range(0))));
   auto store = storage::make_instant_store();
   faults::FaultInjector injector(g_fault_spec);
   faults::FlakyStore flaky(*store, injector);
   faults::RetryPolicy retry;  // defaults: 3 attempts, capped backoff
   std::size_t i = 0;
   for (auto _ : state) {
-    RemoteTableChannel ch(flaky, "bench" + std::to_string(i++), &retry);
-    (void)ch.send(table);
-    auto out = ch.recv_at(0);
-    benchmark::DoNotOptimize(out);
+    exchange_round_trip(table, 0, 1, flaky, "bench" + std::to_string(i++), &retry);
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * table->byte_size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * table.byte_size()));
   state.counters["injected_errors"] =
       static_cast<double>(injector.counts().storage_errors);
 }

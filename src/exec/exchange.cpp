@@ -7,97 +7,6 @@
 
 namespace ditto::exec {
 
-Status LocalTableChannel::send(std::shared_ptr<const Table> table) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (aborted_) return Status::unavailable("exchange canceled");
-  items_.push_back(std::move(table));  // zero-copy: pointer moves
-  cv_.notify_all();
-  return Status::ok();
-}
-
-Result<std::shared_ptr<const Table>> LocalTableChannel::recv_at(std::size_t idx) const {
-  std::unique_lock<std::mutex> lock(mu_);
-  // Chunk `idx` becomes readable the moment it is buffered. A producer
-  // reset clears items_, in which case we simply wait for the
-  // byte-identical re-publish to refill the slot.
-  cv_.wait(lock, [&] { return idx < items_.size() || aborted_; });
-  if (aborted_) return Status::unavailable("exchange canceled");
-  return items_[idx];
-}
-
-void LocalTableChannel::reopen() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (aborted_) return;  // cancel is terminal; never resurrect readers
-  items_.clear();  // the lost server's shared memory is gone
-}
-
-void LocalTableChannel::abort() {
-  std::lock_guard<std::mutex> lock(mu_);
-  aborted_ = true;
-  cv_.notify_all();
-}
-
-Status RemoteTableChannel::send(std::shared_ptr<const Table> table) {
-  std::size_t seq;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (aborted_) return Status::unavailable("exchange canceled");
-    seq = next_send_;
-  }
-  const std::string key = prefix_ + "/" + std::to_string(seq);
-  // Serialized once into a fresh exact-size payload that the store may
-  // keep as is; a retried put hands over the same bytes again.
-  const storage::Payload bytes = serialize_table(*table);
-  DITTO_RETURN_IF_ERROR(faults::retry_status(
-      policy(), "exchange.put", [&] { return store_->put_payload(key, bytes); },
-      retry_counter_));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    next_send_ = seq + 1;
-    cv_.notify_all();
-  }
-  return Status::ok();
-}
-
-Result<std::shared_ptr<const Table>> RemoteTableChannel::fetch(std::size_t seq) const {
-  const std::string key = prefix_ + "/" + std::to_string(seq);
-  DITTO_ASSIGN_OR_RETURN(storage::Payload bytes,
-                         faults::retry_result<storage::Payload>(
-                             policy(), "exchange.get", [&] { return store_->get_payload(key); },
-                             retry_counter_));
-  // Zero-copy receive: fixed-width columns view the payload in place,
-  // which the table keeps alive, so it outlives an overwrite or removal
-  // of the key.
-  DITTO_ASSIGN_OR_RETURN(Table table, deserialize_table(bytes));
-  return std::make_shared<const Table>(std::move(table));
-}
-
-Result<std::shared_ptr<const Table>> RemoteTableChannel::recv_at(std::size_t idx) const {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return idx < next_send_ || aborted_; });
-    if (aborted_) return Status::unavailable("exchange canceled");
-  }
-  // Chunk-seq deterministic key: a rollback between the wait and this
-  // get is harmless — the durable bytes survive and the re-publish
-  // overwrites them identically.
-  return fetch(idx);
-}
-
-void RemoteTableChannel::reopen() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (aborted_) return;  // cancel is terminal; never resurrect readers
-  // Durable payloads survive in the store; the re-publish overwrites
-  // the same deterministic keys with identical bytes.
-  next_send_ = 0;
-}
-
-void RemoteTableChannel::abort() {
-  std::lock_guard<std::mutex> lock(mu_);
-  aborted_ = true;
-  cv_.notify_all();
-}
-
 Exchange::Exchange(ExchangeKind kind, std::string partition_key,
                    const std::vector<ServerId>& prod_servers,
                    const std::vector<ServerId>& cons_servers, storage::ObjectStore& store,
@@ -105,58 +14,35 @@ Exchange::Exchange(ExchangeKind kind, std::string partition_key,
                    ThreadPool* scatter_pool)
     : kind_(kind),
       partition_key_(std::move(partition_key)),
+      store_(&store),
+      prefix_(std::move(prefix)),
+      retry_(retry),
       scatter_pool_(scatter_pool),
       producers_(prod_servers.size()),
       consumers_(cons_servers.size()),
       streams_(prod_servers.size()),
       stats_chunks_counted_(prod_servers.size(), 0) {
-  channels_.reserve(producers_ * consumers_);
+  pipes_.resize(producers_ * consumers_);
   for (std::size_t i = 0; i < producers_; ++i) {
     for (std::size_t j = 0; j < consumers_; ++j) {
-      if (prod_servers[i] != kNoServer && prod_servers[i] == cons_servers[j]) {
-        channels_.push_back(std::make_unique<LocalTableChannel>());
-      } else {
-        channels_.push_back(std::make_unique<RemoteTableChannel>(
-            store, prefix + "/" + std::to_string(i) + "-" + std::to_string(j), retry,
-            &storage_retries_));
-      }
+      pipe(i, j).local = prod_servers[i] != kNoServer && prod_servers[i] == cons_servers[j];
     }
   }
 }
 
-Status Exchange::route(std::size_t i, std::size_t j, std::shared_ptr<const Table> t,
-                       PendingStats& pending) {
-  TableChannel& ch = channel(i, j);
-  const Bytes payload = t->byte_size();
-  if (ch.is_zero_copy()) {
-    ++pending.zero_copy_messages;
-    pending.zero_copy_bytes += payload;
-  } else {
-    ++pending.remote_messages;
-    pending.remote_bytes += payload;
-  }
-  return ch.send(std::move(t));
+std::string Exchange::key(std::size_t i, std::size_t j, std::size_t chunk) const {
+  return prefix_ + "/" + std::to_string(i) + "-" + std::to_string(j) + "/" +
+         std::to_string(chunk);
 }
 
-// Routing telemetry is committed once per (producer, chunk), on the
-// chunk's first winning publish: failed-publish retries and server-loss
-// re-publishes move the same logical data again and would otherwise
-// inflate the zero-copy-vs-remote counters relative to the data
-// actually exchanged.
-void Exchange::commit_route_stats(std::size_t producer, std::size_t chunk,
-                                  const PendingStats& pending) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    if (chunk < stats_chunks_counted_[producer]) return;
-    stats_chunks_counted_[producer] = chunk + 1;
-    ++stats_.chunks_published;
-    stats_.zero_copy_messages += pending.zero_copy_messages;
-    stats_.remote_messages += pending.remote_messages;
-    stats_.remote_bytes += pending.remote_bytes;
-  }
-  // Global data-movement telemetry: counters prove how much of the
-  // job's traffic stayed zero-copy, and the trace gains a cumulative
-  // counter track per path (the engine-mode analogue of the sim's).
+// Global data-movement telemetry of one accepted chunk: counters prove
+// how much of the job's traffic stayed zero-copy, and the trace gains a
+// cumulative counter track per path (the engine-mode analogue of the
+// sim's). Called once per (producer, chunk), on the chunk's first
+// winning publish: failed-publish retries and server-loss re-publishes
+// move the same logical data again and would otherwise inflate the
+// zero-copy-vs-remote counters relative to the data actually exchanged.
+void Exchange::record_route_metrics(const PendingStats& pending) {
   obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
   if (!mx.enabled()) return;
   obs::TraceCollector& tc = obs::TraceCollector::global();
@@ -186,53 +72,75 @@ void Exchange::commit_route_stats(std::size_t producer, std::size_t chunk,
 // hash_partition preserves input row order within each partition, so
 // the per-consumer concat of chunk partitions equals the partition of
 // the concatenated chunks.
-Status Exchange::route_chunk(std::size_t producer, std::size_t chunk, Table table) {
+Result<std::vector<std::shared_ptr<const Table>>> Exchange::route_chunk(
+    std::size_t producer, std::size_t chunk, Table table, PendingStats& pending) {
   obs::ScopedSpan span("exchange", "chunk");
   if (span.active()) {
     span.arg("producer", std::to_string(producer));
     span.arg("chunk", std::to_string(chunk));
     span.arg("rows", std::to_string(table.num_rows()));
   }
-  PendingStats pending;
+  // parts[j]: what consumer j receives of this chunk; null = nothing.
+  std::vector<std::shared_ptr<const Table>> parts(consumers_);
   switch (kind_) {
     case ExchangeKind::kShuffle: {
-      DITTO_ASSIGN_OR_RETURN(std::vector<Table> parts,
+      DITTO_ASSIGN_OR_RETURN(std::vector<Table> split,
                              hash_partition(table, partition_key_, consumers_, scatter_pool_));
       for (std::size_t j = 0; j < consumers_; ++j) {
-        DITTO_RETURN_IF_ERROR(
-            route(producer, j, std::make_shared<const Table>(std::move(parts[j])), pending));
+        parts[j] = std::make_shared<const Table>(std::move(split[j]));
       }
       break;
     }
-    case ExchangeKind::kGather: {
+    case ExchangeKind::kGather:
       // One producer feeds exactly one consumer (paper §4.5 Fig. 7).
-      const std::size_t j = producer % consumers_;
-      DITTO_RETURN_IF_ERROR(
-          route(producer, j, std::make_shared<const Table>(std::move(table)), pending));
+      parts[producer % consumers_] = std::make_shared<const Table>(std::move(table));
       break;
-    }
     case ExchangeKind::kBroadcast:
-    case ExchangeKind::kAllGather: {
+    case ExchangeKind::kAllGather:
       // Every consumer receives the full chunk. The shared_ptr makes the
       // local copies free; remote consumers each pay serialization.
-      const auto shared = std::make_shared<const Table>(std::move(table));
-      for (std::size_t j = 0; j < consumers_; ++j) {
-        DITTO_RETURN_IF_ERROR(route(producer, j, shared, pending));
-      }
+      std::fill(parts.begin(), parts.end(), std::make_shared<const Table>(std::move(table)));
       break;
-    }
   }
-  commit_route_stats(producer, chunk, pending);
-  return Status::ok();
+  for (std::size_t j = 0; j < consumers_; ++j) {
+    if (parts[j] == nullptr) continue;
+    const Bytes bytes = parts[j]->byte_size();
+    if (pipe(producer, j).local) {
+      ++pending.zero_copy_messages;
+      pending.zero_copy_bytes += bytes;
+      continue;
+    }
+    ++pending.remote_messages;
+    pending.remote_bytes += bytes;
+    // Serialized once into a fresh exact-size payload that the store may
+    // keep as is; a retried put hands over the same bytes again. The key
+    // is deterministic, so a re-publish overwrites identical bytes.
+    const storage::Payload payload = serialize_table(*parts[j]);
+    const std::string k = key(producer, j, chunk);
+    DITTO_RETURN_IF_ERROR(faults::retry_status(
+        policy(), "exchange.put", [&] { return store_->put_payload(k, payload); },
+        &storage_retries_));
+    parts[j] = nullptr;  // the remote consumer reads the store
+  }
+  return parts;
 }
 
-void Exchange::count_duplicate_publish() {
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    ++stats_.duplicate_publishes;
-  }
-  obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
-  if (mx.enabled()) mx.counter("exchange.duplicate_publishes").add();
+void Exchange::clear_local_chunks(std::size_t producer) {
+  for (std::size_t j = 0; j < consumers_; ++j) pipe(producer, j).chunks.clear();
+}
+
+Result<std::shared_ptr<const Table>> Exchange::fetch(std::size_t i, std::size_t j,
+                                                     std::size_t chunk) {
+  const std::string k = key(i, j, chunk);
+  DITTO_ASSIGN_OR_RETURN(storage::Payload bytes,
+                         faults::retry_result<storage::Payload>(
+                             policy(), "exchange.get", [&] { return store_->get_payload(k); },
+                             &storage_retries_));
+  // Zero-copy receive: fixed-width columns view the payload in place,
+  // which the table keeps alive, so it outlives an overwrite or removal
+  // of the key.
+  DITTO_ASSIGN_OR_RETURN(Table table, deserialize_table(bytes));
+  return std::make_shared<const Table>(std::move(table));
 }
 
 namespace {
@@ -288,20 +196,23 @@ Status Exchange::send_chunked(std::size_t producer, Table table, std::size_t chu
   for (;;) {
     std::size_t c;
     {
-      std::unique_lock<std::mutex> lock(pub_mu_);
-      pub_cv_.wait(lock, [&] { return !streams_[producer].publishing; });
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [&] { return !streams_[producer].publishing; });
       if (cancelled_) return Status::unavailable("exchange canceled");
       ChunkStream& s = streams_[producer];
       if (s.finished) {
+        if (claimed_any) return Status::ok();
+        ++stats_.duplicate_publishes;
         lock.unlock();
-        if (!claimed_any) count_duplicate_publish();
+        obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
+        if (mx.enabled()) mx.counter("exchange.duplicate_publishes").add();
         return Status::ok();
       }
       if (s.accepted >= nchunks) {
         // Every chunk is routed; this attempt seals the stream.
         s.finished = true;
         lock.unlock();
-        pub_cv_.notify_all();
+        cv_.notify_all();
         return Status::ok();
       }
       c = s.accepted;
@@ -313,35 +224,56 @@ Status Exchange::send_chunked(std::size_t producer, Table table, std::size_t chu
       // rollback — the job is aborting and will cancel the exchange.
       const Status st = tick();
       if (!st.is_ok()) {
-        std::lock_guard<std::mutex> lock(pub_mu_);
+        std::lock_guard<std::mutex> lock(mu_);
         streams_[producer].publishing = false;
-        pub_cv_.notify_all();
+        cv_.notify_all();
         return st;
       }
     }
 
     const std::size_t off = c * chunk_rows;
     const std::size_t len = std::min(chunk_rows, rows - std::min(rows, off));
-    const Status st = route_chunk(producer, c, table_view(owner, off, len));
+    PendingStats pending;
+    auto parts = route_chunk(producer, c, table_view(owner, off, len), pending);
+    Status st = parts.status();
+    bool first_publish = false;
     {
-      std::lock_guard<std::mutex> lock(pub_mu_);
+      std::lock_guard<std::mutex> lock(mu_);
       ChunkStream& s = streams_[producer];
-      if (st.is_ok()) {
+      s.publishing = false;
+      if (cancelled_) {
+        // A cancel that landed while the chunk was routing: the chunk
+        // stays invisible, whatever reached the store.
+        st = Status::unavailable("exchange canceled");
+      } else if (st.is_ok()) {
+        // The chunk becomes visible to every consumer at once: local
+        // parts are installed in the same step that accepts it.
+        for (std::size_t j = 0; j < consumers_; ++j) {
+          if ((*parts)[j] != nullptr) pipe(producer, j).chunks.push_back(std::move((*parts)[j]));
+        }
         s.accepted = c + 1;
         claimed_any = true;
+        first_publish = c >= stats_chunks_counted_[producer];
+        if (first_publish) {
+          stats_chunks_counted_[producer] = c + 1;
+          ++stats_.chunks_published;
+          stats_.zero_copy_messages += pending.zero_copy_messages;
+          stats_.remote_messages += pending.remote_messages;
+          stats_.remote_bytes += pending.remote_bytes;
+        }
       } else {
-        // Mid-stream rollback: reopen the whole row and restart from
+        // Mid-stream rollback: drop the local chunks and restart from
         // chunk 0 so the re-publish overwrites the same deterministic
         // keys instead of appending — a consumer mid-stream keeps the
         // chunks it already read (byte-identical to the re-publish)
         // and blocks until the stream catches back up.
-        for (std::size_t j = 0; j < consumers_; ++j) channel(producer, j).reopen();
+        clear_local_chunks(producer);
         s.accepted = 0;
       }
-      s.publishing = false;
     }
-    pub_cv_.notify_all();
+    cv_.notify_all();
     if (!st.is_ok()) return st;
+    if (first_publish) record_route_metrics(pending);
   }
 }
 
@@ -374,58 +306,57 @@ Result<Table> Exchange::recv_all(std::size_t consumer) {
 
 void Exchange::reset_producer(std::size_t producer) {
   if (producer >= producers_) return;
-  {
-    std::unique_lock<std::mutex> lock(pub_mu_);
-    pub_cv_.wait(lock, [&] { return !streams_[producer].publishing; });
-    // Drop the partial (or complete) stream: the engine re-runs the
-    // producer task, which re-streams from chunk 0 under the same
-    // deterministic keys.
-    streams_[producer] = ChunkStream{};
-  }
-  for (std::size_t j = 0; j < consumers_; ++j) channel(producer, j).reopen();
-  std::lock_guard<std::mutex> lock(stats_mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] { return !streams_[producer].publishing; });
+  // Drop the partial (or complete) stream and the lost server's shared
+  // memory: the engine re-runs the producer task, which re-streams from
+  // chunk 0 under the same deterministic keys. Cursors check cancelled_
+  // first, so after a cancel this revives no reader.
+  streams_[producer] = ChunkStream{};
+  clear_local_chunks(producer);
   ++stats_.producers_reset;
 }
 
 void Exchange::cancel() {
   {
-    std::lock_guard<std::mutex> lock(pub_mu_);
-    cancelled_ = true;  // fails cursors blocked on future chunks
+    std::lock_guard<std::mutex> lock(mu_);
+    cancelled_ = true;
   }
-  for (auto& ch : channels_) ch->abort();
-  pub_cv_.notify_all();
+  cv_.notify_all();
 }
 
 Result<std::optional<std::shared_ptr<const Table>>> Exchange::next_chunk(
     std::size_t consumer, std::size_t producer, std::size_t chunk) {
   if (consumer >= consumers_) return Status::out_of_range("bad consumer index");
   // Gather routes each producer to exactly one consumer; the other
-  // consumers' channels never see its chunks, so skip the stream
-  // instead of blocking on it.
+  // consumers' pipes never see its chunks, so skip the stream instead
+  // of blocking on it.
   if (kind_ == ExchangeKind::kGather && producer % consumers_ != consumer) {
     return std::optional<std::shared_ptr<const Table>>(std::nullopt);
   }
-  bool ready = false;
+  const Pipe& p = pipe(producer, consumer);
+  std::shared_ptr<const Table> local;
   {
-    std::unique_lock<std::mutex> lock(pub_mu_);
-    pub_cv_.wait(lock, [&] {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] {
       return cancelled_ || chunk < streams_[producer].accepted || streams_[producer].finished;
     });
     if (cancelled_) return Status::unavailable("exchange canceled");
-    ready = chunk < streams_[producer].accepted;
-    // else: finished && chunk >= accepted — producer drained.
-  }
-  if (!ready) return std::optional<std::shared_ptr<const Table>>(std::nullopt);
-  // Safe outside the lock: an accepted chunk has been routed to every
-  // consumer, and a concurrent rollback only delays recv_at until the
-  // byte-identical re-publish refills the slot.
-  DITTO_ASSIGN_OR_RETURN(auto t, channel(producer, consumer).recv_at(chunk));
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
+    if (chunk >= streams_[producer].accepted) {
+      // finished && chunk >= accepted — producer drained.
+      return std::optional<std::shared_ptr<const Table>>(std::nullopt);
+    }
+    if (p.local) local = p.chunks[chunk];
     ++stats_.chunks_consumed;
   }
   obs::MetricsRegistry& mx = obs::MetricsRegistry::global();
   if (mx.enabled()) mx.counter("exchange.chunks_consumed").add();
+  if (p.local) return std::optional<std::shared_ptr<const Table>>(std::move(local));
+  // A remote chunk is read outside the lock. Its key is deterministic,
+  // so a rollback or reset between the wait and this get is harmless:
+  // the durable bytes survive and the re-publish overwrites them
+  // identically.
+  DITTO_ASSIGN_OR_RETURN(auto t, fetch(producer, consumer, chunk));
   return std::optional<std::shared_ptr<const Table>>(std::move(t));
 }
 
@@ -446,13 +377,13 @@ Result<std::optional<std::shared_ptr<const Table>>> ChunkCursor::next() {
 bool Exchange::producer_has_local_channel(std::size_t producer) const {
   if (producer >= producers_) return false;
   for (std::size_t j = 0; j < consumers_; ++j) {
-    if (channel(producer, j).is_zero_copy()) return true;
+    if (pipe(producer, j).local) return true;
   }
   return false;
 }
 
 ExchangeStats Exchange::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   ExchangeStats out = stats_;
   out.storage_retries = storage_retries_.load(std::memory_order_relaxed);
   return out;

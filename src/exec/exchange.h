@@ -3,13 +3,18 @@
 // This implements the paper's data communication API (§5: "shuffle and
 // broadcast ... transparently dispatch I/O requests to shared memory or
 // external storage, according to the co-location of the upstream and
-// downstream tasks"):
-//   * producer/consumer tasks on the SAME server exchange a
-//     shared_ptr<const Table> — no serialization, no copy at all;
-//   * tasks on DIFFERENT servers serialize through the ObjectStore and
-//     deserialize on the consumer side.
-// Exchange stats expose which path each message took, so tests and
-// examples can verify the zero-copy claim end to end.
+// downstream tasks"). That choice is made once per (producer, consumer)
+// pipe, when the Exchange is built:
+//   * a LOCAL pipe (both tasks on the same server) hands the consumer
+//     the producer's shared_ptr<const Table> — no serialization, no copy;
+//   * a REMOTE pipe serializes each chunk into the ObjectStore under
+//     `<prefix>/<producer>-<consumer>/<chunk>` and deserializes it on
+//     the consumer side.
+// Everything else — when a chunk becomes visible, when a stream rolls
+// back, when the edge is cancelled — is per-producer stream state under
+// the exchange's one lock, shared by both kinds of pipe. Exchange stats
+// expose which path each message took, so tests and examples can verify
+// the zero-copy claim end to end.
 //
 // Resilience contract (what makes duplicate task execution safe):
 //   * send() is IDEMPOTENT per producer — the first publish wins, later
@@ -32,10 +37,12 @@
 //   * remote puts/gets run under a RetryPolicy (capped exponential
 //     backoff), so transient storage errors injected by a FlakyStore
 //     are absorbed inside the fabric.
-//   * reset_producer() reopens one producer's channels after a server
+//   * reset_producer() restarts one producer's stream after a server
 //     loss so the engine can re-run the producer task and re-publish
 //     its lost zero-copy intermediates (remote data survives in the
 //     object store and is simply overwritten identically).
+//   * cancel() is terminal: every blocked and later read and publish
+//     fails UNAVAILABLE, and no reset or re-publish revives the edge.
 #pragma once
 
 #include <atomic>
@@ -57,89 +64,6 @@
 
 namespace ditto::exec {
 
-/// A single producer-to-consumer pipe carrying tables.
-class TableChannel {
- public:
-  virtual ~TableChannel() = default;
-
-  /// Appends one payload; fails UNAVAILABLE once the channel aborted.
-  virtual Status send(std::shared_ptr<const Table> table) = 0;
-
-  /// Non-destructive indexed read: blocks until payload `idx` has been
-  /// sent (or the channel aborts). This is what lets a consumer start on
-  /// the first arrived chunk while the producer is still streaming. The
-  /// Exchange knows when a producer's stream ends, so the channel has
-  /// no end-of-stream of its own. After a producer reset the call
-  /// simply waits for the re-publish to refill the slot — re-published
-  /// chunks are byte-identical, so pre-reset reads stay valid.
-  virtual Result<std::shared_ptr<const Table>> recv_at(std::size_t idx) const = 0;
-
-  /// Reopens the channel after a producer reset, dropping any locally
-  /// buffered payloads (a lost server's shared memory); durable remote
-  /// payloads survive and are overwritten by the re-publish.
-  virtual void reopen() = 0;
-
-  /// Makes every blocked and later recv_at() and send() fail
-  /// UNAVAILABLE; used to unblock consumers when the job aborts.
-  virtual void abort() = 0;
-
-  virtual bool is_zero_copy() const = 0;
-};
-
-/// Same-server: the Table pointer moves; payload is shared.
-class LocalTableChannel final : public TableChannel {
- public:
-  Status send(std::shared_ptr<const Table> table) override;
-  Result<std::shared_ptr<const Table>> recv_at(std::size_t idx) const override;
-  void reopen() override;
-  void abort() override;
-  bool is_zero_copy() const override { return true; }
-
- private:
-  mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  std::vector<std::shared_ptr<const Table>> items_;
-  bool aborted_ = false;
-};
-
-/// Cross-server: serialize -> ObjectStore -> deserialize. Each send
-/// serializes once into a fresh payload handed to put_payload; each
-/// read takes get_payload's payload and borrows its fixed-width columns
-/// from it, so a MemStore adds no copy. Payload keys are deterministic
-/// (`prefix/seq`), so re-publishes after failure are idempotent
-/// overwrites and repeated reads re-read from the store.
-class RemoteTableChannel final : public TableChannel {
- public:
-  RemoteTableChannel(storage::ObjectStore& store, std::string prefix,
-                     const faults::RetryPolicy* retry = nullptr,
-                     std::atomic<std::size_t>* retry_counter = nullptr)
-      : store_(&store), prefix_(std::move(prefix)), retry_(retry),
-        retry_counter_(retry_counter) {}
-
-  Status send(std::shared_ptr<const Table> table) override;
-  Result<std::shared_ptr<const Table>> recv_at(std::size_t idx) const override;
-  void reopen() override;
-  void abort() override;
-  bool is_zero_copy() const override { return false; }
-
- private:
-  faults::RetryPolicy policy() const {
-    return retry_ != nullptr ? *retry_ : faults::RetryPolicy{.max_attempts = 1};
-  }
-  /// Gets payload `seq` from the store (under the retry policy) and
-  /// deserializes it; a missing or corrupt payload is an error.
-  Result<std::shared_ptr<const Table>> fetch(std::size_t seq) const;
-
-  storage::ObjectStore* store_;
-  const std::string prefix_;
-  const faults::RetryPolicy* retry_;
-  std::atomic<std::size_t>* retry_counter_;
-  mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  std::size_t next_send_ = 0;
-  bool aborted_ = false;
-};
-
 struct ExchangeStats {
   std::size_t zero_copy_messages = 0;
   std::size_t remote_messages = 0;
@@ -150,6 +74,7 @@ struct ExchangeStats {
   std::size_t chunks_published = 0;     ///< accepted chunk publishes (>=1 per producer)
   /// Chunks read by consumers, through recv_all() or a streaming
   /// cursor; each read of a chunk counts, a duplicate consumer's too.
+  /// A read counts once the chunk is visible, before a remote get.
   std::size_t chunks_consumed = 0;
 };
 
@@ -182,10 +107,11 @@ class ChunkCursor {
   Bytes bytes_ = 0;
 };
 
-/// All channels of one DAG edge: producers x consumers.
+/// All pipes of one DAG edge: producers x consumers.
 class Exchange {
  public:
-  /// `prod_servers[i]` / `cons_servers[j]` decide each pipe's flavour.
+  /// `prod_servers[i]` / `cons_servers[j]` decide whether each pipe is
+  /// local (same server) or remote (through `store` under `prefix`).
   /// `retry` (not owned, may be null) governs remote put/get retries.
   /// `scatter_pool` (not owned, may be null) parallelizes shuffle
   /// partitioning for large tables; it must only run pure compute
@@ -233,16 +159,18 @@ class Exchange {
   /// chunk order and stay bit-identical for order-preserving consumers.
   ChunkCursor open_cursor(std::size_t consumer) { return ChunkCursor(this, consumer); }
 
-  /// Forgets producer `i`'s publish and reopens its channels, dropping
-  /// locally buffered (zero-copy) payloads. The engine then re-runs the
-  /// producer task to re-publish. Used for server-loss recovery.
+  /// Forgets producer `i`'s publish and drops its local (zero-copy)
+  /// chunks; its remote chunks stay in the store. The engine then
+  /// re-runs the producer task to re-publish. Used for server-loss
+  /// recovery. After cancel() it revives nothing.
   void reset_producer(std::size_t producer);
 
-  /// Aborts every channel so blocked consumers fail fast (job abort).
+  /// Cancels the edge for good (job abort): blocked and later cursors
+  /// and publishes fail UNAVAILABLE.
   void cancel();
 
-  /// True if any of producer `i`'s channels is a zero-copy pipe (its
-  /// payloads would be lost with the producer's server).
+  /// True if any of producer `i`'s pipes is local (its chunks would be
+  /// lost with the producer's server).
   bool producer_has_local_channel(std::size_t producer) const;
 
   ExchangeStats stats() const;
@@ -253,12 +181,21 @@ class Exchange {
  private:
   friend class ChunkCursor;
 
-  /// Per-producer chunk-stream state, guarded by pub_mu_. The legacy
-  /// whole-table publish is the 1-chunk special case.
+  /// Per-producer chunk-stream state, guarded by mu_. The whole-table
+  /// publish is the 1-chunk special case.
   struct ChunkStream {
     std::size_t accepted = 0;  ///< chunks fully routed to every consumer
     bool publishing = false;   ///< a chunk route is in flight
     bool finished = false;     ///< stream complete; cursors move past it
+  };
+
+  /// One (producer, consumer) pipe. `local` is fixed at construction.
+  /// A local pipe that receives its producer's chunks holds chunk c in
+  /// `chunks[c]`, exactly `accepted` of them (guarded by mu_); a remote
+  /// pipe holds nothing — its chunks live in the store under key().
+  struct Pipe {
+    bool local = false;
+    std::vector<std::shared_ptr<const Table>> chunks;
   };
 
   /// Routing telemetry of one publish attempt, committed to stats_ and
@@ -272,18 +209,29 @@ class Exchange {
     Bytes remote_bytes = 0;
   };
 
-  TableChannel& channel(std::size_t i, std::size_t j) {
-    return *channels_[i * consumers_ + j];
+  Pipe& pipe(std::size_t i, std::size_t j) { return pipes_[i * consumers_ + j]; }
+  const Pipe& pipe(std::size_t i, std::size_t j) const { return pipes_[i * consumers_ + j]; }
+  /// Store key of chunk `chunk` on remote pipe (i, j).
+  std::string key(std::size_t i, std::size_t j, std::size_t chunk) const;
+  faults::RetryPolicy policy() const {
+    return retry_ != nullptr ? *retry_ : faults::RetryPolicy{.max_attempts = 1};
   }
-  const TableChannel& channel(std::size_t i, std::size_t j) const {
-    return *channels_[i * consumers_ + j];
-  }
-  Status route(std::size_t i, std::size_t j, std::shared_ptr<const Table> t,
-               PendingStats& pending);
-  void commit_route_stats(std::size_t producer, std::size_t chunk,
-                          const PendingStats& pending);
-  Status route_chunk(std::size_t producer, std::size_t chunk, Table table);
-  void count_duplicate_publish();
+  /// Partitions chunk `chunk` of producer `producer` and puts its remote
+  /// parts into the store. Returns the parts for local pipes, indexed by
+  /// consumer (null where the consumer is remote or receives nothing);
+  /// the caller installs them when it accepts the chunk.
+  Result<std::vector<std::shared_ptr<const Table>>> route_chunk(std::size_t producer,
+                                                                std::size_t chunk, Table table,
+                                                                PendingStats& pending);
+  /// Gets remote chunk (i, j, chunk) from the store (under the retry
+  /// policy) and deserializes it; a missing or corrupt payload is an
+  /// error.
+  Result<std::shared_ptr<const Table>> fetch(std::size_t i, std::size_t j, std::size_t chunk);
+  /// Adds one accepted chunk's routing to the global metrics and trace.
+  static void record_route_metrics(const PendingStats& pending);
+  /// Drops producer `i`'s local chunks (the lost server's shared
+  /// memory, or a rolled-back stream). Requires mu_.
+  void clear_local_chunks(std::size_t producer);
   /// ChunkCursor backend: next chunk for `consumer` at cursor position
   /// (producer, chunk); blocks until the chunk arrives or the stream
   /// finishes. nullopt = this producer drained, advance the cursor.
@@ -293,21 +241,25 @@ class Exchange {
 
   const ExchangeKind kind_;
   const std::string partition_key_;
+  storage::ObjectStore* store_;
+  const std::string prefix_;
+  const faults::RetryPolicy* retry_;
   ThreadPool* scatter_pool_;
   std::size_t producers_;
   std::size_t consumers_;
-  std::vector<std::unique_ptr<TableChannel>> channels_;
   std::atomic<std::size_t> storage_retries_{0};
 
-  mutable std::mutex pub_mu_;
-  std::condition_variable pub_cv_;
+  /// The one lock of the edge: guards every member below and the
+  /// chunks of every pipe. cv_ wakes cursors waiting for a chunk and
+  /// publishers waiting for an in-flight route.
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<Pipe> pipes_;  ///< producer-major: pipe(i, j) = pipes_[i * consumers_ + j]
   std::vector<ChunkStream> streams_;
-  bool cancelled_ = false;  ///< guarded by pub_mu_; fails blocked cursors
-
-  mutable std::mutex stats_mu_;
+  bool cancelled_ = false;  ///< terminal; fails blocked and later reads and publishes
   ExchangeStats stats_;
-  /// Per-producer count of chunk indices already counted into stats_,
-  /// guarded by stats_mu_; re-publishes of the same chunk don't recount.
+  /// Per-producer count of chunk indices already counted into stats_;
+  /// survives reset_producer so re-publishes of a chunk don't recount.
   std::vector<std::size_t> stats_chunks_counted_;
 };
 

@@ -1,7 +1,7 @@
 // Table serialization for cross-server exchange.
 //
-// Intra-server exchange never serializes (LocalTableChannel hands
-// tables over by pointer); cross-server exchange pays exactly this
+// Intra-server exchange never serializes (an Exchange's local pipe
+// hands tables over by pointer); cross-server exchange pays exactly this
 // encode + decode — the cost asymmetry Ditto's grouping exploits. The
 // wire form is a storage::Payload, the same shared immutable bytes an
 // ObjectStore keeps. Two wire versions are readable; only v2 is

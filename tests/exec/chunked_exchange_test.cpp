@@ -166,43 +166,52 @@ TEST(ChunkedExchangeTest, ConcurrentDuplicatePublishesCooperate) {
 }
 
 TEST(ChunkedExchangeTest, ResetMidStreamRepublishIsSeamlessToConsumer) {
-  // Satellite regression: a producer dies between chunks, the engine
-  // resets it and a recovery attempt re-publishes from chunk 0 while a
-  // consumer is already mid-stream. The consumer must observe a byte-
-  // identical sequence — never a mixed old/new stream.
+  // A producer dies between chunks, the engine resets it and a recovery
+  // attempt re-publishes from chunk 0 while consumers are already
+  // mid-stream. Each consumer must observe a byte-identical sequence —
+  // never a mixed old/new stream — on its local pipe (consumer 0 shares
+  // the producer's server) and on its remote pipe (consumer 1) alike.
   auto clean_store = storage::make_instant_store();
-  Exchange clean(ExchangeKind::kShuffle, "k", servers({0}), servers({0}), *clean_store,
+  Exchange clean(ExchangeKind::kShuffle, "k", servers({0}), servers({0, 1}), *clean_store,
                  "x");
   ASSERT_TRUE(clean.send_chunked(0, keyed(0, 128), 16).is_ok());
-  const auto want = clean.recv_all(0);
-  ASSERT_TRUE(want.ok());
+  std::vector<std::string> want;
+  for (std::size_t j = 0; j < 2; ++j) {
+    const auto t = clean.recv_all(j);
+    ASSERT_TRUE(t.ok());
+    want.push_back(table_bytes(*t));
+  }
 
   auto store = storage::make_instant_store();
-  Exchange ex(ExchangeKind::kShuffle, "k", servers({0}), servers({0}), *store, "x");
+  Exchange ex(ExchangeKind::kShuffle, "k", servers({0}), servers({0, 1}), *store, "x");
+  ASSERT_TRUE(ex.producer_has_local_channel(0));
 
-  // Consumer starts streaming immediately.
-  std::string streamed_bytes;
-  std::thread consumer([&] {
-    ChunkCursor cur = ex.open_cursor(0);
-    const auto got = drain_cursor(cur);
-    ASSERT_TRUE(got.ok()) << got.status().to_string();
-    streamed_bytes = table_bytes(*got);
-  });
+  // Consumers start streaming immediately.
+  std::vector<std::string> streamed_bytes(2);
+  std::vector<std::thread> consumers;
+  for (std::size_t j = 0; j < 2; ++j) {
+    consumers.emplace_back([&, j] {
+      ChunkCursor cur = ex.open_cursor(j);
+      const auto got = drain_cursor(cur);
+      ASSERT_TRUE(got.ok()) << got.status().to_string();
+      streamed_bytes[j] = table_bytes(*got);
+    });
+  }
 
-  // First attempt crashes after two chunks (tick error = the task
+  // First attempt crashes before its second chunk (tick error = the task
   // died; the stream is left partially published).
   int ticks = 0;
-  auto die_after_two = [&]() -> Status {
+  auto die_at_second_tick = [&]() -> Status {
     return ++ticks >= 2 ? Status::internal("producer crashed") : Status::ok();
   };
-  EXPECT_FALSE(ex.send_chunked(0, keyed(0, 128), 16, die_after_two).is_ok());
+  EXPECT_FALSE(ex.send_chunked(0, keyed(0, 128), 16, die_at_second_tick).is_ok());
 
   // Server-loss recovery: drop the partial stream, re-run the producer.
   ex.reset_producer(0);
   ASSERT_TRUE(ex.send_chunked(0, keyed(0, 128), 16).is_ok());
-  consumer.join();
+  for (std::thread& t : consumers) t.join();
 
-  EXPECT_EQ(streamed_bytes, table_bytes(*want));
+  for (std::size_t j = 0; j < 2; ++j) EXPECT_EQ(streamed_bytes[j], want[j]) << "consumer " << j;
   EXPECT_EQ(ex.stats().producers_reset, 1u);
 }
 

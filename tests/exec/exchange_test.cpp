@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <future>
+#include <mutex>
+#include <thread>
 
 #include "storage/sim_store.h"
 
@@ -18,29 +23,45 @@ Table keyed(std::int64_t lo, std::int64_t hi) {
   return table_of_ints({{"k", k}, {"v", v}});
 }
 
-TEST(LocalTableChannelTest, ZeroCopyPointerIdentity) {
-  LocalTableChannel ch;
-  auto t = std::make_shared<const Table>(keyed(0, 5));
-  const Table* raw = t.get();
-  ASSERT_TRUE(ch.send(t).is_ok());
-  const auto out = ch.recv_at(0);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->get(), raw);  // literally the same Table object
-}
-
-TEST(RemoteTableChannelTest, RoundTripsThroughStore) {
-  auto store = storage::make_instant_store();
-  RemoteTableChannel ch(*store, "edge");
-  auto t = std::make_shared<const Table>(keyed(0, 5));
-  ASSERT_TRUE(ch.send(t).is_ok());
-  const auto out = ch.recv_at(0);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(**out, *t);       // equal content
-  EXPECT_NE(out->get(), t.get());  // but a different (deserialized) object
-  EXPECT_GT(store->stats().puts, 0u);
-}
-
 std::vector<ServerId> servers(std::initializer_list<ServerId> v) { return v; }
+
+TEST(ExchangeTest, LocalPipeHandsBackTheSentTable) {
+  // Same server: every read hands back the one routed Table object,
+  // whose columns are the sent buffers — no serialization, no copy.
+  auto store = storage::make_instant_store();
+  Exchange ex(ExchangeKind::kGather, "", servers({0}), servers({0}), *store, "x");
+  Table t = keyed(0, 5);
+  const std::int64_t* const sent = t.column(0).int_span().data();
+  ASSERT_TRUE(ex.send(0, std::move(t)).is_ok());
+  ChunkCursor a = ex.open_cursor(0);
+  ChunkCursor b = ex.open_cursor(0);
+  const auto first = a.next();
+  const auto second = b.next();
+  ASSERT_TRUE(first.ok() && first->has_value());
+  ASSERT_TRUE(second.ok() && second->has_value());
+  EXPECT_EQ(first->value().get(), second->value().get());  // literally the same Table
+  EXPECT_EQ(first->value()->column(0).int_span().data(), sent);
+  EXPECT_EQ(store->stats().puts, 0u);
+  EXPECT_EQ(ex.stats().zero_copy_messages, 1u);
+}
+
+TEST(ExchangeTest, RemotePipeRoundTripsThroughStore) {
+  // Different servers: the chunk takes one store put and comes back as
+  // an equal but distinct, deserialized object.
+  auto store = storage::make_instant_store();
+  Exchange ex(ExchangeKind::kGather, "", servers({0}), servers({1}), *store, "x");
+  Table t = keyed(0, 5);
+  const std::int64_t* const sent = t.column(0).int_span().data();
+  ASSERT_TRUE(ex.send(0, std::move(t)).is_ok());
+  ChunkCursor cur = ex.open_cursor(0);
+  const auto out = cur.next();
+  ASSERT_TRUE(out.ok() && out->has_value());
+  EXPECT_EQ(*out->value(), keyed(0, 5));                    // equal content
+  EXPECT_NE(out->value()->column(0).int_span().data(), sent);  // a different object
+  EXPECT_EQ(store->stats().puts, 1u);
+  EXPECT_TRUE(store->contains("x/0-0/0"));
+  EXPECT_EQ(ex.stats().remote_messages, 1u);
+}
 
 TEST(ExchangeTest, ShuffleRoutesByHashAndCoversAllRows) {
   auto store = storage::make_instant_store();
@@ -186,21 +207,15 @@ TEST(ExchangeTest, ResetProducerAllowsRepublish) {
   EXPECT_EQ(ex.stats().duplicate_publishes, 0u);
 }
 
-/// Fails the first `fail_times` puts whose key contains `substr`;
-/// everything else passes through. Lets a test kill one channel of a
-/// publish row while earlier channels have already succeeded.
-class FailingPutStore final : public storage::ObjectStore {
+/// Passes every call through to `inner`; tests override what they
+/// want to break.
+class ForwardingStore : public storage::ObjectStore {
  public:
-  FailingPutStore(storage::ObjectStore& inner, std::string substr, int fail_times)
-      : inner_(&inner), substr_(std::move(substr)), remaining_(fail_times) {}
+  explicit ForwardingStore(storage::ObjectStore& inner) : inner_(&inner) {}
 
   const char* kind() const override { return inner_->kind(); }
   const storage::StorageModel& model() const override { return inner_->model(); }
   Status put(const std::string& key, std::string_view value) override {
-    if (remaining_ > 0 && key.find(substr_) != std::string::npos) {
-      --remaining_;
-      return Status::unavailable("injected put failure: " + key);
-    }
     return inner_->put(key, value);
   }
   Result<std::string> get(const std::string& key) const override { return inner_->get(key); }
@@ -212,8 +227,27 @@ class FailingPutStore final : public storage::ObjectStore {
   Bytes used_bytes() const override { return inner_->used_bytes(); }
   storage::StoreStats stats() const override { return inner_->stats(); }
 
- private:
+ protected:
   storage::ObjectStore* inner_;
+};
+
+/// Fails the first `fail_times` puts whose key contains `substr`;
+/// everything else passes through. Lets a test kill one pipe of a
+/// publish row while earlier pipes have already succeeded.
+class FailingPutStore final : public ForwardingStore {
+ public:
+  FailingPutStore(storage::ObjectStore& inner, std::string substr, int fail_times)
+      : ForwardingStore(inner), substr_(std::move(substr)), remaining_(fail_times) {}
+
+  Status put(const std::string& key, std::string_view value) override {
+    if (remaining_ > 0 && key.find(substr_) != std::string::npos) {
+      --remaining_;
+      return Status::unavailable("injected put failure: " + key);
+    }
+    return inner_->put(key, value);
+  }
+
+ private:
   const std::string substr_;
   int remaining_;
 };
@@ -240,23 +274,41 @@ TEST(ExchangeTest, PartialPublishFailureRollsBackRemoteChannels) {
 }
 
 TEST(ExchangeTest, PartialPublishFailureClearsLocalBuffers) {
-  // Mixed row: the zero-copy pipe buffered its table before the remote
-  // pipe's put failed. The rollback must drop the local buffer too, or
-  // the retry would append a second copy for the co-located consumer.
-  auto inner = storage::make_instant_store();
-  FailingPutStore store(*inner, "0-1", 1);
-  Exchange ex(ExchangeKind::kShuffle, "k", servers({0}), servers({0, 1}), store, "x");
-  ASSERT_FALSE(ex.send(0, keyed(0, 30)).is_ok());
-  ASSERT_TRUE(ex.send(0, keyed(0, 30)).is_ok());
-  std::size_t total = 0;
-  for (std::size_t j = 0; j < 2; ++j) {
-    const auto t = ex.recv_all(j);
-    ASSERT_TRUE(t.ok());
-    total += t->num_rows();
+  // Mixed row: the zero-copy pipe holds its part of every chunk accepted
+  // before the remote pipe's put failed. The rollback must drop those
+  // local chunks too, or the retry would append a second copy for the
+  // co-located consumer. The put fails on the only chunk of a
+  // whole-table publish, and on the second chunk of a two-chunk stream.
+  struct Case {
+    std::size_t chunk_rows;
+    const char* failing_key;
+    std::size_t chunks;
+  };
+  for (const Case& c : {Case{30, "x/0-1/0", 1}, Case{16, "x/0-1/1", 2}}) {
+    SCOPED_TRACE(c.failing_key);
+    auto clean_store = storage::make_instant_store();
+    Exchange clean(ExchangeKind::kShuffle, "k", servers({0}), servers({0, 1}), *clean_store,
+                   "x");
+    ASSERT_TRUE(clean.send_chunked(0, keyed(0, 30), c.chunk_rows).is_ok());
+
+    auto inner = storage::make_instant_store();
+    FailingPutStore store(*inner, c.failing_key, 1);
+    Exchange ex(ExchangeKind::kShuffle, "k", servers({0}), servers({0, 1}), store, "x");
+    ASSERT_FALSE(ex.send_chunked(0, keyed(0, 30), c.chunk_rows).is_ok());
+    ASSERT_TRUE(ex.send_chunked(0, keyed(0, 30), c.chunk_rows).is_ok());
+    std::size_t total = 0;
+    for (std::size_t j = 0; j < 2; ++j) {
+      const auto t = ex.recv_all(j);
+      const auto want = clean.recv_all(j);
+      ASSERT_TRUE(t.ok());
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(*t, *want) << "consumer " << j;
+      total += t->num_rows();
+    }
+    EXPECT_EQ(total, 30u);
+    EXPECT_EQ(ex.stats().zero_copy_messages, c.chunks);
+    EXPECT_EQ(ex.stats().remote_messages, c.chunks);
   }
-  EXPECT_EQ(total, 30u);
-  EXPECT_EQ(ex.stats().zero_copy_messages, 1u);
-  EXPECT_EQ(ex.stats().remote_messages, 1u);
 }
 
 TEST(ExchangeTest, ProducerHasLocalChannelTracksPlacement) {
@@ -304,6 +356,123 @@ TEST(ExchangeTest, CancelUnblocksConsumersWithUnavailable) {
   const auto t = ex.recv_all(0);
   ASSERT_FALSE(t.ok());
   EXPECT_EQ(t.status().code(), StatusCode::kUnavailable);
+}
+
+// ---- cancel() is terminal on local and remote pipes alike.
+
+/// Placements of a 1x1 edge: the consumer on the producer's server
+/// (local pipe) and on another one (remote pipe).
+const std::vector<ServerId> kConsumerServers = {0, 1};
+
+TEST(ExchangeCancelTest, PublishAfterCancelIsUnavailableAndInvisible) {
+  for (const ServerId cons : kConsumerServers) {
+    SCOPED_TRACE(cons == 0 ? "local pipe" : "remote pipe");
+    auto store = storage::make_instant_store();
+    Exchange ex(ExchangeKind::kShuffle, "k", servers({0}), servers({cons}), *store, "x");
+    ex.cancel();
+    const Status st = ex.send(0, keyed(0, 10));
+    EXPECT_EQ(st.code(), StatusCode::kUnavailable);
+    ChunkCursor cur = ex.open_cursor(0);
+    const auto chunk = cur.next();
+    ASSERT_FALSE(chunk.ok());
+    EXPECT_EQ(chunk.status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(ex.stats().chunks_published, 0u);
+    EXPECT_FALSE(store->contains("x/0-0/0"));
+  }
+}
+
+TEST(ExchangeCancelTest, ResetAfterCancelDoesNotUnblockCursor) {
+  for (const ServerId cons : kConsumerServers) {
+    SCOPED_TRACE(cons == 0 ? "local pipe" : "remote pipe");
+    auto store = storage::make_instant_store();
+    Exchange ex(ExchangeKind::kShuffle, "k", servers({0}), servers({cons}), *store, "x");
+    // A partial stream: chunk 0 is out, then the producer dies.
+    int ticks = 0;
+    auto die_at_second_tick = [&]() -> Status {
+      return ++ticks >= 2 ? Status::internal("producer crashed") : Status::ok();
+    };
+    EXPECT_FALSE(ex.send_chunked(0, keyed(0, 32), 16, die_at_second_tick).is_ok());
+
+    Status blocked_read;
+    std::promise<void> first_read;
+    std::thread consumer([&] {
+      ChunkCursor cur = ex.open_cursor(0);
+      const auto first = cur.next();
+      EXPECT_TRUE(first.ok() && first->has_value());
+      first_read.set_value();
+      const auto second = cur.next();  // blocks: chunk 1 never came
+      blocked_read = second.status();
+    });
+    first_read.get_future().wait();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ex.cancel();
+    ex.reset_producer(0);  // must not revive the cancelled edge
+    consumer.join();
+    EXPECT_EQ(blocked_read.code(), StatusCode::kUnavailable);
+
+    ChunkCursor fresh = ex.open_cursor(0);
+    const auto chunk = fresh.next();
+    ASSERT_FALSE(chunk.ok());
+    EXPECT_EQ(chunk.status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(ex.send_chunked(0, keyed(0, 32), 16).code(), StatusCode::kUnavailable);
+  }
+}
+
+/// Blocks every put_payload until release() — lets a test land a
+/// cancel while a remote put is in flight.
+class LatchedPutStore final : public ForwardingStore {
+ public:
+  using ForwardingStore::ForwardingStore;
+
+  void wait_entered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  Status put_payload(const std::string& key, storage::Payload value) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+    }
+    return inner_->put_payload(key, std::move(value));
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+TEST(ExchangeCancelTest, CancelDuringRemotePutFailsThePublish) {
+  // A mixed row: consumer 0 is local, consumer 1 remote. The cancel
+  // lands while the remote put is in flight; the publish must fail and
+  // neither the local part nor the chunk may become visible.
+  auto inner = storage::make_instant_store();
+  LatchedPutStore store(*inner);
+  Exchange ex(ExchangeKind::kShuffle, "k", servers({0}), servers({0, 1}), store, "x");
+  Status published;
+  std::thread producer([&] { published = ex.send(0, keyed(0, 40)); });
+  store.wait_entered();
+  ex.cancel();
+  store.release();
+  producer.join();
+  EXPECT_EQ(published.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(ex.stats().chunks_published, 0u);
+  EXPECT_EQ(ex.stats().zero_copy_messages, 0u);
+  EXPECT_EQ(ex.stats().remote_messages, 0u);
+  for (std::size_t j = 0; j < 2; ++j) {
+    const auto t = ex.recv_all(j);
+    ASSERT_FALSE(t.ok());
+    EXPECT_EQ(t.status().code(), StatusCode::kUnavailable);
+  }
 }
 
 // ---- recv_all's gather: a lone part is borrowed, several parts are

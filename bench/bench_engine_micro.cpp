@@ -113,9 +113,10 @@ Table borrowed_table(const Table& t) {
   return std::move(Table::make(t.schema(), std::move(cols))).value();
 }
 
-/// 1M-row fact table with a wide order_id domain — enough distinct
-/// groups / join keys that hashing dominates, matching the workload
-/// the kernels were built for.
+/// 1M-row fact table with a wide order_id domain (250k dense ids):
+/// enough distinct groups and join keys that the per-key structures
+/// dominate. Group-by takes the key-range-partitioned dense path; the
+/// inner join still hashes.
 Table kernel_fact() {
   FactTableSpec fs;
   fs.rows = 1'000'000;
@@ -611,6 +612,8 @@ int run_quick_check() {
   constexpr double kPartitionFloor = 1.5;
   constexpr double kSerdeFloor = 1.3;
   constexpr std::size_t kParts = 16;
+  // Every timed floor below needs every core: warm the host first.
+  std::fprintf(stderr, "host warm-up: %.2f s\n", ditto::bench::warm_host());
   const Table t = fact(1'000'000);
   bool ok = true;
 
@@ -785,6 +788,35 @@ int run_quick_check() {
       ok = false;
     }
 
+    // --- informational: the same group-by on sparse keys (order_id
+    // spread over the whole int64 range by an odd multiplier), which
+    // takes the radix hash path instead of the dense one.
+    {
+      std::vector<Column> cols;
+      for (std::size_t c = 0; c < big.num_columns(); ++c) cols.push_back(big.column(c));
+      const auto dense_ids = big.column_by_name("order_id").int_span();
+      std::vector<std::int64_t> ids(dense_ids.size());
+      for (std::size_t r = 0; r < ids.size(); ++r) {
+        ids[r] = static_cast<std::int64_t>(static_cast<std::uint64_t>(dense_ids[r]) *
+                                           0x9e3779b97f4a7c15ull);
+      }
+      cols[static_cast<std::size_t>(big.column_index("order_id"))] = Column(std::move(ids));
+      const Table sparse = std::move(Table::make(big.schema(), std::move(cols))).value();
+      const auto sparse_want = reference::group_by(sparse, "order_id", aggs);
+      check_equal("group_by sparse 1t", sparse_want, group_by(sparse, "order_id", aggs, &pool1));
+      check_equal("group_by sparse 8t", sparse_want, group_by(sparse, "order_id", aggs, &pool8));
+      const double t_s1 = time_best(3, [&] {
+        benchmark::DoNotOptimize(group_by(sparse, "order_id", aggs, &pool1));
+      });
+      const double t_s8 = time_best(3, [&] {
+        benchmark::DoNotOptimize(group_by(sparse, "order_id", aggs, &pool8));
+      });
+      std::fprintf(stderr,
+                   "group-by sparse keys (hash path): kernel 1t %.1f ms, 8t %.1f ms, "
+                   "dense 1t %.1f ms (informational)\n",
+                   t_s1 * 1e3, t_s8 * 1e3, t_gb1 * 1e3);
+    }
+
     const auto j1_fn = [&] {
       benchmark::DoNotOptimize(
           hash_join(big, "order_id", orders, "id", JoinKind::kInner, &pool1));
@@ -793,8 +825,6 @@ int run_quick_check() {
       benchmark::DoNotOptimize(
           hash_join(big, "order_id", orders, "id", JoinKind::kInner, &pool8));
     };
-    // The scaling floors need every core: time them on a warm host.
-    std::fprintf(stderr, "host warm-up: %.2f s\n", ditto::bench::warm_host());
     const auto [t_gb1s, t_gb8] = timed_ratio(scale_floor, 3, gb1_fn, gb8_fn);
     const auto [t_j1, t_j8] = timed_ratio(scale_floor, 3, j1_fn, j8_fn);
 

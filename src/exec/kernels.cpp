@@ -94,7 +94,6 @@ class FlatMap {
 
   std::uint32_t size() const { return n_; }
   std::int64_t key_of(std::uint32_t g) const { return group_key_[g]; }
-  const std::vector<std::int64_t>& keys() const { return group_key_; }
 
  private:
   void rehash(std::size_t cap) {
@@ -196,18 +195,11 @@ class FlatMultiMap {
 };
 
 // ---------------------------------------------------------------------------
-// Shared aggregation machinery. Acc and its per-row update are copied
-// verbatim from the reference formulation: bit-identity depends on the
-// accumulator seeing the same value sequence AND folding it with the
-// same expressions.
-
-struct Acc {
-  double sum = 0.0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-  std::int64_t count = 0;
-  std::int64_t first = 0;
-};
+// Shared aggregation machinery. Every group-by path resolves rows to
+// dense group ids, folds the aggregates column at a time, and emits
+// straight from the fold arrays. Bit-identity depends on each group's
+// accumulator seeing the reference's value sequence AND folding it with
+// the reference's expressions.
 
 struct AggInput {
   ColumnSpan<std::int64_t> ints;
@@ -231,13 +223,35 @@ Result<std::vector<AggInput>> resolve_agg_inputs(const Table& in,
         return Status::invalid_argument("cannot aggregate string column");
     }
   }
+  // After every input resolved, as the reference fails: a missing
+  // column reports NOT_FOUND before a first-int type error.
+  for (std::size_t a = 0; a < aggs.size(); ++a) {
+    if (aggs[a].kind == AggKind::kFirstInt && !inputs[a].is_int) {
+      return Status::invalid_argument("first-int aggregate needs an int64 column");
+    }
+  }
   return inputs;
 }
 
+/// The AggInputs of rows [lo, lo + len) of `inputs`.
+std::vector<AggInput> slice_agg_inputs(const std::vector<AggInput>& inputs, std::size_t lo,
+                                       std::size_t len) {
+  std::vector<AggInput> out(inputs.size());
+  for (std::size_t a = 0; a < inputs.size(); ++a) {
+    out[a].is_int = inputs[a].is_int;
+    if (!inputs[a].ints.empty()) {
+      out[a].ints = ColumnSpan<std::int64_t>(inputs[a].ints.data() + lo, len);
+    }
+    if (!inputs[a].doubles.empty()) {
+      out[a].doubles = ColumnSpan<double>(inputs[a].doubles.data() + lo, len);
+    }
+  }
+  return out;
+}
+
 /// Compact struct-of-arrays accumulators: one dense per-group array
-/// per aggregate that needs one (plus shared counts), instead of
-/// strided 40-byte Acc records. This is what the columnar fold writes
-/// and what the radix path emits straight from.
+/// per aggregate that needs one (plus shared counts). This is what the
+/// columnar fold writes and what every path emits straight from.
 struct FoldedAggs {
   std::vector<std::int64_t> counts;              ///< rows per group
   std::vector<std::vector<double>> vals;         ///< [agg] sum/min/max per group
@@ -276,11 +290,9 @@ FoldedAggs fold_aggs_columnar(const std::vector<AggSpec>& aggs,
       case AggKind::kFirstInt:
         // The group's first row is where pass 1 inserted it, so this
         // is O(groups), not O(rows).
-        if (inputs[a].is_int) {
-          f.first[a].resize(groups);
-          for (std::size_t i = 0; i < groups; ++i) {
-            f.first[a][i] = inputs[a].ints[row_at(first_pos[i])];
-          }
+        f.first[a].resize(groups);
+        for (std::size_t i = 0; i < groups; ++i) {
+          f.first[a][i] = inputs[a].ints[row_at(first_pos[i])];
         }
         break;
       case AggKind::kSum:
@@ -335,304 +347,28 @@ FoldedAggs fold_aggs_columnar(const std::vector<AggSpec>& aggs,
   return f;
 }
 
-/// Adapter for the Acc-based paths (serial flat, multi-key): expand
-/// compact folds into group-major Acc records for emit_group_by.
-std::vector<Acc> accs_from_folds(const std::vector<AggSpec>& aggs,
-                                 const std::vector<AggInput>& inputs, const FoldedAggs& f) {
-  const std::size_t groups = f.counts.size();
-  const std::size_t naggs = aggs.size();
-  std::vector<Acc> accs(groups * naggs);
-  for (std::size_t i = 0; i < groups; ++i) {
-    for (std::size_t a = 0; a < naggs; ++a) {
-      Acc& acc = accs[i * naggs + a];
-      acc.count = f.counts[i];
-      switch (aggs[a].kind) {
-        case AggKind::kCount: break;
-        case AggKind::kSum:
-        case AggKind::kAvg: acc.sum = f.vals[a][i]; break;
-        case AggKind::kMin: acc.min = f.vals[a][i]; break;
-        case AggKind::kMax: acc.max = f.vals[a][i]; break;
-        case AggKind::kFirstInt:
-          if (inputs[a].is_int) acc.first = f.first[a][i];
-          break;
-      }
-    }
-  }
-  return accs;
-}
+constexpr auto kIdentityRow = [](std::size_t j) { return j; };
 
-/// Groups in globally sorted key order, accumulators materialized in
-/// that order (output row i, aggregate a -> accs[i * naggs + a]).
-struct SortedGroups {
-  std::vector<std::int64_t> sorted_keys;
-  std::vector<Acc> accs;
-};
-
-Result<Table> emit_group_by(const std::string& key, const std::vector<AggSpec>& aggs,
-                            const std::vector<AggInput>& inputs, SortedGroups&& g) {
-  const std::size_t n = g.sorted_keys.size();
-  Schema schema{{key, DataType::kInt64}};
-  std::vector<Column> cols;
-  cols.emplace_back(std::move(g.sorted_keys));
+/// Appends one column per aggregate to `schema`/`cols`. Output row i
+/// reads group group_of(i) of the folds fold_of(i); column types and
+/// value expressions are the reference's (avg = sum / count).
+template <typename FoldOf, typename GroupOf>
+void emit_agg_columns(const std::vector<AggSpec>& aggs, std::size_t total, FoldOf fold_of,
+                      GroupOf group_of, Schema& schema, std::vector<Column>& cols) {
   for (std::size_t a = 0; a < aggs.size(); ++a) {
-    if (aggs[a].kind == AggKind::kCount) {
-      std::vector<std::int64_t> v(n);
-      for (std::size_t i = 0; i < n; ++i) v[i] = g.accs[i * aggs.size() + a].count;
-      schema.push_back({aggs[a].as, DataType::kInt64});
-      cols.emplace_back(std::move(v));
-    } else if (aggs[a].kind == AggKind::kFirstInt) {
-      if (!inputs[a].is_int) {
-        return Status::invalid_argument("first-int aggregate needs an int64 column");
-      }
-      std::vector<std::int64_t> v(n);
-      for (std::size_t i = 0; i < n; ++i) v[i] = g.accs[i * aggs.size() + a].first;
-      schema.push_back({aggs[a].as, DataType::kInt64});
-      cols.emplace_back(std::move(v));
-    } else {
-      std::vector<double> v(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const Acc& acc = g.accs[i * aggs.size() + a];
-        switch (aggs[a].kind) {
-          case AggKind::kSum: v[i] = acc.sum; break;
-          case AggKind::kMin: v[i] = acc.min; break;
-          case AggKind::kMax: v[i] = acc.max; break;
-          case AggKind::kAvg: v[i] = acc.sum / static_cast<double>(acc.count); break;
-          case AggKind::kCount:
-          case AggKind::kFirstInt: break;  // handled above
-        }
-      }
-      schema.push_back({aggs[a].as, DataType::kDouble});
-      cols.emplace_back(std::move(v));
-    }
-  }
-  return Table::make(std::move(schema), std::move(cols));
-}
-
-/// Sort first-seen-ordered groups into SortedGroups (key order).
-SortedGroups sort_groups(const std::vector<std::int64_t>& group_keys,
-                         std::vector<Acc>&& accs, std::size_t naggs) {
-  const std::size_t n = group_keys.size();
-  std::vector<std::uint32_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return group_keys[a] < group_keys[b];
-  });
-  SortedGroups out;
-  out.sorted_keys.resize(n);
-  out.accs.resize(n * naggs);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.sorted_keys[i] = group_keys[order[i]];
-    for (std::size_t a = 0; a < naggs; ++a) {
-      out.accs[i * naggs + a] = accs[std::size_t{order[i]} * naggs + a];
-    }
-  }
-  return out;
-}
-
-std::size_t pool_width(ThreadPool* pool) { return pool ? pool->size() : 0; }
-
-/// Radix fanout for partition-parallel kernels: a few partitions per
-/// pool thread for balance, power of two, capped to keep per-partition
-/// fixed costs negligible.
-std::size_t radix_fanout(std::size_t width) {
-  return next_pow2(std::min<std::size_t>(64, std::max<std::size_t>(8, width * 4)));
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Group-by strategy.
-
-GroupByStrategy pick_group_by_strategy(std::size_t rows) {
-  // Radix even without a pool: on large inputs the partition pass pays
-  // for itself by making every per-partition structure cache-resident.
-  return rows <= kParallelMinRows ? GroupByStrategy::kSerialFlat
-                                  : GroupByStrategy::kRadixPartitioned;
-}
-
-// ---------------------------------------------------------------------------
-// Group-by kernel.
-
-namespace {
-
-SortedGroups group_by_serial(ColumnSpan<std::int64_t> keys, const std::vector<AggSpec>& aggs,
-                             const std::vector<AggInput>& inputs) {
-  const std::size_t n = keys.size();
-  // Pre-size for high cardinality: a rehash chain on distinct-heavy
-  // inputs costs more than the over-allocation on repeat-heavy ones.
-  FlatMap map(std::max<std::size_t>(256, n / 4));
-  std::vector<std::uint32_t> gid(n);
-  std::vector<std::uint32_t> first_pos;
-  for (std::size_t r = 0; r < n; ++r) {
-    bool inserted = false;
-    const std::uint32_t id = map.find_or_insert(keys[r], inserted);
-    if (inserted) first_pos.push_back(static_cast<std::uint32_t>(r));
-    gid[r] = id;
-  }
-  std::vector<Acc> accs = accs_from_folds(
-      aggs, inputs,
-      fold_aggs_columnar(aggs, inputs, gid, first_pos, [](std::size_t j) { return j; }));
-  return sort_groups(map.keys(), std::move(accs), aggs.size());
-}
-
-/// The radix path emits the output table itself: per-partition compact
-/// folds are sorted locally (cache-hot), the disjoint sorted key
-/// streams heap-merge into global key order, and every output column
-/// fills in one pass straight from the fold arrays — no intermediate
-/// Acc materialization, no global sort.
-Result<Table> group_by_radix(const std::string& key, ColumnSpan<std::int64_t> keys,
-                             const std::vector<AggSpec>& aggs,
-                             const std::vector<AggInput>& inputs, ThreadPool* pool) {
-  const std::size_t n = keys.size();
-  // Fanout serves two masters: enough partitions for pool balance AND
-  // per-partition state (hash table + fold arrays) small enough to
-  // stay cache-resident. ~16k rows per partition hits both — which is
-  // why this path also wins with no pool at all.
-  const std::size_t parts = radix_fanout(std::max(pool_width(pool), n / (16 * 1024)));
-  const ScatterPlan plan = make_radix_plan(keys, parts, pool);
-
-  // Partition-major copies of the key and every aggregate input column
-  // (deduped by source buffer). The scatter reads sequentially and
-  // streams into per-partition ranges; every pass below then touches
-  // only dense, partition-local data.
-  const std::vector<std::int64_t> part_keys = partitioned_values(plan, keys, pool);
-  std::vector<const std::int64_t*> int_srcs;
-  std::vector<const double*> dbl_srcs;
-  std::vector<std::vector<std::int64_t>> int_scat;
-  std::vector<std::vector<double>> dbl_scat;
-  std::vector<AggInput> scat_inputs(aggs.size());
-  for (std::size_t a = 0; a < aggs.size(); ++a) {
-    if (aggs[a].kind == AggKind::kCount) continue;
-    scat_inputs[a].is_int = inputs[a].is_int;
-    if (inputs[a].is_int) {
-      const std::int64_t* src = inputs[a].ints.data();
-      std::size_t i = std::find(int_srcs.begin(), int_srcs.end(), src) - int_srcs.begin();
-      if (i == int_srcs.size()) {
-        int_srcs.push_back(src);
-        int_scat.push_back(partitioned_values(plan, inputs[a].ints, pool));
-      }
-      scat_inputs[a].ints = ColumnSpan<std::int64_t>(int_scat[i].data(), n);
-    } else {
-      const double* src = inputs[a].doubles.data();
-      std::size_t i = std::find(dbl_srcs.begin(), dbl_srcs.end(), src) - dbl_srcs.begin();
-      if (i == dbl_srcs.size()) {
-        dbl_srcs.push_back(src);
-        dbl_scat.push_back(partitioned_values(plan, inputs[a].doubles, pool));
-      }
-      scat_inputs[a].doubles = ColumnSpan<double>(dbl_scat[i].data(), n);
-    }
-  }
-
-  // Aggregate each partition independently; row order within a
-  // partition is the original row order, so every group accumulates
-  // its values in exactly the reference's sequence. Each partition
-  // also sorts its own (small, cache-hot) group set by key.
-  struct RadixLocal {
-    FlatMap map;
-    FoldedAggs folds;
-    std::vector<std::uint32_t> order;  // group ids in ascending key order
-    explicit RadixLocal(std::size_t expected) : map(expected) {}
-  };
-  std::vector<RadixLocal> locals;
-  locals.reserve(parts);
-  for (std::size_t p = 0; p < parts; ++p) {
-    locals.emplace_back(std::max<std::size_t>(256, plan.counts[p] / 4));
-  }
-  run_chunked(parts, pool, [&](std::size_t p) {
-    const std::size_t lo = plan.part_start[p];
-    const std::size_t len = plan.part_start[p + 1] - lo;
-    RadixLocal& local = locals[p];
-    std::vector<std::uint32_t> gid(len);
-    std::vector<std::uint32_t> first_pos;
-    for (std::size_t j = 0; j < len; ++j) {
-      bool inserted = false;
-      const std::uint32_t id = local.map.find_or_insert(part_keys[lo + j], inserted);
-      if (inserted) first_pos.push_back(static_cast<std::uint32_t>(j));
-      gid[j] = id;
-    }
-    std::vector<AggInput> part_inputs(aggs.size());
-    for (std::size_t a = 0; a < aggs.size(); ++a) {
-      part_inputs[a].is_int = scat_inputs[a].is_int;
-      if (!scat_inputs[a].ints.empty()) {
-        part_inputs[a].ints = ColumnSpan<std::int64_t>(scat_inputs[a].ints.data() + lo, len);
-      }
-      if (!scat_inputs[a].doubles.empty()) {
-        part_inputs[a].doubles = ColumnSpan<double>(scat_inputs[a].doubles.data() + lo, len);
-      }
-    }
-    local.folds = fold_aggs_columnar(aggs, part_inputs, gid, first_pos,
-                                     [](std::size_t j) { return j; });
-    const std::uint32_t groups = local.map.size();
-    local.order.resize(groups);
-    for (std::uint32_t g = 0; g < groups; ++g) local.order[g] = g;
-    std::sort(local.order.begin(), local.order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                return local.map.key_of(a) < local.map.key_of(b);
-              });
-  });
-
-  // Partitions hold disjoint key sets, each sorted: a heap merge of
-  // the streams yields global key order in total x log(parts) steps.
-  std::size_t total = 0;
-  for (const RadixLocal& l : locals) total += l.map.size();
-  struct Head {
-    std::int64_t key;
-    std::uint32_t part;
-    std::uint32_t idx;  // position in that partition's order[]
-  };
-  const auto later = [](const Head& a, const Head& b) { return a.key > b.key; };
-  std::vector<Head> heap;
-  heap.reserve(parts);
-  for (std::size_t p = 0; p < parts; ++p) {
-    if (locals[p].map.size() > 0) {
-      heap.push_back({locals[p].map.key_of(locals[p].order[0]),
-                      static_cast<std::uint32_t>(p), 0});
-    }
-  }
-  std::make_heap(heap.begin(), heap.end(), later);
-  std::vector<std::int64_t> out_keys(total);
-  std::vector<std::uint64_t> merged(total);  // (partition << 32) | group
-  for (std::size_t i = 0; i < total; ++i) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    Head h = heap.back();
-    heap.pop_back();
-    out_keys[i] = h.key;
-    merged[i] = (std::uint64_t{h.part} << 32) | locals[h.part].order[h.idx];
-    if (++h.idx < locals[h.part].order.size()) {
-      h.key = locals[h.part].map.key_of(locals[h.part].order[h.idx]);
-      heap.push_back(h);
-      std::push_heap(heap.begin(), heap.end(), later);
-    }
-  }
-
-  // Emit straight from the fold arrays, column at a time. Schema and
-  // value expressions match emit_group_by exactly.
-  Schema schema{{key, DataType::kInt64}};
-  std::vector<Column> cols;
-  cols.emplace_back(std::move(out_keys));
-  for (std::size_t a = 0; a < aggs.size(); ++a) {
-    const auto fold_of = [&](std::size_t i) -> const FoldedAggs& {
-      return locals[merged[i] >> 32].folds;
-    };
-    const auto group_of = [&](std::size_t i) {
-      return static_cast<std::size_t>(merged[i] & 0xffffffffu);
-    };
-    if (aggs[a].kind == AggKind::kCount) {
+    const AggKind kind = aggs[a].kind;
+    if (kind == AggKind::kCount || kind == AggKind::kFirstInt) {
       std::vector<std::int64_t> v(total);
-      for (std::size_t i = 0; i < total; ++i) v[i] = fold_of(i).counts[group_of(i)];
-      schema.push_back({aggs[a].as, DataType::kInt64});
-      cols.emplace_back(std::move(v));
-    } else if (aggs[a].kind == AggKind::kFirstInt) {
-      if (!inputs[a].is_int) {
-        return Status::invalid_argument("first-int aggregate needs an int64 column");
+      if (kind == AggKind::kCount) {
+        for (std::size_t i = 0; i < total; ++i) v[i] = fold_of(i).counts[group_of(i)];
+      } else {
+        for (std::size_t i = 0; i < total; ++i) v[i] = fold_of(i).first[a][group_of(i)];
       }
-      std::vector<std::int64_t> v(total);
-      for (std::size_t i = 0; i < total; ++i) v[i] = fold_of(i).first[a][group_of(i)];
       schema.push_back({aggs[a].as, DataType::kInt64});
       cols.emplace_back(std::move(v));
     } else {
       std::vector<double> v(total);
-      if (aggs[a].kind == AggKind::kAvg) {
+      if (kind == AggKind::kAvg) {
         for (std::size_t i = 0; i < total; ++i) {
           const FoldedAggs& f = fold_of(i);
           v[i] = f.vals[a][group_of(i)] / static_cast<double>(f.counts[group_of(i)]);
@@ -644,7 +380,317 @@ Result<Table> group_by_radix(const std::string& key, ColumnSpan<std::int64_t> ke
       cols.emplace_back(std::move(v));
     }
   }
+}
+
+/// One input's (or one partition's) groups, folded, in key order.
+struct GroupSet {
+  FoldedAggs folds;
+  std::vector<std::uint32_t> order;  ///< group ids in ascending key order
+  std::vector<std::int64_t> keys;    ///< the groups' keys, in that order
+};
+
+/// Hash grouping: a flat table assigns group ids in first-seen order;
+/// the (small, cache-hot) group set is then sorted by key.
+GroupSet hash_groups(const std::int64_t* keys, std::size_t n, const std::vector<AggSpec>& aggs,
+                     const std::vector<AggInput>& inputs) {
+  // Pre-size for high cardinality: a rehash chain on distinct-heavy
+  // inputs costs more than the over-allocation on repeat-heavy ones.
+  FlatMap map(std::max<std::size_t>(256, n / 4));
+  std::vector<std::uint32_t> gid(n);
+  std::vector<std::uint32_t> first_pos;
+  for (std::size_t r = 0; r < n; ++r) {
+    bool inserted = false;
+    const std::uint32_t id = map.find_or_insert(keys[r], inserted);
+    if (inserted) first_pos.push_back(static_cast<std::uint32_t>(r));
+    gid[r] = id;
+  }
+  GroupSet g;
+  g.folds = fold_aggs_columnar(aggs, inputs, gid, first_pos, kIdentityRow);
+  g.order.resize(map.size());
+  for (std::uint32_t i = 0; i < map.size(); ++i) g.order[i] = i;
+  std::sort(g.order.begin(), g.order.end(),
+            [&](std::uint32_t a, std::uint32_t b) { return map.key_of(a) < map.key_of(b); });
+  g.keys.resize(g.order.size());
+  for (std::size_t i = 0; i < g.order.size(); ++i) g.keys[i] = map.key_of(g.order[i]);
+  return g;
+}
+
+/// Dense grouping over keys in [lo, lo + slots): slot[key - lo] holds
+/// the key's group id, assigned in first-seen order (the perfect-hash
+/// aggregate). No hashing, and one scan of the slot array yields the
+/// groups in key order, so nothing sorts.
+GroupSet dense_groups(const std::int64_t* keys, std::size_t n, std::int64_t lo,
+                      std::uint64_t slots, const std::vector<AggSpec>& aggs,
+                      const std::vector<AggInput>& inputs) {
+  const std::uint64_t base = static_cast<std::uint64_t>(lo);
+  std::vector<std::uint32_t> slot(slots, kNoGroup);
+  std::vector<std::uint32_t> gid(n);
+  std::vector<std::uint32_t> first_pos;
+  for (std::size_t r = 0; r < n; ++r) {
+    std::uint32_t& s = slot[static_cast<std::uint64_t>(keys[r]) - base];
+    if (s == kNoGroup) {
+      s = static_cast<std::uint32_t>(first_pos.size());
+      first_pos.push_back(static_cast<std::uint32_t>(r));
+    }
+    gid[r] = s;
+  }
+  GroupSet g;
+  g.folds = fold_aggs_columnar(aggs, inputs, gid, first_pos, kIdentityRow);
+  g.order.reserve(first_pos.size());
+  g.keys.reserve(first_pos.size());
+  for (std::uint64_t i = 0; i < slots; ++i) {
+    if (slot[i] == kNoGroup) continue;
+    g.order.push_back(slot[i]);
+    g.keys.push_back(static_cast<std::int64_t>(base + i));
+  }
+  return g;
+}
+
+/// A one-GroupSet output (the serial paths).
+Result<Table> emit_group_set(const std::string& key, const std::vector<AggSpec>& aggs,
+                             GroupSet&& g) {
+  const std::size_t total = g.keys.size();
+  Schema schema{{key, DataType::kInt64}};
+  std::vector<Column> cols;
+  cols.emplace_back(std::move(g.keys));
+  emit_agg_columns(
+      aggs, total, [&](std::size_t) -> const FoldedAggs& { return g.folds; },
+      [&](std::size_t i) { return g.order[i]; }, schema, cols);
   return Table::make(std::move(schema), std::move(cols));
+}
+
+/// A partitioned output: row i is group merged[i] & 0xffffffff of
+/// partition merged[i] >> 32, with key out_keys[i].
+Result<Table> emit_partitioned(const std::string& key, const std::vector<AggSpec>& aggs,
+                               const std::vector<GroupSet>& locals,
+                               std::vector<std::int64_t>&& out_keys,
+                               const std::vector<std::uint64_t>& merged) {
+  const std::size_t total = out_keys.size();
+  Schema schema{{key, DataType::kInt64}};
+  std::vector<Column> cols;
+  cols.emplace_back(std::move(out_keys));
+  emit_agg_columns(
+      aggs, total,
+      [&](std::size_t i) -> const FoldedAggs& { return locals[merged[i] >> 32].folds; },
+      [&](std::size_t i) { return static_cast<std::size_t>(merged[i] & 0xffffffffu); }, schema,
+      cols);
+  return Table::make(std::move(schema), std::move(cols));
+}
+
+/// Partition-major copies of the key and every aggregate input column
+/// (deduped by source buffer). The scatter reads sequentially and
+/// streams into per-partition ranges; every per-partition pass then
+/// touches only dense, partition-local data.
+struct ScatteredInput {
+  std::vector<std::int64_t> keys;
+  std::vector<AggInput> inputs;  ///< views into the buffers below
+  std::vector<std::vector<std::int64_t>> ints;
+  std::vector<std::vector<double>> doubles;
+};
+
+ScatteredInput scatter_group_input(const ScatterPlan& plan, ColumnSpan<std::int64_t> keys,
+                                   const std::vector<AggSpec>& aggs,
+                                   const std::vector<AggInput>& inputs, ThreadPool* pool) {
+  const std::size_t n = keys.size();
+  ScatteredInput s;
+  s.keys = partitioned_values(plan, keys, pool);
+  s.inputs.resize(aggs.size());
+  std::vector<const std::int64_t*> int_srcs;
+  std::vector<const double*> dbl_srcs;
+  for (std::size_t a = 0; a < aggs.size(); ++a) {
+    if (aggs[a].kind == AggKind::kCount) continue;
+    s.inputs[a].is_int = inputs[a].is_int;
+    if (inputs[a].is_int) {
+      const std::int64_t* src = inputs[a].ints.data();
+      std::size_t i = std::find(int_srcs.begin(), int_srcs.end(), src) - int_srcs.begin();
+      if (i == int_srcs.size()) {
+        int_srcs.push_back(src);
+        s.ints.push_back(partitioned_values(plan, inputs[a].ints, pool));
+      }
+      s.inputs[a].ints = ColumnSpan<std::int64_t>(s.ints[i].data(), n);
+    } else {
+      const double* src = inputs[a].doubles.data();
+      std::size_t i = std::find(dbl_srcs.begin(), dbl_srcs.end(), src) - dbl_srcs.begin();
+      if (i == dbl_srcs.size()) {
+        dbl_srcs.push_back(src);
+        s.doubles.push_back(partitioned_values(plan, inputs[a].doubles, pool));
+      }
+      s.inputs[a].doubles = ColumnSpan<double>(s.doubles[i].data(), n);
+    }
+  }
+  return s;
+}
+
+std::size_t pool_width(ThreadPool* pool) { return pool ? pool->size() : 0; }
+
+/// Radix fanout for partition-parallel kernels: a few partitions per
+/// pool thread for balance, power of two, capped to keep per-partition
+/// fixed costs negligible.
+std::size_t radix_fanout(std::size_t width) {
+  return next_pow2(std::min<std::size_t>(64, std::max<std::size_t>(8, width * 4)));
+}
+
+/// Partition fanout for a partitioned group-by of `rows` rows. It
+/// serves two masters: enough partitions for pool balance AND
+/// per-partition state (table + fold arrays) small enough to stay
+/// cache-resident. ~16k rows per partition hits both — which is why
+/// the partitioned paths also win with no pool at all.
+std::size_t group_fanout(std::size_t rows, ThreadPool* pool) {
+  return radix_fanout(std::max(pool_width(pool), rows / (16 * 1024)));
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Key domains and strategy picks.
+
+KeyRange key_range(ColumnSpan<std::int64_t> keys, ThreadPool* pool) {
+  const std::size_t n = keys.size();
+  if (n == 0) return {};
+  const std::size_t chunks = (n + kScatterChunkRows - 1) / kScatterChunkRows;
+  std::vector<std::int64_t> lo(chunks), hi(chunks);
+  run_chunked(chunks, pool, [&](std::size_t c) {
+    const std::size_t b = c * kScatterChunkRows;
+    const std::size_t e = std::min(n, b + kScatterChunkRows);
+    std::int64_t mn = keys[b], mx = keys[b];
+    for (std::size_t r = b + 1; r < e; ++r) {
+      mn = std::min(mn, keys[r]);
+      mx = std::max(mx, keys[r]);
+    }
+    lo[c] = mn;
+    hi[c] = mx;
+  });
+  KeyRange range;
+  range.lo = *std::min_element(lo.begin(), lo.end());
+  range.hi = *std::max_element(hi.begin(), hi.end());
+  // Unsigned: hi - lo cannot overflow there, and only the full int64
+  // range has no room for the + 1.
+  const std::uint64_t width =
+      static_cast<std::uint64_t>(range.hi) - static_cast<std::uint64_t>(range.lo);
+  range.span = width == std::numeric_limits<std::uint64_t>::max() ? width : width + 1;
+  return range;
+}
+
+GroupByStrategy pick_group_by_strategy(std::size_t rows, std::uint64_t key_span) {
+  const bool dense = key_span <= kDenseGroupMaxSpan &&
+                     key_span <= 4 * std::uint64_t{rows} + kDenseGroupSlack;
+  if (dense) {
+    return rows <= kDenseParallelMinRows ? GroupByStrategy::kDenseSerial
+                                         : GroupByStrategy::kDensePartitioned;
+  }
+  // Radix even without a pool: on large inputs the partition pass pays
+  // for itself by making every per-partition structure cache-resident.
+  return rows <= kParallelMinRows ? GroupByStrategy::kSerialFlat
+                                  : GroupByStrategy::kRadixPartitioned;
+}
+
+JoinBuildStrategy pick_join_build_strategy(JoinKind kind, std::uint64_t key_span) {
+  return kind != JoinKind::kInner && key_span <= kDenseMembershipMaxSpan
+             ? JoinBuildStrategy::kDenseBits
+             : JoinBuildStrategy::kHashTable;
+}
+
+// ---------------------------------------------------------------------------
+// Group-by kernel.
+
+namespace {
+
+/// Radix path: per-partition hash groups are sorted locally
+/// (cache-hot), and the disjoint sorted key streams heap-merge into
+/// global key order. No global sort.
+Result<Table> group_by_radix(const std::string& key, ColumnSpan<std::int64_t> keys,
+                             const std::vector<AggSpec>& aggs,
+                             const std::vector<AggInput>& inputs, ThreadPool* pool) {
+  const std::size_t parts = group_fanout(keys.size(), pool);
+  const ScatterPlan plan = make_radix_plan(keys, parts, pool);
+  const ScatteredInput scat = scatter_group_input(plan, keys, aggs, inputs, pool);
+
+  // Aggregate each partition independently; row order within a
+  // partition is the original row order, so every group accumulates
+  // its values in exactly the reference's sequence.
+  std::vector<GroupSet> locals(parts);
+  run_chunked(parts, pool, [&](std::size_t p) {
+    const std::size_t lo = plan.part_start[p];
+    const std::size_t len = plan.part_start[p + 1] - lo;
+    locals[p] = hash_groups(scat.keys.data() + lo, len, aggs,
+                            slice_agg_inputs(scat.inputs, lo, len));
+  });
+
+  // Partitions hold disjoint key sets, each sorted: a heap merge of
+  // the streams yields global key order in total x log(parts) steps.
+  std::size_t total = 0;
+  for (const GroupSet& l : locals) total += l.keys.size();
+  struct Head {
+    std::int64_t key;
+    std::uint32_t part;
+    std::uint32_t idx;  // position in that partition's order[]
+  };
+  const auto later = [](const Head& a, const Head& b) { return a.key > b.key; };
+  std::vector<Head> heap;
+  heap.reserve(parts);
+  for (std::size_t p = 0; p < parts; ++p) {
+    if (!locals[p].keys.empty()) {
+      heap.push_back({locals[p].keys[0], static_cast<std::uint32_t>(p), 0});
+    }
+  }
+  std::make_heap(heap.begin(), heap.end(), later);
+  std::vector<std::int64_t> out_keys(total);
+  std::vector<std::uint64_t> merged(total);  // (partition << 32) | group
+  for (std::size_t i = 0; i < total; ++i) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Head h = heap.back();
+    heap.pop_back();
+    out_keys[i] = h.key;
+    merged[i] = (std::uint64_t{h.part} << 32) | locals[h.part].order[h.idx];
+    if (++h.idx < locals[h.part].keys.size()) {
+      h.key = locals[h.part].keys[h.idx];
+      heap.push_back(h);
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
+  }
+  return emit_partitioned(key, aggs, locals, std::move(out_keys), merged);
+}
+
+/// Key-range path for large dense inputs: partition q holds the keys
+/// [lo + q*2^shift, lo + (q+1)*2^shift), each partition groups through
+/// its own slot array on the pool, and the partitions' outputs
+/// concatenate in order — already global key order, so nothing merges.
+Result<Table> group_by_dense_partitioned(const std::string& key, ColumnSpan<std::int64_t> keys,
+                                         const KeyRange& range,
+                                         const std::vector<AggSpec>& aggs,
+                                         const std::vector<AggInput>& inputs,
+                                         ThreadPool* pool) {
+  // The smallest shift that maps the span onto at most `fanout` parts.
+  const std::size_t fanout = group_fanout(keys.size(), pool);
+  unsigned shift = 0;
+  while (((range.span - 1) >> shift) >= fanout) ++shift;
+  const std::size_t parts = static_cast<std::size_t>((range.span - 1) >> shift) + 1;
+  const ScatterPlan plan = make_key_range_plan(keys, range.lo, shift, parts, pool);
+  const ScatteredInput scat = scatter_group_input(plan, keys, aggs, inputs, pool);
+
+  std::vector<GroupSet> locals(parts);
+  run_chunked(parts, pool, [&](std::size_t p) {
+    const std::size_t lo = plan.part_start[p];
+    const std::size_t len = plan.part_start[p + 1] - lo;
+    const std::uint64_t first_slot = std::uint64_t{p} << shift;
+    const std::uint64_t slots = std::min(std::uint64_t{1} << shift, range.span - first_slot);
+    locals[p] = dense_groups(
+        scat.keys.data() + lo, len,
+        static_cast<std::int64_t>(static_cast<std::uint64_t>(range.lo) + first_slot), slots,
+        aggs, slice_agg_inputs(scat.inputs, lo, len));
+  });
+
+  std::size_t total = 0;
+  for (const GroupSet& l : locals) total += l.keys.size();
+  std::vector<std::int64_t> out_keys;
+  std::vector<std::uint64_t> merged;  // (partition << 32) | group
+  out_keys.reserve(total);
+  merged.reserve(total);
+  for (std::size_t p = 0; p < parts; ++p) {
+    out_keys.insert(out_keys.end(), locals[p].keys.begin(), locals[p].keys.end());
+    for (const std::uint32_t g : locals[p].order) merged.push_back((std::uint64_t{p} << 32) | g);
+  }
+  return emit_partitioned(key, aggs, locals, std::move(out_keys), merged);
 }
 
 }  // namespace
@@ -657,26 +703,32 @@ Result<Table> group_by_kernel(const Table& in, const std::string& key,
   }
   DITTO_ASSIGN_OR_RETURN(std::vector<AggInput> inputs, resolve_agg_inputs(in, aggs));
   const ColumnSpan<std::int64_t> keys = kp->int_span();
+  const KeyRange range = key_range(keys, pool);
 
-  switch (pick_group_by_strategy(keys.size())) {
+  switch (pick_group_by_strategy(keys.size(), range.span)) {
     case GroupByStrategy::kSerialFlat:
-      return emit_group_by(key, aggs, inputs, group_by_serial(keys, aggs, inputs));
+      return emit_group_set(key, aggs, hash_groups(keys.data(), keys.size(), aggs, inputs));
     case GroupByStrategy::kRadixPartitioned:
       return group_by_radix(key, keys, aggs, inputs, pool);
+    case GroupByStrategy::kDenseSerial:
+      return emit_group_set(
+          key, aggs, dense_groups(keys.data(), keys.size(), range.lo, range.span, aggs, inputs));
+    case GroupByStrategy::kDensePartitioned:
+      return group_by_dense_partitioned(key, keys, range, aggs, inputs, pool);
   }
   return Status::internal("unreachable group-by strategy");
 }
 
 // ---------------------------------------------------------------------------
-// Multi-key group-by kernel. Same shape as the single-key radix path;
-// group identity is the key tuple (representative row) and output
-// order is lexicographic.
+// Multi-key group-by kernel. Hash grouping only, radix-partitioned on
+// a pool; group identity is the key tuple (representative row) and
+// output order is lexicographic.
 
 namespace {
 
 struct MultiLocal {
   FlatMultiMap map;
-  std::vector<Acc> accs;
+  FoldedAggs folds;
 
   MultiLocal(const std::vector<ColumnSpan<std::int64_t>>& cols, std::size_t expected)
       : map(cols, expected) {}
@@ -717,9 +769,7 @@ Result<Table> group_by_multi_kernel(const Table& in, const std::vector<std::stri
       if (inserted) first_pos.push_back(static_cast<std::uint32_t>(r));
       gid[r] = id;
     }
-    local.accs = accs_from_folds(
-        aggs, inputs,
-        fold_aggs_columnar(aggs, inputs, gid, first_pos, [](std::size_t j) { return j; }));
+    local.folds = fold_aggs_columnar(aggs, inputs, gid, first_pos, kIdentityRow);
   } else {
     const ScatterPlan plan = make_radix_plan_multi(key_cols, parts, pool);
     const std::vector<std::uint32_t> row_ids = partitioned_row_indices(plan, pool);
@@ -740,9 +790,8 @@ Result<Table> group_by_multi_kernel(const Table& in, const std::vector<std::stri
         if (inserted) first_pos.push_back(static_cast<std::uint32_t>(j));
         gid[j] = id;
       }
-      local.accs = accs_from_folds(aggs, inputs,
-                                   fold_aggs_columnar(aggs, inputs, gid, first_pos,
-                                                      [&](std::size_t j) { return row_ids[lo + j]; }));
+      local.folds = fold_aggs_columnar(aggs, inputs, gid, first_pos,
+                                       [&](std::size_t j) { return row_ids[lo + j]; });
     });
   }
 
@@ -773,46 +822,17 @@ Result<Table> group_by_multi_kernel(const Table& in, const std::vector<std::stri
   for (const std::string& k : keys) schema.push_back({k, DataType::kInt64});
   std::vector<std::vector<std::int64_t>> key_out(keys.size(),
                                                  std::vector<std::int64_t>(total));
-  const std::size_t naggs = aggs.size();
   for (std::size_t i = 0; i < total; ++i) {
     const std::uint32_t r = rep_row(merged[i]);
     for (std::size_t k = 0; k < keys.size(); ++k) key_out[k][i] = key_cols[k][r];
   }
   std::vector<Column> columns;
   for (auto& k : key_out) columns.emplace_back(std::move(k));
-  for (std::size_t a = 0; a < naggs; ++a) {
-    const bool is_int = aggs[a].kind == AggKind::kCount || aggs[a].kind == AggKind::kFirstInt;
-    if (aggs[a].kind == AggKind::kFirstInt && !inputs[a].is_int) {
-      return Status::invalid_argument("first-int aggregate needs an int64 column");
-    }
-    schema.push_back({aggs[a].as, is_int ? DataType::kInt64 : DataType::kDouble});
-    if (is_int) {
-      std::vector<std::int64_t> v(total);
-      for (std::size_t i = 0; i < total; ++i) {
-        const std::size_t p = merged[i] >> 32;
-        const std::size_t g = merged[i] & 0xffffffffu;
-        const Acc& acc = locals[p].accs[g * naggs + a];
-        v[i] = aggs[a].kind == AggKind::kCount ? acc.count : acc.first;
-      }
-      columns.emplace_back(std::move(v));
-    } else {
-      std::vector<double> v(total);
-      for (std::size_t i = 0; i < total; ++i) {
-        const std::size_t p = merged[i] >> 32;
-        const std::size_t g = merged[i] & 0xffffffffu;
-        const Acc& acc = locals[p].accs[g * naggs + a];
-        switch (aggs[a].kind) {
-          case AggKind::kSum: v[i] = acc.sum; break;
-          case AggKind::kMin: v[i] = acc.min; break;
-          case AggKind::kMax: v[i] = acc.max; break;
-          case AggKind::kAvg: v[i] = acc.sum / static_cast<double>(acc.count); break;
-          case AggKind::kCount:
-          case AggKind::kFirstInt: break;  // handled above
-        }
-      }
-      columns.emplace_back(std::move(v));
-    }
-  }
+  emit_agg_columns(
+      aggs, total,
+      [&](std::size_t i) -> const FoldedAggs& { return locals[merged[i] >> 32].folds; },
+      [&](std::size_t i) { return static_cast<std::size_t>(merged[i] & 0xffffffffu); }, schema,
+      columns);
   return Table::make(std::move(schema), std::move(columns));
 }
 
@@ -951,10 +971,40 @@ struct JoinBuild {
   std::vector<JoinPart> tables;
   std::size_t parts = 1;
   std::uint64_t part_mask = 0;
+  /// kDenseBits builds (semi/anti joins over a small key span) fill
+  /// these instead of `tables`: bit key - lo is set iff the key is on
+  /// the build side.
+  bool dense = false;
+  std::uint64_t lo = 0;
+  std::uint64_t span = 0;
+  std::vector<std::uint64_t> bits;
+
+  /// Membership test of a kDenseBits build. A key outside [lo, hi]
+  /// wraps to an offset >= span in unsigned arithmetic, so one compare
+  /// rejects both sides.
+  bool contains(std::int64_t key) const {
+    const std::uint64_t u = static_cast<std::uint64_t>(key) - lo;
+    return u < span && ((bits[u >> 6] >> (u & 63)) & 1u) != 0;
+  }
 };
 
-JoinBuild make_join_build(ColumnSpan<std::int64_t> rkeys, bool parallel, ThreadPool* pool) {
+JoinBuild make_join_build(ColumnSpan<std::int64_t> rkeys, JoinKind kind, bool parallel,
+                          ThreadPool* pool) {
   JoinBuild build;
+  if (kind != JoinKind::kInner) {
+    const KeyRange range = key_range(rkeys, pool);
+    if (pick_join_build_strategy(kind, range.span) == JoinBuildStrategy::kDenseBits) {
+      build.dense = true;
+      build.lo = static_cast<std::uint64_t>(range.lo);
+      build.span = range.span;
+      build.bits.assign((range.span + 63) / 64, 0);
+      for (std::size_t r = 0; r < rkeys.size(); ++r) {
+        const std::uint64_t u = static_cast<std::uint64_t>(rkeys[r]) - build.lo;
+        build.bits[u >> 6] |= std::uint64_t{1} << (u & 63);
+      }
+      return build;
+    }
+  }
   build.parts = parallel ? radix_fanout(pool_width(pool)) : 1;
   build.part_mask = build.parts - 1;
   build.tables.resize(build.parts);
@@ -998,13 +1048,20 @@ Result<Table> probe_join(const Table& left, int lk, const Table& right, int rk,
     std::vector<std::uint8_t> mask(lrows_n);
     const std::size_t chunks =
         std::max<std::size_t>(1, (lrows_n + kScatterChunkRows - 1) / kScatterChunkRows);
-    run_chunked(chunks, pool, [&](std::size_t c) {
-      const std::size_t lo = c * kScatterChunkRows;
-      const std::size_t hi = std::min(lrows_n, lo + kScatterChunkRows);
-      for (std::size_t r = lo; r < hi; ++r) {
-        mask[r] = static_cast<std::uint8_t>(probe(lkeys[r]) != kNoGroup) == want;
-      }
-    });
+    const auto fill_mask = [&](auto hit) {
+      run_chunked(chunks, pool, [&](std::size_t c) {
+        const std::size_t lo = c * kScatterChunkRows;
+        const std::size_t hi = std::min(lrows_n, lo + kScatterChunkRows);
+        for (std::size_t r = lo; r < hi; ++r) {
+          mask[r] = static_cast<std::uint8_t>(hit(lkeys[r])) == want;
+        }
+      });
+    };
+    if (build.dense) {
+      fill_mask([&](std::int64_t key) { return build.contains(key); });
+    } else {
+      fill_mask([&](std::int64_t key) { return probe(key) != kNoGroup; });
+    }
     const std::vector<std::uint32_t> keep = selection_from_mask(mask.data(), lrows_n, pool);
     return gather_rows(left, keep.data(), keep.size(), pool);
   }
@@ -1078,7 +1135,7 @@ Result<Table> hash_join_kernel(const Table& left, const std::string& left_key,
   const bool parallel =
       pool_width(pool) >= 2 &&
       (rkeys.size() > kParallelMinRows || left.num_rows() > kParallelMinRows);
-  const JoinBuild build = make_join_build(rkeys, parallel, pool);
+  const JoinBuild build = make_join_build(rkeys, kind, parallel, pool);
   return probe_join(left, lk, right, rk, kind, build, pool);
 }
 
@@ -1259,7 +1316,7 @@ Result<Table> hash_join_stream(const TableChunkFn& next_left, const std::string&
   std::optional<JoinBuild> build;
   {
     detail::KernelTimer timer(&KernelSeconds::join);
-    build = make_join_build(rkeys, parallel, pool);
+    build = make_join_build(rkeys, kind, parallel, pool);
   }
   std::vector<Table> parts;
   while (true) {

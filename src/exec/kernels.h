@@ -9,14 +9,23 @@
 // tests/exec/kernels_test.cpp and the bench_engine_micro gates.
 //
 // Bit-identity argument, in one place:
-//  - Radix group-by routes every row of one key to one partition and
-//    partitioned_row_indices preserves original row order within the
-//    partition, so each group's accumulator sees exactly the
-//    reference's value sequence (FP sums add in the same order).
+//  - Every group-by path gives each group one accumulator that sees
+//    the group's rows in original row order and folds them with the
+//    reference's expressions (FP sums add in the same order). Radix
+//    and key-range group-by route every row of one key to one
+//    partition, and the scatter preserves row order within a
+//    partition; the dense paths index groups by key - lo instead of
+//    hashing, which changes who finds the group, not the fold.
+//  - Output is in ascending key order on every path: the hash paths
+//    sort (serial) or sort per partition and heap-merge (radix); the
+//    dense paths scan their slot arrays, which are in key order, and
+//    key-range partitions concatenate in key order.
 //  - The join builds per-partition tables by appending right rows in
 //    ascending order and probes left rows in order, reproducing the
 //    documented output order (left-row major, duplicate matches by
-//    ascending right row).
+//    ascending right row). Semi and anti joins keep or drop each left
+//    row in order; over a dense build domain they test a membership
+//    bit instead of probing a table.
 //  - The filter evaluates predicates into a selection mask whose
 //    gather preserves row order; the mask itself is order-free.
 //
@@ -109,22 +118,72 @@ class KernelTimer {
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Group-by strategy (exposed so tests can pin the pick).
+// Key domains and strategy picks (exposed so tests can pin them).
+//
+// Every key the engine's queries group or semi-join on is a dense
+// surrogate key (order, date, site and warehouse ids, dim ids from 0).
+// For such keys a direct-address table indexed by key - lo replaces
+// the hash table, and its slot order is key order. The kernels pick
+// the path from one min/max pass over the key column, against the
+// fixed constants below; sparse keys keep the hash paths.
 
-enum class GroupByStrategy {
-  kSerialFlat,        ///< one flat table, one thread (small inputs)
-  kRadixPartitioned,  ///< ScatterPlan radix route + per-partition tables;
-                      ///< picked for every large input — with a pool the
-                      ///< partitions aggregate in parallel, without one the
-                      ///< value scatter still pays for itself by keeping
-                      ///< per-partition state cache-resident
+/// The closed range [lo, hi] of a key column.
+struct KeyRange {
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  /// hi - lo + 1, the slots a direct-address table needs: computed in
+  /// unsigned arithmetic, saturating at UINT64_MAX for the full int64
+  /// range, and 0 for an empty column.
+  std::uint64_t span = 0;
 };
 
-/// Tables at or below this many rows always take the serial flat path.
+/// One min/max pass (chunk-parallel on `pool` for large columns).
+KeyRange key_range(ColumnSpan<std::int64_t> keys, ThreadPool* pool = nullptr);
+
+enum class GroupByStrategy {
+  kSerialFlat,        ///< one flat hash table, one thread (small inputs)
+  kRadixPartitioned,  ///< ScatterPlan radix route + per-partition tables;
+                      ///< picked for every large sparse-key input — with
+                      ///< a pool the partitions aggregate in parallel,
+                      ///< without one the value scatter still pays for
+                      ///< itself by keeping per-partition state
+                      ///< cache-resident
+  kDenseSerial,       ///< one slot array indexed by key - lo, one thread
+  kDensePartitioned,  ///< ScatterPlan key-range route ((key - lo) >> shift)
+                      ///< + per-partition slot arrays; partitions
+                      ///< concatenate in key order, no merge
+};
+
+/// Tables at or below this many rows always take a serial path.
 inline constexpr std::size_t kParallelMinRows = 32 * 1024;
 
-/// The pick group_by_kernel makes for an input of `rows` rows.
-GroupByStrategy pick_group_by_strategy(std::size_t rows);
+/// Dense-key inputs above this many rows take the key-range-partitioned
+/// path, so large dense group-bys stay parallel.
+inline constexpr std::size_t kDenseParallelMinRows = 8 * kParallelMinRows;
+
+/// A group-by over `rows` rows takes a dense path when its key span is
+/// at most 4 * rows + kDenseGroupSlack slots and at most
+/// kDenseGroupMaxSpan: the slot array stays proportional to the input
+/// and bounded.
+inline constexpr std::uint64_t kDenseGroupSlack = 4096;
+inline constexpr std::uint64_t kDenseGroupMaxSpan = std::uint64_t{1} << 22;
+
+/// Semi and anti joins test a membership bitset instead of probing a
+/// hash table when the build side's key span is at most this many bits
+/// (128 KiB).
+inline constexpr std::uint64_t kDenseMembershipMaxSpan = std::uint64_t{1} << 20;
+
+/// The pick group_by_kernel makes for `rows` rows whose key column has
+/// `key_span` (KeyRange::span).
+GroupByStrategy pick_group_by_strategy(std::size_t rows, std::uint64_t key_span);
+
+enum class JoinBuildStrategy {
+  kHashTable,  ///< radix-partitioned flat hash tables (inner joins, sparse keys)
+  kDenseBits,  ///< one membership bit per key in [lo, hi] (semi/anti joins)
+};
+
+/// The build a join of `kind` makes over a build side with `key_span`.
+JoinBuildStrategy pick_join_build_strategy(JoinKind kind, std::uint64_t key_span);
 
 // ---------------------------------------------------------------------------
 // Kernels. Entry points mirror the operators.h contracts exactly
@@ -169,9 +228,10 @@ Result<Table> gather_chunks(const TableChunkFn& next);
 Result<Table> filter_stream(const TableChunkFn& next, const std::vector<ColumnPred>& preds,
                             ThreadPool* pool);
 
-/// Hash join with a streaming probe side: builds the right-side hash
-/// ONCE, then probes each left chunk as it arrives and concatenates
-/// the per-chunk results. Probe chunks are ascending left-row ranges
+/// Hash join with a streaming probe side: builds the right side (hash
+/// tables or membership bits, as hash_join_kernel would) ONCE, then
+/// probes each left chunk as it arrives and concatenates the per-chunk
+/// results. Probe chunks are ascending left-row ranges
 /// and hash_join_kernel's output is left-row major, so the concat is
 /// bit-identical to the materialized join. The build side must be a
 /// complete table (it is blocking by nature — gather_chunks it first).

@@ -10,14 +10,6 @@
 
 namespace ditto::exec {
 
-std::uint64_t stable_hash64(std::int64_t key) {
-  // SplitMix64 finalizer: deterministic, well mixed.
-  std::uint64_t x = static_cast<std::uint64_t>(key) + 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 void run_chunked(std::size_t chunks, ThreadPool* pool,
                  const std::function<void(std::size_t)>& body) {
   // A body already running on one of `pool`'s workers runs its chunks
@@ -219,6 +211,14 @@ ScatterPlan make_radix_plan_multi(const std::vector<ColumnSpan<std::int64_t>>& k
   });
 }
 
+ScatterPlan make_key_range_plan(ColumnSpan<std::int64_t> keys, std::int64_t lo,
+                                unsigned shift, std::size_t parts, ThreadPool* pool) {
+  const std::uint64_t base = static_cast<std::uint64_t>(lo);
+  return make_plan(keys.size(), parts, pool, [keys, base, shift](std::size_t r) {
+    return static_cast<std::uint32_t>((static_cast<std::uint64_t>(keys[r]) - base) >> shift);
+  });
+}
+
 std::vector<std::uint32_t> partitioned_row_indices(const ScatterPlan& p, ThreadPool* pool) {
   std::vector<std::uint32_t> out(p.rows);
   run_chunked(p.chunks, pool, [&](std::size_t c) {
@@ -350,27 +350,6 @@ Result<std::vector<Table>> hash_partition(const Table& in, const std::string& ke
   const ColumnSpan<std::int64_t> keys = kc->int_span();
   const ScatterPlan plan = make_hash_plan(keys, n, pool);
   return scatter_table(in, plan, pool);
-}
-
-std::vector<Table> round_robin_partition(const Table& in, std::size_t n, ThreadPool* pool) {
-  assert(n > 0 && "zero partitions");
-  const ScatterPlan plan = make_plan(in.num_rows(), n, pool, [n](std::size_t r) {
-    return static_cast<std::uint32_t>(r % n);
-  });
-  return scatter_table(in, plan, pool);
-}
-
-std::vector<Table> range_partition(const Table& in, std::size_t n) {
-  assert(n > 0 && "zero partitions");
-  std::vector<Table> out;
-  out.reserve(n);
-  const std::size_t rows = in.num_rows();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t lo = rows * i / n;
-    const std::size_t hi = rows * (i + 1) / n;
-    out.push_back(in.slice(lo, hi - lo));
-  }
-  return out;
 }
 
 Table range_slice(const std::shared_ptr<const Table>& src, std::size_t i, std::size_t n) {

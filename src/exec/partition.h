@@ -10,10 +10,10 @@
 // each partition is preserved.
 //
 // The plan/scatter machinery is exposed (not just the table-level
-// partitioners) because the operator kernels reuse it: radix group-by
-// and partitioned hash join route rows with the same count-then-scatter
-// pass, and the vectorized filter gathers selected rows through the
-// same uninitialized-buffer move path.
+// partitioners) because the operator kernels reuse it: radix group-by,
+// key-range (dense-key) group-by and partitioned hash join route rows
+// with the same count-then-scatter pass, and the vectorized filter
+// gathers selected rows through the same uninitialized-buffer move path.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +29,17 @@ class ThreadPool;
 }
 
 namespace ditto::exec {
+
+/// The stable 64-bit mix (SplitMix64 finalizer) behind hash_partition
+/// and the kernels' radix routing and hash tables. Inline because it
+/// runs once per row on every hashed path. Its values are a contract:
+/// exchange routing and co-partitioned tables depend on them.
+inline std::uint64_t stable_hash64(std::int64_t key) {
+  std::uint64_t x = static_cast<std::uint64_t>(key) + 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
 
 /// Rows per chunk for chunk-parallel passes. Tables at or below this
 /// size always take the serial path; larger ones parallelize
@@ -75,6 +86,14 @@ ScatterPlan make_radix_plan(ColumnSpan<std::int64_t> keys, std::size_t parts,
 ScatterPlan make_radix_plan_multi(const std::vector<ColumnSpan<std::int64_t>>& keys,
                                   std::size_t parts, ThreadPool* pool);
 
+/// Key-range routing for dense keys: row r goes to partition
+/// (key[r] - lo) >> shift, computed in unsigned arithmetic. Partition q
+/// then holds exactly the keys in [lo + q*2^shift, lo + (q+1)*2^shift),
+/// so the partitions are in key order. Every key must lie in
+/// [lo, lo + parts*2^shift).
+ScatterPlan make_key_range_plan(ColumnSpan<std::int64_t> keys, std::int64_t lo,
+                                unsigned shift, std::size_t parts, ThreadPool* pool);
+
 /// Scatter pass over row INDICES: returns the partition-major array of
 /// original row ids (partition q occupies [part_start[q], part_start[q+1])
 /// and keeps original row order). The kernels aggregate or build hash
@@ -111,26 +130,12 @@ Table gather_rows(const Table& in, const std::uint32_t* rows, std::size_t n,
 Result<std::vector<Table>> hash_partition(const Table& in, const std::string& key,
                                           std::size_t n, ThreadPool* pool = nullptr);
 
-/// Split rows round-robin (used when no key is needed, e.g. scan
-/// output balancing).
-std::vector<Table> round_robin_partition(const Table& in, std::size_t n,
-                                         ThreadPool* pool = nullptr);
-
-/// Contiguous range split: partition i gets rows [i*rows/n, (i+1)*rows/n).
-/// Implemented as slices, so borrowed columns stay zero-copy, but owned
-/// fixed-width columns are copied: this materializes ALL n partitions.
-/// A task that needs only its own partition uses range_slice instead.
-std::vector<Table> range_partition(const Table& in, std::size_t n);
-
-/// Partition `i` of range_partition(*src, n), without copying: int64 and
+/// Contiguous range split, one partition at a time: partition `i` of `n`
+/// holds rows [i*rows/n, (i+1)*rows/n), without copying: int64 and
 /// double columns borrow `src`'s memory (with `src` as the owner, so the
 /// slice stays valid after the caller drops its own reference); string
 /// columns are copied as Table::slice does. This is what a scan task
 /// uses — it costs O(columns), not O(rows).
 Table range_slice(const std::shared_ptr<const Table>& src, std::size_t i, std::size_t n);
-
-/// The stable 64-bit mix used by hash_partition (exposed for tests:
-/// co-partitioned tables must agree on row routing).
-std::uint64_t stable_hash64(std::int64_t key);
 
 }  // namespace ditto::exec

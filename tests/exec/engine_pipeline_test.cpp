@@ -61,8 +61,9 @@ struct PipeJob {
   std::map<StageId, StageBinding> bindings() const {
     std::map<StageId, StageBinding> b;
     b[scan] = StageBinding{
-        [this](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-          return range_partition(fact, dop)[task];
+        [src = std::make_shared<const Table>(fact)](int task, int dop,
+                                                    const std::vector<Table>&) -> Result<Table> {
+          return range_slice(src, task, dop);
         },
         "warehouse_id"};
     b[filt] = StageBinding{

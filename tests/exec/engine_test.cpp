@@ -54,10 +54,11 @@ Table reference_agg(const Table& fact) {
 
 std::map<StageId, StageBinding> agg_bindings(const Table& fact) {
   std::map<StageId, StageBinding> bindings;
+  const auto src = std::make_shared<const Table>(fact);
   bindings[0] = StageBinding{
-      [&fact](int task, int dop, const std::vector<Table>&) -> Result<Table> {
+      [src](int task, int dop, const std::vector<Table>&) -> Result<Table> {
         // Each scan task reads its slice of the "external" table.
-        return range_partition(fact, dop)[task];
+        return range_slice(src, task, dop);
       },
       "warehouse_id"};
   bindings[1] = StageBinding{
@@ -151,9 +152,10 @@ TEST(MiniEngineTest, JoinPipelineAcrossThreeStages) {
   ASSERT_TRUE(dag.add_edge(join, sink, ExchangeKind::kGather).is_ok());
 
   std::map<StageId, StageBinding> bindings;
+  const auto fact_src = std::make_shared<const Table>(fact);
   bindings[scan_f] = StageBinding{
-      [&fact](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-        return range_partition(fact, dop)[task];
+      [fact_src](int task, int dop, const std::vector<Table>&) -> Result<Table> {
+        return range_slice(fact_src, task, dop);
       },
       "warehouse_id"};
   bindings[scan_d] = StageBinding{
@@ -214,8 +216,9 @@ TEST(MiniEngineTest, PerEdgeKeysRouteIndependently) {
 
   std::map<StageId, StageBinding> bindings;
   StageBinding producer;
-  producer.fn = [&fact](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-    return range_partition(fact, dop)[task];
+  const auto fact_src = std::make_shared<const Table>(fact);
+  producer.fn = [fact_src](int task, int dop, const std::vector<Table>&) -> Result<Table> {
+    return range_slice(fact_src, task, dop);
   };
   producer.output_key = "warehouse_id";
   producer.edge_keys[by_date] = "date_id";
@@ -292,7 +295,9 @@ TEST(MiniEngineTest, CaptureStagesReturnsMergedNonSinkOutputs) {
   // emitted, in the bytes serialize_table gives their concatenation.
   ASSERT_EQ(result->captured_outputs.count(0), 1u);
   const storage::Payload& frame = result->captured_outputs.at(0);
-  const auto parts = range_partition(fact, 3);
+  const auto fact_src = std::make_shared<const Table>(fact);
+  const Table parts[] = {range_slice(fact_src, 0, 3), range_slice(fact_src, 1, 3),
+                         range_slice(fact_src, 2, 3)};
   const auto expect = concat_tables({&parts[0], &parts[1], &parts[2]});
   ASSERT_TRUE(expect.ok());
   EXPECT_EQ(*frame, *serialize_table(*expect));
@@ -389,7 +394,7 @@ TEST(EngineCaptureTest, FailedRunReturnsWhileFrameWritesAreStillQueued) {
   // injected crash fails the run. The write owns what it reads:
   // releasing the blockers afterwards lets it finish against a run that
   // is gone, which ASan and TSan check.
-  const Table fact = gen_fact_table({.rows = 20000, .seed = 6});
+  const auto fact = std::make_shared<const Table>(gen_fact_table({.rows = 20000, .seed = 6}));
   JobDag dag("crash");
   const StageId scan = dag.add_stage("scan");
   const StageId pass = dag.add_stage("pass");
@@ -408,7 +413,7 @@ TEST(EngineCaptureTest, FailedRunReturnsWhileFrameWritesAreStillQueued) {
             pool->submit([released] { released.wait(); });
           }
         }
-        return range_partition(fact, dop)[task];
+        return range_slice(fact, task, dop);
       },
       ""};
   bindings[pass] = StageBinding{

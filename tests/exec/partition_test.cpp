@@ -72,29 +72,6 @@ TEST(HashPartitionTest, RejectsBadArguments) {
   EXPECT_FALSE(hash_partition(t, "k", 0).ok());
 }
 
-TEST(RoundRobinTest, BalancedSizes) {
-  const Table t = keyed(10);
-  const auto parts = round_robin_partition(t, 3);
-  EXPECT_EQ(parts[0].num_rows(), 4u);
-  EXPECT_EQ(parts[1].num_rows(), 3u);
-  EXPECT_EQ(parts[2].num_rows(), 3u);
-}
-
-TEST(RangePartitionTest, ContiguousAndComplete) {
-  const Table t = keyed(10);
-  const auto parts = range_partition(t, 4);
-  std::size_t total = 0;
-  std::int64_t prev_last = -1;
-  for (const Table& p : parts) {
-    total += p.num_rows();
-    if (p.num_rows() > 0) {
-      EXPECT_GT(p.column_by_name("v").int_at(0), prev_last);
-      prev_last = p.column_by_name("v").int_at(p.num_rows() - 1);
-    }
-  }
-  EXPECT_EQ(total, 10u);
-}
-
 Table mixed(std::size_t rows) {
   std::vector<std::int64_t> k(rows);
   std::vector<double> d(rows);
@@ -146,20 +123,6 @@ TEST(HashPartitionTest, ParallelMatchesSerial) {
   ASSERT_TRUE(serial.ok() && parallel.ok());
   for (std::size_t p = 0; p < serial->size(); ++p) {
     EXPECT_EQ((*serial)[p], (*parallel)[p]) << "partition " << p;
-  }
-}
-
-TEST(RoundRobinTest, ParallelMatchesSerialAndPreservesOrder) {
-  const Table t = mixed(150'000);
-  ThreadPool pool(4);
-  const auto serial = round_robin_partition(t, 3);
-  const auto parallel = round_robin_partition(t, 3, &pool);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t p = 0; p < serial.size(); ++p) {
-    EXPECT_EQ(serial[p], parallel[p]) << "partition " << p;
-    // Row order within a partition is the original row order.
-    const auto d = serial[p].column_by_name("d").double_span();
-    for (std::size_t r = 1; r < d.size(); ++r) EXPECT_LT(d[r - 1], d[r]);
   }
 }
 

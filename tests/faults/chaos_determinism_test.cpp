@@ -55,8 +55,9 @@ struct ChaosJob {
   std::map<StageId, StageBinding> bindings() const {
     std::map<StageId, StageBinding> b;
     b[scan_f] = StageBinding{
-        [this](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-          return exec::range_partition(fact, dop)[task];
+        [src = std::make_shared<const Table>(fact)](int task, int dop,
+                                                    const std::vector<Table>&) -> Result<Table> {
+          return exec::range_slice(src, task, dop);
         },
         "warehouse_id"};
     b[scan_d] = StageBinding{

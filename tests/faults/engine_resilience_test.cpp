@@ -42,9 +42,10 @@ cluster::PlacementPlan plan_for(std::vector<int> dop,
 
 std::map<StageId, StageBinding> agg_bindings(const Table& fact) {
   std::map<StageId, StageBinding> bindings;
+  const auto src = std::make_shared<const Table>(fact);
   bindings[0] = StageBinding{
-      [&fact](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-        return exec::range_partition(fact, dop)[task];
+      [src](int task, int dop, const std::vector<Table>&) -> Result<Table> {
+        return exec::range_slice(src, task, dop);
       },
       "warehouse_id"};
   bindings[1] = StageBinding{

@@ -124,8 +124,9 @@ TEST(TraceIntegrationTest, EngineRunPopulatesAllMetricFamilies) {
     exec::MiniEngine engine(dag, plan, *store);
     std::map<StageId, exec::StageBinding> bindings;
     bindings[scan] = exec::StageBinding{
-        [&fact](int task, int dop, const std::vector<exec::Table>&) -> Result<exec::Table> {
-          return exec::range_partition(fact, dop)[task];
+        [src = std::make_shared<const exec::Table>(fact)](
+            int task, int dop, const std::vector<exec::Table>&) -> Result<exec::Table> {
+          return exec::range_slice(src, task, dop);
         },
         "warehouse_id"};
     bindings[agg] = exec::StageBinding{

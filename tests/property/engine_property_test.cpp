@@ -36,7 +36,7 @@ JobSetup make_setup(Rng& rng) {
   auto fact = s.fact;
   s.bindings[scan] = StageBinding{
       [fact](int task, int dop, const std::vector<Table>&) -> Result<Table> {
-        return range_partition(*fact, dop)[task];
+        return range_slice(fact, task, dop);
       },
       "warehouse_id"};
   s.bindings[agg] = StageBinding{

@@ -177,7 +177,7 @@ JobSubmission make_sleep_job(const std::string& name, double sleep_seconds) {
       [fact, sleep_seconds](int task, int dop,
                             const std::vector<exec::Table>&) -> Result<exec::Table> {
         std::this_thread::sleep_for(std::chrono::duration<double>(sleep_seconds));
-        return exec::range_partition(*fact, dop)[task];
+        return exec::range_slice(fact, task, dop);
       },
       "warehouse_id"};
   sub.bindings[agg] = exec::StageBinding{

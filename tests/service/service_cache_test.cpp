@@ -52,7 +52,7 @@ JobSubmission make_cached_job(const std::string& label, const std::string& signa
           std::this_thread::sleep_for(std::chrono::duration<double>(sleep_seconds));
         }
         if (fail) return Status::internal("injected scan failure");
-        return exec::range_partition(*fact, dop)[task];
+        return exec::range_slice(fact, task, dop);
       },
       "warehouse_id"};
   sub.bindings[agg] = exec::StageBinding{

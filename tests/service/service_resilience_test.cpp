@@ -48,7 +48,7 @@ JobSubmission make_job(const std::string& name, double sleep_seconds, Bytes volu
         if (sleep_seconds > 0.0) {
           std::this_thread::sleep_for(std::chrono::duration<double>(sleep_seconds));
         }
-        return exec::range_partition(*fact, dop)[task];
+        return exec::range_slice(fact, task, dop);
       },
       "warehouse_id"};
   sub.bindings[agg] = exec::StageBinding{

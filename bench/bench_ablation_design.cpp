@@ -7,7 +7,6 @@
 //      (NIMBLE+DoP vs NIMBLE in Fig. 12 covers this; here we isolate
 //      it on a pure chain where the closed form is exact)
 #include "bench_common.h"
-#include "storage/tiered_store.h"
 #include "workload/micro.h"
 #include "workload/pipelining.h"
 

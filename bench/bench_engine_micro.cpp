@@ -39,6 +39,7 @@
 #include "exec/datagen.h"
 #include "exec/engine.h"
 #include "exec/exchange.h"
+#include "exec/kernels.h"
 #include "exec/operators.h"
 #include "exec/serde.h"
 #include "faults/fault_injector.h"
@@ -47,6 +48,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/sim_store.h"
+#include "support/reference.h"
 #include "support/serde_v1.h"
 #include "timemodel/predictor.h"
 #include "workload/engine_queries.h"
@@ -123,6 +125,26 @@ Table kernel_fact() {
   fs.num_orders = 250'000;
   fs.seed = 42;
   return gen_fact_table(fs);
+}
+
+/// The group-by path the kernels pick for `t`'s order_id column.
+const char* group_by_path(const Table& t) {
+  const auto keys = t.column_by_name("order_id").int_span();
+  switch (pick_group_by_strategy(keys.size(), key_range(keys).span)) {
+    case GroupByStrategy::kSerialFlat: return "serial hash";
+    case GroupByStrategy::kRadixPartitioned: return "radix hash";
+    case GroupByStrategy::kDenseSerial: return "dense serial";
+    case GroupByStrategy::kDensePartitioned: return "dense key-range";
+  }
+  return "unknown";
+}
+
+/// The build an inner join against `right`'s id column makes.
+const char* inner_join_build(const Table& right) {
+  const KeyRange range = key_range(right.column_by_name("id").int_span());
+  return pick_join_build_strategy(JoinKind::kInner, range.span) == JoinBuildStrategy::kHashTable
+             ? "hash table"
+             : "membership bits";
 }
 
 const std::vector<AggSpec>& kernel_aggs() {
@@ -658,7 +680,7 @@ int run_quick_check() {
   const storage::Payload v1_bytes = serialize_table_v1(t);
   const storage::Payload v2_bytes = serialize_table(t);
   {
-    const auto from_v1 = deserialize_table(v1_bytes);
+    const auto from_v1 = deserialize_table_v1(v1_bytes);
     const auto from_v2 = deserialize_table(v2_bytes);
     if (!from_v1.ok() || !(*from_v1 == t)) {
       std::fprintf(stderr, "FAIL: v1 payload did not round-trip\n");
@@ -670,7 +692,7 @@ int run_quick_check() {
     }
   }
   const double t_v1 = time_best(5, [&] {
-    auto r = deserialize_table(v1_bytes);
+    auto r = deserialize_table_v1(v1_bytes);
     benchmark::DoNotOptimize(r);
   });
   const double t_v2 = time_best(5, [&] {
@@ -694,7 +716,7 @@ int run_quick_check() {
     std::vector<Table> received;
     received.reserve(kParts);
     for (const Table& part : legacy_partition()) {
-      received.push_back(std::move(deserialize_table(serialize_table_v1(part))).value());
+      received.push_back(std::move(deserialize_table_v1(serialize_table_v1(part))).value());
     }
     return received;
   };
@@ -769,6 +791,9 @@ int run_quick_check() {
     check_equal("filter 8t", f_want, filter_cols(big, preds, &pool8));
     check_equal("filter borrowed 8t", f_want, filter_cols(big_borrowed, preds, &pool8));
 
+    std::fprintf(stderr, "kernel paths: group-by %s, inner-join build %s\n",
+                 group_by_path(big), inner_join_build(orders));
+
     const auto gb_ref_fn = [&] {
       benchmark::DoNotOptimize(reference::group_by(big, "order_id", aggs));
     };
@@ -812,9 +837,9 @@ int run_quick_check() {
         benchmark::DoNotOptimize(group_by(sparse, "order_id", aggs, &pool8));
       });
       std::fprintf(stderr,
-                   "group-by sparse keys (hash path): kernel 1t %.1f ms, 8t %.1f ms, "
+                   "group-by sparse keys (%s path): kernel 1t %.1f ms, 8t %.1f ms, "
                    "dense 1t %.1f ms (informational)\n",
-                   t_s1 * 1e3, t_s8 * 1e3, t_gb1 * 1e3);
+                   group_by_path(sparse), t_s1 * 1e3, t_s8 * 1e3, t_gb1 * 1e3);
     }
 
     const auto j1_fn = [&] {

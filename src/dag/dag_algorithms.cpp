@@ -27,25 +27,6 @@ std::vector<StageId> topological_order(const JobDag& dag) {
   return order;
 }
 
-std::vector<int> stage_depths(const JobDag& dag) {
-  const auto order = topological_order(dag);
-  std::vector<int> depth(dag.num_stages(), 0);
-  // Process in reverse topological order so children are final first.
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const StageId s = *it;
-    int d = 0;
-    for (StageId c : dag.children(s)) d = std::max(d, depth[c] + 1);
-    depth[s] = d;
-  }
-  return depth;
-}
-
-int max_depth(const JobDag& dag) {
-  int m = 0;
-  for (int d : stage_depths(dag)) m = std::max(m, d);
-  return m;
-}
-
 CriticalPath critical_path(const JobDag& dag, const NodeWeightFn& node_weight,
                            const EdgeWeightFn& edge_weight) {
   const auto order = topological_order(dag);
@@ -81,50 +62,6 @@ CriticalPath critical_path(const JobDag& dag, const NodeWeightFn& node_weight,
   for (StageId s = tail; s != kNoStage; s = pred[s]) cp.stages.push_back(s);
   std::reverse(cp.stages.begin(), cp.stages.end());
   return cp;
-}
-
-double critical_path_length(const JobDag& dag, const NodeWeightFn& node_weight,
-                            const EdgeWeightFn& edge_weight) {
-  return critical_path(dag, node_weight, edge_weight).length;
-}
-
-namespace {
-void dfs_paths(const JobDag& dag, StageId cur, std::vector<StageId>& path,
-               std::vector<std::vector<StageId>>& out, std::size_t max_paths) {
-  if (out.size() >= max_paths) return;
-  path.push_back(cur);
-  if (dag.children(cur).empty()) {
-    out.push_back(path);
-  } else {
-    for (StageId c : dag.children(cur)) dfs_paths(dag, c, path, out, max_paths);
-  }
-  path.pop_back();
-}
-}  // namespace
-
-std::vector<std::vector<StageId>> enumerate_paths(const JobDag& dag, std::size_t max_paths) {
-  std::vector<std::vector<StageId>> out;
-  std::vector<StageId> path;
-  for (StageId s : dag.sources()) dfs_paths(dag, s, path, out, max_paths);
-  return out;
-}
-
-bool is_ancestor(const JobDag& dag, StageId a, StageId b) {
-  if (a == b) return false;
-  std::vector<StageId> stack{a};
-  std::vector<bool> seen(dag.num_stages(), false);
-  while (!stack.empty()) {
-    const StageId cur = stack.back();
-    stack.pop_back();
-    for (StageId c : dag.children(cur)) {
-      if (c == b) return true;
-      if (!seen[c]) {
-        seen[c] = true;
-        stack.push_back(c);
-      }
-    }
-  }
-  return false;
 }
 
 namespace {

@@ -1,7 +1,6 @@
-// Graph algorithms over JobDag used by the scheduler:
-// topological order, stage depth (paper Algorithm 1 merges bottom-up,
-// from max depth to the root), weighted critical path (paper §4.3), and
-// bounded path enumeration for tests and diagnostics.
+// Graph algorithms over JobDag used by the scheduler and the service:
+// topological order, weighted critical path (paper §4.3), pruning of
+// cached stages, and the plan-shape fingerprint.
 #pragma once
 
 #include <functional>
@@ -13,14 +12,6 @@ namespace ditto {
 
 /// Topological order (sources first). The DAG must be valid.
 std::vector<StageId> topological_order(const JobDag& dag);
-
-/// Depth of each stage: the number of edges on the longest path from the
-/// stage down to any sink. Sinks (final stages) have depth 0; the paper's
-/// "root" is the final stage. Algorithm 1 processes depths max..1.
-std::vector<int> stage_depths(const JobDag& dag);
-
-/// Maximum stage depth in the DAG.
-int max_depth(const JobDag& dag);
 
 /// Weight callbacks: the grouping objective decides these (paper §4.3).
 /// For JCT:   node = C(s),            edge = W(src) + R(dst)
@@ -36,17 +27,6 @@ struct CriticalPath {
 /// Maximum-weight source-to-sink path.
 CriticalPath critical_path(const JobDag& dag, const NodeWeightFn& node_weight,
                            const EdgeWeightFn& edge_weight);
-
-/// Length of the critical path only (no path reconstruction).
-double critical_path_length(const JobDag& dag, const NodeWeightFn& node_weight,
-                            const EdgeWeightFn& edge_weight);
-
-/// All source-to-sink paths, up to `max_paths` (guards exponential DAGs).
-std::vector<std::vector<StageId>> enumerate_paths(const JobDag& dag,
-                                                  std::size_t max_paths = 1024);
-
-/// True iff `a` is an ancestor of `b` (a strictly upstream of b).
-bool is_ancestor(const JobDag& dag, StageId a, StageId b);
 
 /// Result of pruning already-completed stages from a DAG (the service
 /// result cache's stage-granular reuse): `dag` holds the stages that

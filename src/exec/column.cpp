@@ -99,15 +99,6 @@ void Column::ensure_owned() {
   }
 }
 
-void Column::append_from(const Column& src, std::size_t i) {
-  assert(type() == src.type());
-  switch (type()) {
-    case DataType::kInt64: ints().push_back(src.int_span()[i]); break;
-    case DataType::kDouble: doubles().push_back(src.double_span()[i]); break;
-    case DataType::kString: strings().push_back(src.string_at(i)); break;
-  }
-}
-
 Column Column::take(const std::vector<std::size_t>& indices) const {
   switch (type()) {
     case DataType::kInt64: {

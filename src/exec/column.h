@@ -119,9 +119,6 @@ class Column {
   /// Converts a borrowed view into an owned vector (no-op when owned).
   void ensure_owned();
 
-  /// Append row `i` of `src` (same type) to this column.
-  void append_from(const Column& src, std::size_t i);
-
   /// New column containing the rows selected by `indices`.
   Column take(const std::vector<std::size_t>& indices) const;
 

@@ -408,7 +408,6 @@ void report_win(RunState& rs, const StageWave& w, TaskId t, const AttemptChain& 
     if (io.kernels.group_by > 0.0) sample.kernel_seconds["group_by"] = io.kernels.group_by;
     if (io.kernels.join > 0.0) sample.kernel_seconds["join"] = io.kernels.join;
     if (io.kernels.filter > 0.0) sample.kernel_seconds["filter"] = io.kernels.filter;
-    if (io.kernels.top_k > 0.0) sample.kernel_seconds["top_k"] = io.kernels.top_k;
     rs.opt->profiles->record(rs.opt->plan_fingerprint, s, w.dop, sample);
   }
 

@@ -119,81 +119,6 @@ class FlatMap {
   std::uint32_t n_ = 0;
 };
 
-/// Composite-key variant: key identity is the tuple of key-column
-/// values at a representative row; equality compares the columns.
-class FlatMultiMap {
- public:
-  FlatMultiMap(const std::vector<ColumnSpan<std::int64_t>>& cols,
-               std::size_t expected_groups)
-      : cols_(cols) {
-    rehash(next_pow2(std::max<std::size_t>(16, expected_groups * 2)));
-  }
-
-  static std::uint64_t hash_row(const std::vector<ColumnSpan<std::int64_t>>& cols,
-                                std::size_t r) {
-    std::uint64_t h = 0;
-    for (const auto& c : cols) {
-      h = stable_hash64(static_cast<std::int64_t>(h) ^ c[r]);
-    }
-    return h;
-  }
-
-  std::uint32_t find_or_insert(std::uint32_t row, std::uint64_t h, bool& inserted) {
-    if ((n_ + 1) * 10 > cap_ * 7) rehash(cap_ * 2);
-    std::size_t i = h >> shift_;
-    for (;;) {
-      if (slot_group_[i] == kNoGroup) {
-        slot_hash_[i] = h;
-        slot_group_[i] = n_;
-        group_row_.push_back(row);
-        group_hash_.push_back(h);
-        inserted = true;
-        return n_++;
-      }
-      if (slot_hash_[i] == h && rows_equal(group_row_[slot_group_[i]], row)) {
-        inserted = false;
-        return slot_group_[i];
-      }
-      i = (i + 1) & mask_;
-    }
-  }
-
-  std::uint32_t size() const { return n_; }
-  std::uint32_t row_of(std::uint32_t g) const { return group_row_[g]; }
-
- private:
-  bool rows_equal(std::uint32_t a, std::uint32_t b) const {
-    for (const auto& c : cols_) {
-      if (c[a] != c[b]) return false;
-    }
-    return true;
-  }
-
-  void rehash(std::size_t cap) {
-    cap_ = cap;
-    mask_ = cap - 1;
-    shift_ = 64;
-    for (std::size_t c = cap; c > 1; c >>= 1) --shift_;
-    slot_hash_.assign(cap, 0);
-    slot_group_.assign(cap, kNoGroup);
-    for (std::uint32_t g = 0; g < n_; ++g) {
-      std::size_t i = group_hash_[g] >> shift_;
-      while (slot_group_[i] != kNoGroup) i = (i + 1) & mask_;
-      slot_hash_[i] = group_hash_[g];
-      slot_group_[i] = g;
-    }
-  }
-
-  const std::vector<ColumnSpan<std::int64_t>>& cols_;
-  std::vector<std::uint64_t> slot_hash_;
-  std::vector<std::uint32_t> slot_group_;
-  std::vector<std::uint32_t> group_row_;   // group id -> representative row
-  std::vector<std::uint64_t> group_hash_;  // group id -> hash
-  std::size_t cap_ = 0, mask_ = 0;
-  unsigned shift_ = 64;
-  std::uint32_t n_ = 0;
-};
-
 // ---------------------------------------------------------------------------
 // Shared aggregation machinery. Every group-by path resolves rows to
 // dense group ids, folds the aggregates column at a time, and emits
@@ -717,123 +642,6 @@ Result<Table> group_by_kernel(const Table& in, const std::string& key,
       return group_by_dense_partitioned(key, keys, range, aggs, inputs, pool);
   }
   return Status::internal("unreachable group-by strategy");
-}
-
-// ---------------------------------------------------------------------------
-// Multi-key group-by kernel. Hash grouping only, radix-partitioned on
-// a pool; group identity is the key tuple (representative row) and
-// output order is lexicographic.
-
-namespace {
-
-struct MultiLocal {
-  FlatMultiMap map;
-  FoldedAggs folds;
-
-  MultiLocal(const std::vector<ColumnSpan<std::int64_t>>& cols, std::size_t expected)
-      : map(cols, expected) {}
-};
-
-}  // namespace
-
-Result<Table> group_by_multi_kernel(const Table& in, const std::vector<std::string>& keys,
-                                    const std::vector<AggSpec>& aggs, ThreadPool* pool) {
-  if (keys.empty()) return Status::invalid_argument("group_by_multi needs keys");
-  if (keys.size() == 1) return group_by_kernel(in, keys[0], aggs, pool);
-
-  std::vector<ColumnSpan<std::int64_t>> key_cols;
-  for (const std::string& k : keys) {
-    DITTO_ASSIGN_OR_RETURN(const Column* cp, in.checked_column(k));
-    if (cp->type() != DataType::kInt64) {
-      return Status::invalid_argument("group_by_multi keys must be int64");
-    }
-    key_cols.push_back(cp->int_span());
-  }
-  DITTO_ASSIGN_OR_RETURN(std::vector<AggInput> inputs, resolve_agg_inputs(in, aggs));
-
-  const std::size_t rows = in.num_rows();
-  const bool parallel = pool_width(pool) >= 2 && rows > kParallelMinRows;
-  const std::size_t parts = parallel ? radix_fanout(pool_width(pool)) : 1;
-
-  std::vector<MultiLocal> locals;
-  locals.reserve(parts);
-  if (parts == 1) {
-    locals.emplace_back(key_cols, std::max<std::size_t>(256, rows / 4));
-    MultiLocal& local = locals[0];
-    std::vector<std::uint32_t> gid(rows);
-    std::vector<std::uint32_t> first_pos;
-    for (std::size_t r = 0; r < rows; ++r) {
-      bool inserted = false;
-      const std::uint32_t id = local.map.find_or_insert(
-          static_cast<std::uint32_t>(r), FlatMultiMap::hash_row(key_cols, r), inserted);
-      if (inserted) first_pos.push_back(static_cast<std::uint32_t>(r));
-      gid[r] = id;
-    }
-    local.folds = fold_aggs_columnar(aggs, inputs, gid, first_pos, kIdentityRow);
-  } else {
-    const ScatterPlan plan = make_radix_plan_multi(key_cols, parts, pool);
-    const std::vector<std::uint32_t> row_ids = partitioned_row_indices(plan, pool);
-    for (std::size_t p = 0; p < parts; ++p) {
-      locals.emplace_back(key_cols, std::max<std::size_t>(256, plan.counts[p] / 4));
-    }
-    run_chunked(parts, pool, [&](std::size_t p) {
-      MultiLocal& local = locals[p];
-      const std::size_t lo = plan.part_start[p];
-      const std::size_t len = plan.part_start[p + 1] - lo;
-      std::vector<std::uint32_t> gid(len);
-      std::vector<std::uint32_t> first_pos;
-      for (std::size_t j = 0; j < len; ++j) {
-        const std::uint32_t r = row_ids[lo + j];
-        bool inserted = false;
-        const std::uint32_t id =
-            local.map.find_or_insert(r, FlatMultiMap::hash_row(key_cols, r), inserted);
-        if (inserted) first_pos.push_back(static_cast<std::uint32_t>(j));
-        gid[j] = id;
-      }
-      local.folds = fold_aggs_columnar(aggs, inputs, gid, first_pos,
-                                       [&](std::size_t j) { return row_ids[lo + j]; });
-    });
-  }
-
-  // Lexicographic output order via representative rows (partitions
-  // hold disjoint tuple sets, so one global sort interleaves them).
-  std::size_t total = 0;
-  for (const MultiLocal& l : locals) total += l.map.size();
-  std::vector<std::uint64_t> merged;  // (partition << 32) | group
-  merged.reserve(total);
-  for (std::size_t p = 0; p < parts; ++p) {
-    for (std::uint32_t g = 0; g < locals[p].map.size(); ++g) {
-      merged.push_back((std::uint64_t{p} << 32) | g);
-    }
-  }
-  auto rep_row = [&](std::uint64_t id) {
-    return locals[id >> 32].map.row_of(static_cast<std::uint32_t>(id & 0xffffffffu));
-  };
-  std::sort(merged.begin(), merged.end(), [&](std::uint64_t a, std::uint64_t b) {
-    const std::uint32_t ra = rep_row(a), rb = rep_row(b);
-    for (const auto& c : key_cols) {
-      if (c[ra] != c[rb]) return c[ra] < c[rb];
-    }
-    return false;
-  });
-
-  // Emit: key columns then aggregates, schema identical to reference.
-  Schema schema;
-  for (const std::string& k : keys) schema.push_back({k, DataType::kInt64});
-  std::vector<std::vector<std::int64_t>> key_out(keys.size(),
-                                                 std::vector<std::int64_t>(total));
-  for (std::size_t i = 0; i < total; ++i) {
-    const std::uint32_t r = rep_row(merged[i]);
-    for (std::size_t k = 0; k < keys.size(); ++k) key_out[k][i] = key_cols[k][r];
-  }
-  std::vector<Column> columns;
-  for (auto& k : key_out) columns.emplace_back(std::move(k));
-  emit_agg_columns(
-      aggs, total,
-      [&](std::size_t i) -> const FoldedAggs& { return locals[merged[i] >> 32].folds; },
-      [&](std::size_t i) { return static_cast<std::size_t>(merged[i] & 0xffffffffu); }, schema,
-      columns);
-  return Table::make(std::move(schema), std::move(columns));
 }
 
 // ---------------------------------------------------------------------------

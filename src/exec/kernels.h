@@ -1,11 +1,10 @@
-// Columnar multi-core operator kernels (ROADMAP item 1).
+// Columnar multi-core operator kernels.
 //
 // The hot operators — group-by, hash join, filter — are implemented
 // here as chunk/partition-parallel kernels over borrowed fixed-width
 // columns, reusing the ScatterPlan count-then-scatter machinery from
-// partition.{h,cpp}. The row-at-a-time formulations they replaced are
-// retained under ditto::exec::reference (operators.h) and every kernel
-// is required to be bit-identical to its reference — see
+// partition.{h,cpp}. Every kernel is required to be bit-identical to
+// the row-at-a-time oracle in tests/support/reference.h — see
 // tests/exec/kernels_test.cpp and the bench_engine_micro gates.
 //
 // Bit-identity argument, in one place:
@@ -83,9 +82,8 @@ struct KernelSeconds {
   double group_by = 0.0;
   double join = 0.0;
   double filter = 0.0;
-  double top_k = 0.0;
 
-  double total() const { return group_by + join + filter + top_k; }
+  double total() const { return group_by + join + filter; }
   bool any() const { return total() > 0.0; }
 };
 
@@ -191,9 +189,6 @@ JoinBuildStrategy pick_join_build_strategy(JoinKind kind, std::uint64_t key_span
 
 Result<Table> group_by_kernel(const Table& in, const std::string& key,
                               const std::vector<AggSpec>& aggs, ThreadPool* pool);
-
-Result<Table> group_by_multi_kernel(const Table& in, const std::vector<std::string>& keys,
-                                    const std::vector<AggSpec>& aggs, ThreadPool* pool);
 
 Result<Table> hash_join_kernel(const Table& left, const std::string& left_key,
                                const Table& right, const std::string& right_key,

@@ -3,17 +3,16 @@
 // groupby) for analytics queries").
 //
 // Operators are pure functions Table -> Table; the task runtime binds
-// them to stages. All joins hash the build side.
+// them to stages. These four are the ones the engine's queries run.
 //
-// The hot operators (group-by, hash join, filter, top-k) dispatch to
-// the columnar multi-core kernels in kernels.{h,cpp}; each takes an
-// optional ThreadPool* (nullptr = use the task's compute pool, see
-// task_compute_pool() in kernels.h). The original row-at-a-time
-// formulations are retained verbatim under ditto::exec::reference as
-// the bit-identity oracle for the kernel-equivalence corpus.
+// Filter, join and group-by dispatch to the columnar multi-core
+// kernels in kernels.{h,cpp}; each takes an optional ThreadPool*
+// (nullptr = use the task's compute pool, see task_compute_pool() in
+// kernels.h). Inner joins and sparse-key group-bys hash; semi and anti
+// joins and dense-key group-bys index by key directly. Their
+// row-at-a-time oracle lives in tests/support/reference.h.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -81,14 +80,6 @@ struct AggSpec {
   std::string as;      ///< output column name
 };
 
-/// Group by MULTIPLE int64 key columns (composite key) and aggregate.
-/// Output columns: the key columns (in order), then the aggregates;
-/// rows ordered lexicographically by key. TPC-DS queries group by
-/// composite keys routinely (Q1: customer x store).
-Result<Table> group_by_multi(const Table& in, const std::vector<std::string>& keys,
-                             const std::vector<AggSpec>& aggs,
-                             ThreadPool* pool = nullptr);
-
 /// Group by an integer key column and aggregate.
 /// Numeric aggregates output double columns except count and first-int
 /// (int64). kFirstInt keeps the group's first-seen value of an int64
@@ -96,51 +87,5 @@ Result<Table> group_by_multi(const Table& in, const std::vector<std::string>& ke
 /// aggregation (e.g. Q95 keeps a representative date per order).
 Result<Table> group_by(const Table& in, const std::string& key,
                        const std::vector<AggSpec>& aggs, ThreadPool* pool = nullptr);
-
-/// Sort ascending/descending by an integer column. Stable.
-Result<Table> sort_by_int(const Table& in, const std::string& col, bool ascending = true);
-
-/// First n rows.
-Table limit(const Table& in, std::size_t n);
-
-/// Distinct count of an integer column (Q16/Q94/Q95's COUNT(DISTINCT)).
-Result<std::size_t> count_distinct(const Table& in, const std::string& col);
-
-/// Rows with distinct values of an integer key column; the first
-/// occurrence of each key wins.
-Result<Table> distinct_by(const Table& in, const std::string& key);
-
-/// Top-k rows by an integer column (descending by default). Bounded
-/// O(k)-memory heap selection, O(n log k); ties keep earlier rows,
-/// exactly as the stable-sort-then-truncate formulation did.
-Result<Table> top_k_by_int(const Table& in, const std::string& col, std::size_t k,
-                           bool descending = true);
-
-/// Concatenation of same-schema tables (SQL UNION ALL).
-Result<Table> union_all(const std::vector<Table>& tables);
-
-/// Adds a derived double column: out[r] = f(in, r). The paper's engine
-/// exposes scalar expressions; this is the minimal general hook.
-using ScalarFn = std::function<double(const Table&, std::size_t)>;
-Result<Table> with_column(const Table& in, const std::string& name, const ScalarFn& f);
-
-/// Row-at-a-time reference implementations, retained as the oracle for
-/// the kernel-equivalence corpus (tests + bench gates). Semantics are
-/// identical to the dispatching operators above — including error
-/// statuses, output schemas and row order — just single-threaded and
-/// built on std:: containers.
-namespace reference {
-
-Result<Table> filter_cols(const Table& in, const std::vector<ColumnPred>& preds);
-Result<Table> hash_join(const Table& left, const std::string& left_key, const Table& right,
-                        const std::string& right_key, JoinKind kind = JoinKind::kInner);
-Result<Table> group_by(const Table& in, const std::string& key,
-                       const std::vector<AggSpec>& aggs);
-Result<Table> group_by_multi(const Table& in, const std::vector<std::string>& keys,
-                             const std::vector<AggSpec>& aggs);
-Result<Table> top_k_by_int(const Table& in, const std::string& col, std::size_t k,
-                           bool descending = true);
-
-}  // namespace reference
 
 }  // namespace ditto::exec

@@ -198,19 +198,6 @@ ScatterPlan make_radix_plan(ColumnSpan<std::int64_t> keys, std::size_t parts,
   });
 }
 
-ScatterPlan make_radix_plan_multi(const std::vector<ColumnSpan<std::int64_t>>& keys,
-                                  std::size_t parts, ThreadPool* pool) {
-  assert(parts > 0 && (parts & (parts - 1)) == 0 && "radix fanout must be a power of two");
-  assert(!keys.empty());
-  const std::uint64_t mask = parts - 1;
-  const std::size_t rows = keys[0].size();
-  return make_plan(rows, parts, pool, [&keys, mask](std::size_t r) {
-    std::uint64_t h = 0;
-    for (const auto& k : keys) h = stable_hash64(static_cast<std::int64_t>(h) ^ k[r]);
-    return static_cast<std::uint32_t>(h & mask);
-  });
-}
-
 ScatterPlan make_key_range_plan(ColumnSpan<std::int64_t> keys, std::int64_t lo,
                                 unsigned shift, std::size_t parts, ThreadPool* pool) {
   const std::uint64_t base = static_cast<std::uint64_t>(lo);

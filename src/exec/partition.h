@@ -80,12 +80,6 @@ ScatterPlan make_hash_plan(ColumnSpan<std::int64_t> keys, std::size_t parts,
 ScatterPlan make_radix_plan(ColumnSpan<std::int64_t> keys, std::size_t parts,
                             ThreadPool* pool);
 
-/// Radix routing over a composite key: row r is routed by
-/// mix(h_0(r), ..., h_{k-1}(r)) & (parts - 1) where each h_i is
-/// stable_hash64 of key column i. `parts` must be a power of two.
-ScatterPlan make_radix_plan_multi(const std::vector<ColumnSpan<std::int64_t>>& keys,
-                                  std::size_t parts, ThreadPool* pool);
-
 /// Key-range routing for dense keys: row r goes to partition
 /// (key[r] - lo) >> shift, computed in unsigned arithmetic. Partition q
 /// then holds exactly the keys in [lo + q*2^shift, lo + (q+1)*2^shift),

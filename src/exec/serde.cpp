@@ -141,7 +141,7 @@ class Reader {
     return v;
   }
 
-  /// Skips v2 alignment padding (position is payload-relative).
+  /// Skips alignment padding (position is payload-relative).
   Status skip_padding8() {
     const std::size_t pad = (8 - pos_ % 8) % 8;
     if (pad > remaining()) return Status::invalid_argument("truncated table payload");
@@ -167,33 +167,6 @@ Result<Field> read_field(Reader& r) {
     return Status::invalid_argument("bad column type");
   }
   return Field{std::string(name), static_cast<DataType>(type_raw)};
-}
-
-template <typename T>
-Result<Column> read_fixed_v1(Reader& r, std::uint64_t rows) {
-  // Bound the allocation by the bytes actually present (division, so a
-  // huge `rows` cannot wrap the product).
-  if (rows > r.remaining() / sizeof(T)) {
-    return Status::invalid_argument("truncated table payload");
-  }
-  DITTO_ASSIGN_OR_RETURN(const std::string_view raw, r.bytes(rows * sizeof(T)));
-  std::vector<T> v(static_cast<std::size_t>(rows));
-  if (!raw.empty()) std::memcpy(v.data(), raw.data(), raw.size());
-  return Column(std::move(v));
-}
-
-Result<Column> read_strings_v1(Reader& r, std::uint64_t rows) {
-  // Every v1 string costs at least its 8-byte length prefix, so the
-  // reserve below is bounded by the payload size.
-  if (rows > r.remaining() / 8) return Status::invalid_argument("truncated table payload");
-  std::vector<std::string> v;
-  v.reserve(static_cast<std::size_t>(rows));
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    DITTO_ASSIGN_OR_RETURN(const std::uint64_t len, r.u64());
-    DITTO_ASSIGN_OR_RETURN(const std::string_view s, r.bytes(len));
-    v.emplace_back(s);
-  }
-  return Column(std::move(v));
 }
 
 template <typename T>
@@ -246,14 +219,10 @@ Result<Column> read_strings_v2(Reader& r, std::uint64_t rows) {
 Result<Table> deserialize_impl(std::string_view bytes, const std::shared_ptr<const void>& owner) {
   Reader r(bytes);
   DITTO_ASSIGN_OR_RETURN(const std::uint64_t magic, r.u64());
-  int version;
   if (magic == kMagicV1) {
-    version = 1;
-  } else if (magic == kMagicV2) {
-    version = 2;
-  } else {
-    return Status::invalid_argument("bad table magic");
+    return Status::invalid_argument("table payload is wire version 1, which is no longer read");
   }
+  if (magic != kMagicV2) return Status::invalid_argument("bad table magic");
   DITTO_ASSIGN_OR_RETURN(const std::uint64_t cols, r.u64());
   DITTO_ASSIGN_OR_RETURN(const std::uint64_t rows, r.u64());
   if (cols > kMaxCols) return Status::invalid_argument("implausible column count");
@@ -265,17 +234,9 @@ Result<Table> deserialize_impl(std::string_view bytes, const std::shared_ptr<con
     DITTO_ASSIGN_OR_RETURN(Field field, read_field(r));
     Result<Column> col = Status::invalid_argument("unreachable");
     switch (field.type) {
-      case DataType::kInt64:
-        col = version == 1 ? read_fixed_v1<std::int64_t>(r, rows)
-                           : read_fixed_v2<std::int64_t>(r, rows, owner);
-        break;
-      case DataType::kDouble:
-        col = version == 1 ? read_fixed_v1<double>(r, rows)
-                           : read_fixed_v2<double>(r, rows, owner);
-        break;
-      case DataType::kString:
-        col = version == 1 ? read_strings_v1(r, rows) : read_strings_v2(r, rows);
-        break;
+      case DataType::kInt64: col = read_fixed_v2<std::int64_t>(r, rows, owner); break;
+      case DataType::kDouble: col = read_fixed_v2<double>(r, rows, owner); break;
+      case DataType::kString: col = read_strings_v2(r, rows); break;
     }
     if (!col.ok()) return col.status();
     schema.push_back(std::move(field));

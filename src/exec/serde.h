@@ -4,17 +4,18 @@
 // hands tables over by pointer); cross-server exchange pays exactly this
 // encode + decode — the cost asymmetry Ditto's grouping exploits. The
 // wire form is a storage::Payload, the same shared immutable bytes an
-// ObjectStore keeps. Two wire versions are readable; only v2 is
-// written:
+// ObjectStore keeps. The one wire version is v2 ("DITTOTB2"):
 //
-//   v1 ("DITTOTB1", legacy): length-prefixed per string, fixed-width
-//     payloads unaligned. Read so that bytes persisted by older
-//     builds stay loadable.
-//   v2 ("DITTOTB2"): string columns are one (rows+1) offsets
-//     array plus one contiguous bytes blob; fixed-width payloads and
-//     offset arrays are 8-byte aligned relative to the start of the
-//     payload, so the reader BORROWS them in place (zero-copy
-//     deserialize) instead of copying into fresh vectors.
+//   string columns are one (rows+1) offsets array plus one contiguous
+//   bytes blob; fixed-width payloads and offset arrays are 8-byte
+//   aligned relative to the start of the payload, so the reader
+//   BORROWS them in place (zero-copy deserialize) instead of copying
+//   into fresh vectors.
+//
+// The legacy v1 format ("DITTOTB1": length-prefixed strings, unaligned
+// fixed-width payloads) is rejected with INVALID_ARGUMENT. Every cache
+// signature changed after the writer last emitted v1, so no stored
+// object the engine or the service reads is v1.
 //
 // The reader treats input as untrusted: every length is bounds-checked
 // overflow-safely and implausible sizes return INVALID_ARGUMENT before
@@ -41,10 +42,10 @@ storage::Payload serialize_table(const Table& table);
 /// schema differs from the first part's; no parts give an empty table.
 Result<storage::Payload> serialize_tables(const std::vector<const Table*>& parts);
 
-/// Parses a v1 or v2 payload. Fixed-width v2 columns borrow from
-/// `bytes` in place and hold a refcount on it, so the table (or any
-/// slice of it) keeps the payload alive; v1 payloads, string columns
-/// and misaligned payloads are copied. A null payload is
+/// Parses a v2 payload. Fixed-width columns borrow from `bytes` in
+/// place and hold a refcount on it, so the table (or any slice of it)
+/// keeps the payload alive; string columns and misaligned payloads are
+/// copied. A null payload, a v1 payload and any malformed payload are
 /// INVALID_ARGUMENT.
 Result<Table> deserialize_table(const storage::Payload& bytes);
 

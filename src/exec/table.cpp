@@ -77,13 +77,6 @@ Result<const Column*> Table::checked_column(const std::string& name) const {
   return c;
 }
 
-void Table::append_row_from(const Table& src, std::size_t row) {
-  assert(schema_ == src.schema_);
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c].append_from(src.columns_[c], row);
-  }
-}
-
 Table Table::take(const std::vector<std::size_t>& indices) const {
   Table out;
   out.schema_ = schema_;
@@ -123,19 +116,6 @@ Status Table::validate() const {
     }
   }
   return Status::ok();
-}
-
-Table table_of_ints(
-    std::initializer_list<std::pair<std::string, std::vector<std::int64_t>>> cols) {
-  Schema schema;
-  std::vector<Column> columns;
-  for (const auto& [name, values] : cols) {
-    schema.push_back({name, DataType::kInt64});
-    columns.emplace_back(values);
-  }
-  auto t = Table::make(std::move(schema), std::move(columns));
-  assert(t.ok());
-  return std::move(t).value();
 }
 
 Result<Table> concat_tables(const std::vector<const Table*>& parts) {

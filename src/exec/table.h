@@ -1,7 +1,6 @@
 // Table: an ordered set of equal-length typed columns with a schema.
 #pragma once
 
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -34,15 +33,9 @@ class Table {
   /// on any path fed by untrusted or computed schemas.
   const Column& column_by_name(const std::string& name) const;
 
-  /// Named lookup that can miss: nullptr when absent.
-  const Column* find_column(const std::string& name) const;
-
   /// Named lookup as a Result (NOT_FOUND on miss); the never-null
   /// pointer makes DITTO_ASSIGN_OR_RETURN chains read naturally.
   Result<const Column*> checked_column(const std::string& name) const;
-
-  /// Appends row `row` of `src` (same schema) to this table.
-  void append_row_from(const Table& src, std::size_t row);
 
   /// New table with the rows selected by `indices` (in order).
   Table take(const std::vector<std::size_t>& indices) const;
@@ -67,6 +60,9 @@ class Table {
   }
 
  private:
+  /// Named lookup that can miss: nullptr when absent.
+  const Column* find_column(const std::string& name) const;
+
   Schema schema_;
   std::vector<Column> columns_;
 };
@@ -80,8 +76,5 @@ Result<Table> concat_tables(const std::vector<const Table*>& parts);
 
 /// Same, but a single part is moved through without any copy.
 Result<Table> concat_tables(std::vector<Table> parts);
-
-/// Convenience builders for tests and examples.
-Table table_of_ints(std::initializer_list<std::pair<std::string, std::vector<std::int64_t>>> cols);
 
 }  // namespace ditto::exec

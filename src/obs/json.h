@@ -1,20 +1,10 @@
-// Minimal JSON support for the observability layer.
-//
-// The writer side is a handful of escaping/formatting helpers used by
-// the trace and report exporters (we never need a DOM to *produce*
-// JSON). The reader side is a small recursive-descent parser producing
-// a DOM of JsonValue — enough to load a Chrome trace or an execution
-// report back in, which is exactly what the integration tests do to
-// validate exported artifacts. No external dependency.
+// JSON writing helpers for the observability layer: the escaping and
+// number formatting the trace, report, metrics and service exporters
+// share (none of them needs a DOM to *produce* JSON). Tests read the
+// exported artifacts back with the parser in tests/support/json_parse.h.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
-#include <vector>
-
-#include "common/status.h"
 
 namespace ditto::obs {
 
@@ -25,52 +15,5 @@ std::string json_escape(const std::string& s);
 /// Formats a double the way JSON expects: no inf/nan (clamped to 0),
 /// shortest round-trippable form is not required — %.17g trimmed.
 std::string json_number(double v);
-
-class JsonValue;
-using JsonArray = std::vector<JsonValue>;
-using JsonObject = std::map<std::string, JsonValue>;
-
-/// A parsed JSON document node.
-class JsonValue {
- public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  JsonValue() = default;
-
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-
-  bool as_bool() const { return bool_; }
-  double as_number() const { return number_; }
-  const std::string& as_string() const { return string_; }
-  const JsonArray& as_array() const { return *array_; }
-  const JsonObject& as_object() const { return *object_; }
-
-  /// Object member access; returns nullptr when absent or not an object.
-  const JsonValue* find(const std::string& key) const;
-
-  static JsonValue make_null() { return JsonValue(); }
-  static JsonValue make_bool(bool b);
-  static JsonValue make_number(double v);
-  static JsonValue make_string(std::string s);
-  static JsonValue make_array(JsonArray a);
-  static JsonValue make_object(JsonObject o);
-
- private:
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::shared_ptr<JsonArray> array_;
-  std::shared_ptr<JsonObject> object_;
-};
-
-/// Parses a complete JSON document. Trailing garbage is an error.
-Result<JsonValue> parse_json(const std::string& text);
 
 }  // namespace ditto::obs

@@ -1,13 +1,7 @@
 #include "obs/profile_store.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <set>
-#include <sstream>
-
-#include "common/stats.h"
-#include "obs/json.h"
 
 namespace ditto::obs {
 
@@ -29,12 +23,7 @@ void StageProfile::add(const TaskSample& s) {
   }
   ++count;
   retries += static_cast<std::size_t>(std::max(0, s.retries));
-  if (recent.size() >= kMaxRecent) recent.erase(recent.begin());
-  recent.push_back(s.task_seconds);
 }
-
-double StageProfile::p50() const { return percentile(recent, 50.0); }
-double StageProfile::p99() const { return percentile(recent, 99.0); }
 
 void StageProfileStore::record(std::uint64_t fingerprint, StageId stage, int dop,
                                const TaskSample& sample) {
@@ -102,163 +91,6 @@ Result<std::uint64_t> parse_fingerprint_hex(const std::string& hex) {
     v = (v << 4) | static_cast<std::uint64_t>(digit);
   }
   return v;
-}
-
-namespace {
-
-void append_profile_json(std::ostringstream& os, const StageProfile& p) {
-  os << "{\"stage\":" << p.stage << ",\"dop\":" << p.dop << ",\"count\":" << p.count
-     << ",\"retries\":" << p.retries << ",\"ewma_task\":" << json_number(p.ewma_task)
-     << ",\"ewma_compute\":" << json_number(p.ewma_compute)
-     << ",\"ewma_transport\":" << json_number(p.ewma_transport)
-     << ",\"ewma_queue\":" << json_number(p.ewma_queue) << ",\"kernels\":{";
-  bool first = true;
-  for (const auto& [name, seconds] : p.ewma_kernel) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << json_escape(name) << "\":" << json_number(seconds);
-  }
-  os << "},\"recent\":[";
-  first = true;
-  for (double v : p.recent) {
-    if (!first) os << ",";
-    first = false;
-    os << json_number(v);
-  }
-  os << "]}";
-}
-
-/// `field` of `obj` as a finite, non-negative number.
-Result<double> number_field(const JsonValue& obj, const char* field) {
-  const JsonValue* v = obj.find(field);
-  if (v == nullptr || !v->is_number()) {
-    return Status::invalid_argument(std::string("profile missing numeric field '") + field +
-                                    "'");
-  }
-  const double x = v->as_number();
-  if (!std::isfinite(x) || x < 0.0) {
-    return Status::invalid_argument(std::string("profile field '") + field +
-                                    "' is not a finite non-negative number");
-  }
-  return x;
-}
-
-}  // namespace
-
-std::string StageProfileStore::fingerprint_json(std::uint64_t fingerprint) const {
-  const std::vector<StageProfile> profiles = profiles_for(fingerprint);
-  std::ostringstream os;
-  os << "{\"fingerprint\":\"" << fingerprint_hex(fingerprint) << "\",\"profiles\":[";
-  bool first = true;
-  for (const StageProfile& p : profiles) {
-    if (!first) os << ",\n";
-    first = false;
-    append_profile_json(os, p);
-  }
-  os << "]}\n";
-  return os.str();
-}
-
-Result<std::vector<StageProfile>> StageProfileStore::parse_profiles_json(
-    const std::string& text) {
-  DITTO_ASSIGN_OR_RETURN(JsonValue doc, parse_json(text));
-  if (!doc.is_object()) return Status::invalid_argument("profile document is not an object");
-  const JsonValue* fp_field = doc.find("fingerprint");
-  if (fp_field == nullptr || !fp_field->is_string()) {
-    return Status::invalid_argument("profile document missing string 'fingerprint'");
-  }
-  DITTO_ASSIGN_OR_RETURN(const std::uint64_t fp, parse_fingerprint_hex(fp_field->as_string()));
-  const JsonValue* list = doc.find("profiles");
-  if (list == nullptr || !list->is_array()) {
-    return Status::invalid_argument("profile document missing array 'profiles'");
-  }
-
-  std::vector<StageProfile> out;
-  for (const JsonValue& entry : list->as_array()) {
-    if (!entry.is_object()) return Status::invalid_argument("profile entry is not an object");
-    StageProfile p;
-    p.fingerprint = fp;
-    DITTO_ASSIGN_OR_RETURN(const double stage, number_field(entry, "stage"));
-    DITTO_ASSIGN_OR_RETURN(const double dop, number_field(entry, "dop"));
-    DITTO_ASSIGN_OR_RETURN(const double count, number_field(entry, "count"));
-    DITTO_ASSIGN_OR_RETURN(const double retries, number_field(entry, "retries"));
-    DITTO_ASSIGN_OR_RETURN(p.ewma_task, number_field(entry, "ewma_task"));
-    DITTO_ASSIGN_OR_RETURN(p.ewma_compute, number_field(entry, "ewma_compute"));
-    DITTO_ASSIGN_OR_RETURN(p.ewma_transport, number_field(entry, "ewma_transport"));
-    DITTO_ASSIGN_OR_RETURN(p.ewma_queue, number_field(entry, "ewma_queue"));
-    if (stage >= static_cast<double>(kNoStage) || stage != std::floor(stage)) {
-      return Status::invalid_argument("profile entry has an implausible stage id");
-    }
-    if (dop < 1.0 || dop > 1e6 || dop != std::floor(dop)) {
-      return Status::invalid_argument("profile entry has an implausible dop");
-    }
-    if (count < 1.0 || count > 1e15) {
-      return Status::invalid_argument("profile entry has an implausible count");
-    }
-    p.stage = static_cast<StageId>(stage);
-    p.dop = static_cast<int>(dop);
-    p.count = static_cast<std::size_t>(count);
-    p.retries = static_cast<std::size_t>(retries);
-    // "kernels" is optional: profiles persisted before the kernel
-    // breakdown existed parse fine without it.
-    if (const JsonValue* kernels = entry.find("kernels"); kernels != nullptr) {
-      if (!kernels->is_object()) {
-        return Status::invalid_argument("profile entry 'kernels' is not an object");
-      }
-      for (const auto& [name, v] : kernels->as_object()) {
-        if (!v.is_number() || !std::isfinite(v.as_number()) || v.as_number() < 0.0) {
-          return Status::invalid_argument(
-              "profile entry 'kernels' holds a non-finite value");
-        }
-        p.ewma_kernel[name] = v.as_number();
-      }
-    }
-    const JsonValue* recent = entry.find("recent");
-    if (recent == nullptr || !recent->is_array()) {
-      return Status::invalid_argument("profile entry missing array 'recent'");
-    }
-    if (recent->as_array().size() > StageProfile::kMaxRecent) {
-      return Status::invalid_argument("profile entry 'recent' exceeds the reservoir cap");
-    }
-    for (const JsonValue& v : recent->as_array()) {
-      if (!v.is_number() || !std::isfinite(v.as_number()) || v.as_number() < 0.0) {
-        return Status::invalid_argument("profile entry 'recent' holds a non-finite sample");
-      }
-      p.recent.push_back(v.as_number());
-    }
-    out.push_back(std::move(p));
-  }
-  return out;
-}
-
-Status StageProfileStore::save(storage::ObjectStore& store, const std::string& prefix) const {
-  std::set<std::uint64_t> fingerprints;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [key, p] : profiles_) fingerprints.insert(std::get<0>(key));
-  }
-  for (const std::uint64_t fp : fingerprints) {
-    DITTO_RETURN_IF_ERROR(
-        store.put(prefix + "/" + fingerprint_hex(fp) + ".json", fingerprint_json(fp)));
-  }
-  return Status::ok();
-}
-
-Status StageProfileStore::load(storage::ObjectStore& store, const std::string& prefix) {
-  for (const std::string& key : store.list(prefix + "/")) {
-    auto payload = store.get(key);
-    if (!payload.ok()) return payload.status();
-    auto parsed = parse_profiles_json(*payload);
-    if (!parsed.ok()) {
-      return Status::invalid_argument("corrupt profile object '" + key +
-                                      "': " + parsed.status().to_string());
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    for (StageProfile& p : *parsed) {
-      profiles_[{p.fingerprint, p.stage, p.dop}] = std::move(p);
-    }
-  }
-  return Status::ok();
 }
 
 }  // namespace ditto::obs

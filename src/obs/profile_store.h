@@ -1,5 +1,5 @@
-// StageProfileStore: durable per-stage execution profiles — the data
-// half of the paper's §6.5 profiling loop for recurring jobs.
+// StageProfileStore: per-stage execution profiles — the data half of
+// the paper's §6.5 profiling loop for recurring jobs.
 //
 // Every completed task feeds one TaskSample (compute / transport /
 // queue / retry breakdown) into the profile keyed by
@@ -9,12 +9,8 @@
 // where the fingerprint is dag::structural_fingerprint of the job's
 // model DAG, so a second submission of the same query shape lands on
 // the same history regardless of data volumes. Aggregation keeps a
-// count, EWMAs of each component, and a bounded reservoir of recent
-// task times for p50/p99. Profiles serialize as JSON through any
-// ObjectStore (one object per fingerprint under a key prefix), so
-// recurring submissions accumulate history across process lifetimes;
-// corrupt payloads are rejected with a Status — never a crash — and
-// leave previously-loaded profiles untouched.
+// count and EWMAs of each component. The store lives in memory; a
+// long-lived JobService keeps one across submissions.
 //
 // The store is thread-safe: engine tasks record concurrently while a
 // /metrics scrape or a refit pass reads a snapshot.
@@ -30,7 +26,6 @@
 
 #include "common/status.h"
 #include "dag/types.h"
-#include "storage/object_store.h"
 
 namespace ditto::obs {
 
@@ -42,7 +37,7 @@ struct TaskSample {
   double queue_seconds = 0.0;      ///< pool submit -> attempt start
   int retries = 0;                 ///< attempts before the winning one
   /// Seconds spent inside named operator kernels during the stage
-  /// function (group_by / join / filter / top_k), from the
+  /// function (group_by / join / filter), from the
   /// thread-local accounting in exec/kernels.h. A subset of
   /// compute_seconds; keys absent when the kernel never ran.
   std::map<std::string, double> kernel_seconds;
@@ -66,16 +61,10 @@ struct StageProfile {
   /// seeded by the first sample that reports it. Lets timemodel.drift
   /// see WHERE the compute model shifted when kernels change.
   std::map<std::string, double> ewma_kernel;
-  /// Bounded reservoir of recent task times (newest last, capped at
-  /// kMaxRecent) backing the percentile queries.
-  std::vector<double> recent;
 
   static constexpr double kEwmaAlpha = 0.2;
-  static constexpr std::size_t kMaxRecent = 256;
 
   void add(const TaskSample& s);
-  double p50() const;
-  double p99() const;
 };
 
 class StageProfileStore {
@@ -91,24 +80,6 @@ class StageProfileStore {
   std::vector<StageProfile> all() const;
   std::size_t size() const;
   void clear();
-
-  /// Persists every fingerprint's profiles as one JSON object at
-  /// `<prefix>/<fingerprint hex>.json` (overwrites).
-  Status save(storage::ObjectStore& store, const std::string& prefix = "profiles") const;
-
-  /// Loads every `<prefix>/` object, merging into this store (loaded
-  /// profiles REPLACE same-key entries; unrelated keys survive). A
-  /// corrupt payload fails with INVALID_ARGUMENT naming the object and
-  /// leaves the store as it was before that object.
-  Status load(storage::ObjectStore& store, const std::string& prefix = "profiles");
-
-  /// One fingerprint's profiles as a JSON document (what save() puts).
-  std::string fingerprint_json(std::uint64_t fingerprint) const;
-
-  /// Parses a persisted document; every structural or numeric problem
-  /// (truncation, type confusion, non-finite numbers, bad dop/stage) is
-  /// an INVALID_ARGUMENT Status.
-  static Result<std::vector<StageProfile>> parse_profiles_json(const std::string& text);
 
  private:
   using Key = std::tuple<std::uint64_t, StageId, int>;

@@ -193,33 +193,13 @@ std::string TraceCollector::to_chrome_json() const {
   return os.str();
 }
 
-std::string TraceCollector::to_jsonl() const {
-  const std::vector<TraceEvent> snapshot = events();
-  std::ostringstream os;
-  for (const TraceEvent& e : snapshot) {
-    append_event_json(os, e);
-    os << "\n";
-  }
-  return os.str();
-}
-
-namespace {
-Status write_file(const std::string& path, const std::string& content) {
+Status TraceCollector::write_chrome_json(const std::string& path) const {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) return Status::unavailable("cannot open " + path + " for writing");
-  f << content;
+  f << to_chrome_json();
   f.flush();
   if (!f) return Status::unavailable("write to " + path + " failed");
   return Status::ok();
-}
-}  // namespace
-
-Status TraceCollector::write_chrome_json(const std::string& path) const {
-  return write_file(path, to_chrome_json());
-}
-
-Status TraceCollector::write_jsonl(const std::string& path) const {
-  return write_file(path, to_jsonl());
 }
 
 }  // namespace ditto::obs

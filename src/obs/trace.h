@@ -2,11 +2,10 @@
 //
 // The runtime layers (scheduler, engine, exchange, shm, storage, sim)
 // emit events into a collector; the collector exports them as Chrome
-// trace-event JSON — loadable in Perfetto / chrome://tracing — or as
-// one-event-per-line JSONL for ad-hoc tooling. Identity follows the
-// paper's vocabulary: `pid` is the server track, `tid` the task (or
-// hardware thread) within it, and every event carries a category such
-// as "scheduler", "engine.task", or "exchange".
+// trace-event JSON, loadable in Perfetto / chrome://tracing. Identity
+// follows the paper's vocabulary: `pid` is the server track, `tid` the
+// task (or hardware thread) within it, and every event carries a
+// category such as "scheduler", "engine.task", or "exchange".
 //
 // Cost discipline: collection is OFF by default. Every emit path first
 // checks one relaxed atomic, so instrumented hot loops (channel sends,
@@ -95,11 +94,8 @@ class TraceCollector {
 
   /// {"traceEvents":[...]} — the Chrome trace-event format.
   std::string to_chrome_json() const;
-  /// One JSON object per line (same event schema, no wrapper).
-  std::string to_jsonl() const;
 
   Status write_chrome_json(const std::string& path) const;
-  Status write_jsonl(const std::string& path) const;
 
  private:
   void push(TraceEvent e);

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <set>
 
+#include "timemodel/step_model.h"
+
 namespace ditto::scheduler {
 
 namespace {
@@ -101,16 +103,16 @@ int merge_pair(WorkGraph& g, int a, int b, bool intra) {
   MergeNode n;
   n.left = a;
   n.right = b;
+  const StepModel ma{aa, g.nodes[a].beta};
+  const StepModel mb{ab, g.nodes[b].beta};
+  // Parent-child: d_a/d_b = sqrt(aa/ab). Siblings: d_a/d_b = aa/ab.
+  const StepModel merged = intra ? merge_intra_path(ma, mb) : merge_inter_path(ma, mb);
+  n.alpha = merged.alpha;
+  n.beta = merged.beta;
   if (intra) {
-    // Parent-child: d_a/d_b = sqrt(aa/ab); alpha' = (sqrt(aa)+sqrt(ab))^2.
     const double sa = std::sqrt(aa), sb = std::sqrt(ab);
-    n.alpha = (sa + sb) * (sa + sb);
-    n.beta = g.nodes[a].beta + g.nodes[b].beta;
     n.left_frac = sa / (sa + sb);
   } else {
-    // Siblings: d_a/d_b = aa/ab; alpha' = aa + ab.
-    n.alpha = aa + ab;
-    n.beta = std::max(g.nodes[a].beta, g.nodes[b].beta);
     n.left_frac = aa / (aa + ab);
   }
   return g.add_node(n);

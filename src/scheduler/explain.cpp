@@ -1,7 +1,6 @@
 #include "scheduler/explain.h"
 
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "common/units.h"
@@ -53,35 +52,6 @@ std::string explain_plan(const JobDag& dag, const SchedulePlan& plan) {
   os << "  predicted cost: " << plan.predicted.cost.total() << " GB-s (functions "
      << plan.predicted.cost.function_gbs << ", shm " << plan.predicted.cost.shm_gbs
      << ", storage " << plan.predicted.cost.storage_gbs << ")\n";
-  return os.str();
-}
-
-std::string plan_to_dot(const JobDag& dag, const cluster::PlacementPlan& plan) {
-  std::ostringstream os;
-  os << "digraph \"" << dag.name() << "-plan\" {\n  rankdir=BT;\n"
-     << "  node [shape=box, style=rounded];\n";
-  for (StageId s = 0; s < dag.num_stages(); ++s) {
-    os << "  s" << s << " [label=\"" << dag.stage(s).name() << "\\nDoP "
-       << plan.dop_of(s);
-    // Summarize servers.
-    std::map<ServerId, int> per_server;
-    if (s < plan.task_server.size()) {
-      for (ServerId v : plan.task_server[s]) ++per_server[v];
-    }
-    os << "\\nsrv";
-    for (const auto& [srv, n] : per_server) os << " " << srv << "x" << n;
-    os << "\"];\n";
-  }
-  for (const Edge& e : dag.edges()) {
-    os << "  s" << e.src << " -> s" << e.dst;
-    if (plan.edge_colocated(e.src, e.dst)) {
-      os << " [color=green, penwidth=2, label=\"zero-copy\"]";
-    } else {
-      os << " [style=dashed, label=\"" << exchange_kind_name(e.exchange) << "\"]";
-    }
-    os << ";\n";
-  }
-  os << "}\n";
   return os.str();
 }
 

@@ -15,8 +15,4 @@ namespace ditto::scheduler {
 /// zero-copy stage groups, and the predicted JCT/cost breakdown.
 std::string explain_plan(const JobDag& dag, const SchedulePlan& plan);
 
-/// Graphviz DOT rendering of a plan: stages labelled with DoP and
-/// servers, zero-copy edges drawn bold/green, remote shuffles dashed.
-std::string plan_to_dot(const JobDag& dag, const cluster::PlacementPlan& plan);
-
 }  // namespace ditto::scheduler

@@ -20,10 +20,13 @@ StorageModel redis_model() {
   return m;
 }
 
-StorageModel instant_model() { return StorageModel{}; }
-
-std::unique_ptr<MemStore> make_s3_sim() {
-  return std::make_unique<MemStore>(s3_model(), "s3");
+StorageModel direct_network_model() {
+  StorageModel m;
+  m.request_latency = 0.001;         // connection setup
+  m.bandwidth_bytes_per_s = 1.25e9;  // 10 GbE
+  m.cost_per_gb_second = 0.0;        // nothing persisted
+  m.capacity = 0;
+  return m;
 }
 
 std::unique_ptr<MemStore> make_redis_sim() {
@@ -31,7 +34,7 @@ std::unique_ptr<MemStore> make_redis_sim() {
 }
 
 std::unique_ptr<MemStore> make_instant_store() {
-  return std::make_unique<MemStore>(instant_model(), "instant");
+  return std::make_unique<MemStore>(StorageModel{}, "instant");
 }
 
 }  // namespace ditto::storage

@@ -1,4 +1,5 @@
-// Factory functions for the two external stores of the paper's testbed.
+// Factory functions for the two external stores of the paper's testbed,
+// plus the direct-network model of its §7 discussion.
 //
 // Parameters follow published service characteristics:
 //   S3:    ~30 ms time-to-first-byte, ~90 MB/s per connection,
@@ -21,11 +22,15 @@ StorageModel s3_model();
 /// size (2 nodes, 114 GB each).
 StorageModel redis_model();
 
-/// Zero-latency, unbounded, free store (unit tests, debugging).
-StorageModel instant_model();
+/// Direct server-to-server transfer model (paper §7: "Ditto's design is
+/// suitable for ... direct communication over network", e.g. Knative):
+/// ~1 ms connection overhead, 10 GbE bandwidth, nothing persisted so no
+/// storage cost, unbounded.
+StorageModel direct_network_model();
 
-std::unique_ptr<MemStore> make_s3_sim();
 std::unique_ptr<MemStore> make_redis_sim();
+
+/// Zero-latency, unbounded, free store (unit tests, debugging).
 std::unique_ptr<MemStore> make_instant_store();
 
 }  // namespace ditto::storage

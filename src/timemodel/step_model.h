@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 namespace ditto {
 
@@ -32,7 +33,15 @@ struct StepModel {
 /// Merged "virtual stage" parameters from Algorithm 1:
 ///   intra-path (parent-child):  alpha' = (sqrt(ai) + sqrt(aj))^2,  beta' = bi + bj
 ///   inter-path (siblings):      alpha' = ai + aj,                  beta' = max(bi, bj)
-StepModel merge_intra_path(const StepModel& a, const StepModel& b);
-StepModel merge_inter_path(const StepModel& a, const StepModel& b);
+/// Inline: the scheduler's DoP-ratio merge (dop_ratio.cpp) calls these
+/// once per merge, inside its grouping search.
+inline StepModel merge_intra_path(const StepModel& a, const StepModel& b) {
+  const double s = std::sqrt(a.alpha) + std::sqrt(b.alpha);
+  return {s * s, a.beta + b.beta};
+}
+
+inline StepModel merge_inter_path(const StepModel& a, const StepModel& b) {
+  return {a.alpha + b.alpha, std::max(a.beta, b.beta)};
+}
 
 }  // namespace ditto

@@ -188,22 +188,4 @@ Result<cluster::Cluster> parse_cluster_spec(const std::string& text) {
   return cluster::Cluster::from_distribution(dist, servers, slots);
 }
 
-std::string to_job_spec(const JobDag& dag) {
-  std::ostringstream os;
-  os << "job " << dag.name() << "\n";
-  for (const Stage& s : dag.stages()) {
-    os << "stage " << s.name() << " " << (s.op().empty() ? "map" : s.op());
-    if (s.input_bytes() > 0) os << " input=" << s.input_bytes() << "B";
-    if (s.output_bytes() > 0) os << " output=" << s.output_bytes() << "B";
-    os << "\n";
-  }
-  for (const Edge& e : dag.edges()) {
-    os << "edge " << dag.stage(e.src).name() << " " << dag.stage(e.dst).name() << " "
-       << exchange_kind_name(e.exchange);
-    if (e.bytes > 0) os << " bytes=" << e.bytes << "B";
-    os << "\n";
-  }
-  return os.str();
-}
-
 }  // namespace ditto::workload

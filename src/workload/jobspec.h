@@ -33,7 +33,4 @@ Result<cluster::Cluster> parse_cluster_spec(const std::string& text);
 /// Parses a byte size like "24GB" or "512MiB".
 Result<Bytes> parse_size(const std::string& text);
 
-/// Renders a DAG back into the spec format (round-trip friendly).
-std::string to_job_spec(const JobDag& dag);
-
 }  // namespace ditto::workload

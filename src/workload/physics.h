@@ -26,8 +26,8 @@ namespace ditto::workload {
 struct ComputeRates {
   /// Per-core processing throughput by operator class (bytes/second).
   /// The defaults model the original row-at-a-time operator
-  /// formulations (retained under exec::reference) and stay the
-  /// repo-wide baseline so existing experiments remain comparable.
+  /// formulations (the oracle in tests/support/reference.h) and stay
+  /// the repo-wide baseline so existing experiments remain comparable.
   double map_bps = 400e6;
   double join_bps = 150e6;
   double groupby_bps = 200e6;
@@ -36,24 +36,6 @@ struct ComputeRates {
 
   double rate_for(const std::string& op) const;
 };
-
-/// Rates refit to the columnar multi-core kernels (EXPERIMENTS.md §
-/// "Operator kernels"): on the 1M-row kernel micro the radix group-by
-/// sustains ~0.6 GB/s per core (48 MB table / ~75 ms, was ~160 MB/s
-/// row-at-a-time), the partitioned join ~0.55 GB/s (52 MB of inputs /
-/// ~90 ms), and the vectorized filter clears several GB/s, bounded in
-/// practice by the gather, so the map class is set conservatively.
-/// Opt-in preset: pass to PhysicsParams when modelling the kernel
-/// engine rather than the reference formulations.
-inline ComputeRates vectorized_compute_rates() {
-  ComputeRates r;
-  r.map_bps = 900e6;
-  r.join_bps = 550e6;
-  r.groupby_bps = 600e6;
-  r.reduce_bps = 500e6;
-  r.default_bps = 600e6;
-  return r;
-}
 
 struct PhysicsParams {
   storage::StorageModel store;       ///< external storage backing shuffles

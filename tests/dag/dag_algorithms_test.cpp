@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "support/dag_paths.h"
+
 namespace ditto {
 namespace {
 
@@ -106,15 +108,6 @@ TEST(EnumeratePathsTest, RespectsCap) {
   const auto paths = enumerate_paths(dag, 100);
   EXPECT_LE(paths.size(), 100u);
   EXPECT_GE(paths.size(), 1u);
-}
-
-TEST(IsAncestorTest, TransitiveReachability) {
-  const JobDag dag = diamond();
-  EXPECT_TRUE(is_ancestor(dag, 0, 3));
-  EXPECT_TRUE(is_ancestor(dag, 0, 1));
-  EXPECT_FALSE(is_ancestor(dag, 1, 2));
-  EXPECT_FALSE(is_ancestor(dag, 3, 0));
-  EXPECT_FALSE(is_ancestor(dag, 2, 2));
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "exec/exchange.h"
 #include "exec/serde.h"
 #include "storage/sim_store.h"
+#include "support/tables.h"
 
 namespace ditto::exec {
 namespace {

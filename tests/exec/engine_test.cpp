@@ -19,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/sim_store.h"
+#include "support/tables.h"
 #include "workload/engine_queries.h"
 
 namespace ditto::exec {

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "storage/sim_store.h"
+#include "support/tables.h"
 
 namespace ditto::exec {
 namespace {
@@ -538,7 +539,7 @@ TEST(ExchangeGatherTest, MultiPartGatherEqualsTheAppendLoop) {
   Table want(mixed_part(0, 0).schema());
   for (int i = 0; i < 3; ++i) {
     const Table part = mixed_part(i, rows[i]);
-    for (std::size_t r = 0; r < part.num_rows(); ++r) want.append_row_from(part, r);
+    for (std::size_t r = 0; r < part.num_rows(); ++r) append_row_from(want, part, r);
   }
   EXPECT_EQ(*got, want);
   for (std::size_t c = 0; c < got->num_columns(); ++c) {

@@ -1,6 +1,6 @@
 // Kernel-equivalence corpus: every columnar kernel must produce
-// BIT-IDENTICAL output to its retained row-at-a-time reference
-// (operators.h, namespace reference) — same schema, same row order,
+// BIT-IDENTICAL output to its row-at-a-time reference
+// (tests/support/reference.h) — same schema, same row order,
 // same floating-point accumulation — across owned and borrowed
 // columns, every pool width, and the adversarial table shapes below
 // (empty, single row, all-equal keys, Zipf skew, low and moderate
@@ -28,6 +28,8 @@
 #include "exec/operators.h"
 #include "exec/partition.h"
 #include "exec/table.h"
+#include "support/reference.h"
+#include "support/tables.h"
 
 namespace ditto::exec {
 namespace {
@@ -176,18 +178,6 @@ TEST(KernelEquivalenceGroupBy, MatchesReferenceAcrossCorpus) {
         expect_same(ctx, want, group_by(t, "order_id", *aggs, pool));
         expect_same(ctx + "/borrowed", want, group_by(bt.view, "order_id", *aggs, pool));
       }
-    }
-  }
-}
-
-TEST(KernelEquivalenceGroupBy, MultiKeyMatchesReference) {
-  Pools pools;
-  for (const auto& [shape, t, sparse] : corpus()) {
-    const auto want =
-        reference::group_by_multi(t, {"warehouse_id", "site_id"}, kMixedAggs);
-    for (const auto& [pname, pool] : pools.all) {
-      const std::string ctx = shape + "/" + pname;
-      expect_same(ctx, want, group_by_multi(t, {"warehouse_id", "site_id"}, kMixedAggs, pool));
     }
   }
 }
@@ -436,26 +426,6 @@ TEST(KernelEquivalenceFilter, IntDomainComparisonIsExact) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->num_rows(), 1u);
   EXPECT_EQ(out->column_by_name("v").int_at(0), big);
-}
-
-TEST(KernelEquivalenceTopK, TieOrderMatchesStableSortFormulation) {
-  // Duplicate values everywhere: the bounded heap must keep EARLIER
-  // rows on ties, exactly like stable-sort-then-truncate.
-  std::vector<std::int64_t> vals, tag;
-  for (std::int64_t r = 0; r < 4000; ++r) {
-    vals.push_back(r % 7);
-    tag.push_back(r);
-  }
-  const Table t = table_of_ints({{"v", std::move(vals)}, {"tag", std::move(tag)}});
-  for (const bool desc : {true, false}) {
-    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{5},
-                                std::size_t{100}, std::size_t{5000}}) {
-      const auto want = reference::top_k_by_int(t, "v", k, desc);
-      const auto got = top_k_by_int(t, "v", k, desc);
-      ASSERT_TRUE(want.ok() && got.ok());
-      EXPECT_TRUE(*want == *got) << "k=" << k << " desc=" << desc;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,73 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "exec/operators.h"
+#include "support/tables.h"
 
 namespace ditto::exec {
 namespace {
-
-Table sample() {
-  return table_of_ints({{"k", {3, 1, 3, 2, 1}}, {"v", {30, 10, 31, 20, 11}}});
-}
-
-TEST(DistinctByTest, FirstOccurrenceWins) {
-  const auto out = distinct_by(sample(), "k");
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->num_rows(), 3u);
-  EXPECT_EQ(out->column_by_name("k").ints(), (std::vector<std::int64_t>{3, 1, 2}));
-  EXPECT_EQ(out->column_by_name("v").ints(), (std::vector<std::int64_t>{30, 10, 20}));
-}
-
-TEST(DistinctByTest, AlreadyDistinctIsIdentity) {
-  const Table t = table_of_ints({{"k", {1, 2, 3}}});
-  EXPECT_EQ(*distinct_by(t, "k"), t);
-}
-
-TEST(DistinctByTest, BadColumnFails) {
-  EXPECT_FALSE(distinct_by(sample(), "ghost").ok());
-}
-
-TEST(TopKTest, DescendingDefault) {
-  const auto out = top_k_by_int(sample(), "v", 2);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->column_by_name("v").ints(), (std::vector<std::int64_t>{31, 30}));
-}
-
-TEST(TopKTest, AscendingAndOversizedK) {
-  const auto out = top_k_by_int(sample(), "v", 100, /*descending=*/false);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->num_rows(), 5u);
-  EXPECT_EQ(out->column_by_name("v").int_at(0), 10);
-}
-
-TEST(UnionAllTest, ConcatenatesInOrder) {
-  const Table a = table_of_ints({{"x", {1, 2}}});
-  const Table b = table_of_ints({{"x", {3}}});
-  const auto out = union_all({a, b, a});
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->column_by_name("x").ints(), (std::vector<std::int64_t>{1, 2, 3, 1, 2}));
-}
-
-TEST(UnionAllTest, RejectsEmptyAndMismatched) {
-  EXPECT_FALSE(union_all({}).ok());
-  const Table a = table_of_ints({{"x", {1}}});
-  const Table b = table_of_ints({{"y", {1}}});
-  EXPECT_FALSE(union_all({a, b}).ok());
-}
-
-TEST(WithColumnTest, DerivesDoubleColumn) {
-  const auto out = with_column(sample(), "ratio", [](const Table& t, std::size_t r) {
-    return static_cast<double>(t.column_by_name("v").int_at(r)) /
-           static_cast<double>(t.column_by_name("k").int_at(r));
-  });
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->num_columns(), 3u);
-  EXPECT_DOUBLE_EQ(out->column_by_name("ratio").double_at(0), 10.0);
-  EXPECT_DOUBLE_EQ(out->column_by_name("ratio").double_at(1), 10.0);
-}
-
-TEST(WithColumnTest, RejectsDuplicateName) {
-  EXPECT_FALSE(with_column(sample(), "v", [](const Table&, std::size_t) { return 0.0; }).ok());
-}
 
 TEST(FirstIntAggTest, KeepsFirstSeenValuePerGroup) {
   const Table t = table_of_ints(
@@ -97,66 +34,6 @@ TEST(FirstIntAggTest, ComposesWithOtherAggregates) {
   EXPECT_EQ(out->column_by_name("fk").int_at(0), 7);
   EXPECT_DOUBLE_EQ(out->column_by_name("s").double_at(0), 4.0);
   EXPECT_EQ(out->column_by_name("fk").int_at(1), 9);
-}
-
-TEST(GroupByMultiTest, CompositeKeysGroupExactly) {
-  // (customer, store) pairs with overlapping singles — only exact pairs
-  // may merge.
-  const Table t = table_of_ints({{"cust", {1, 1, 2, 1}},
-                                 {"store", {10, 20, 10, 10}},
-                                 {"amt", {5, 7, 11, 3}}});
-  const auto out = group_by_multi(t, {"cust", "store"},
-                                  {{AggKind::kSum, "amt", "total"}, {AggKind::kCount, "", "n"}});
-  ASSERT_TRUE(out.ok()) << out.status().to_string();
-  ASSERT_EQ(out->num_rows(), 3u);  // (1,10), (1,20), (2,10)
-  // Lexicographic key order.
-  EXPECT_EQ(out->column_by_name("cust").ints(), (std::vector<std::int64_t>{1, 1, 2}));
-  EXPECT_EQ(out->column_by_name("store").ints(), (std::vector<std::int64_t>{10, 20, 10}));
-  EXPECT_DOUBLE_EQ(out->column_by_name("total").double_at(0), 8.0);  // 5 + 3
-  EXPECT_EQ(out->column_by_name("n").int_at(0), 2);
-}
-
-TEST(GroupByMultiTest, SingleKeyDelegates) {
-  const Table t = table_of_ints({{"k", {2, 1, 2}}, {"v", {1, 2, 3}}});
-  const auto multi = group_by_multi(t, {"k"}, {{AggKind::kSum, "v", "s"}});
-  const auto single = group_by(t, "k", {{AggKind::kSum, "v", "s"}});
-  ASSERT_TRUE(multi.ok() && single.ok());
-  EXPECT_EQ(*multi, *single);
-}
-
-TEST(GroupByMultiTest, AllAggregateKindsWork) {
-  const Table t = table_of_ints(
-      {{"a", {1, 1, 1}}, {"b", {2, 2, 2}}, {"v", {3, 9, 6}}, {"fk", {70, 80, 90}}});
-  const auto out = group_by_multi(t, {"a", "b"},
-                                  {{AggKind::kMin, "v", "lo"},
-                                   {AggKind::kMax, "v", "hi"},
-                                   {AggKind::kAvg, "v", "avg"},
-                                   {AggKind::kFirstInt, "fk", "fk"}});
-  ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->num_rows(), 1u);
-  EXPECT_DOUBLE_EQ(out->column_by_name("lo").double_at(0), 3.0);
-  EXPECT_DOUBLE_EQ(out->column_by_name("hi").double_at(0), 9.0);
-  EXPECT_DOUBLE_EQ(out->column_by_name("avg").double_at(0), 6.0);
-  EXPECT_EQ(out->column_by_name("fk").int_at(0), 70);
-}
-
-TEST(GroupByMultiTest, Rejections) {
-  const Table t = table_of_ints({{"k", {1}}, {"v", {1}}});
-  EXPECT_FALSE(group_by_multi(t, {}, {}).ok());
-  EXPECT_FALSE(group_by_multi(t, {"ghost", "k"}, {}).ok());
-  auto td = Table::make({{"k", DataType::kInt64}, {"d", DataType::kDouble}},
-                        {Column(std::vector<std::int64_t>{1}),
-                         Column(std::vector<double>{1.0})});
-  ASSERT_TRUE(td.ok());
-  EXPECT_FALSE(group_by_multi(*td, {"k", "d"}, {}).ok());  // double key
-}
-
-TEST(GroupByMultiTest, EmptyInputYieldsEmptyOutput) {
-  const Table t = table_of_ints({{"a", {}}, {"b", {}}, {"v", {}}});
-  const auto out = group_by_multi(t, {"a", "b"}, {{AggKind::kSum, "v", "s"}});
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->num_rows(), 0u);
-  EXPECT_EQ(out->num_columns(), 3u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/tables.h"
+
 namespace ditto::exec {
 namespace {
 
@@ -140,19 +142,6 @@ TEST(SortTest, StableOnTies) {
   const Table t = table_of_ints({{"k", {1, 1, 1}}, {"v", {7, 8, 9}}});
   const auto out = sort_by_int(t, "k");
   EXPECT_EQ(out->column_by_name("v").ints(), (std::vector<std::int64_t>{7, 8, 9}));
-}
-
-TEST(LimitTest, TruncatesAndHandlesShortInput) {
-  const Table t = orders();
-  EXPECT_EQ(limit(t, 2).num_rows(), 2u);
-  EXPECT_EQ(limit(t, 100).num_rows(), 6u);
-  EXPECT_EQ(limit(t, 0).num_rows(), 0u);
-}
-
-TEST(CountDistinctTest, CountsUniqueKeys) {
-  EXPECT_EQ(count_distinct(orders(), "customer").value(), 3u);
-  EXPECT_EQ(count_distinct(orders(), "id").value(), 6u);
-  EXPECT_FALSE(count_distinct(orders(), "ghost").ok());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/thread_pool.h"
+#include "support/tables.h"
 
 namespace ditto::exec {
 namespace {

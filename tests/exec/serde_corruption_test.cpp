@@ -1,7 +1,8 @@
-// Corruption corpus for deserialize_table: whatever bytes arrive, the
-// parser must return a clean Status — never crash, throw, or
-// over-allocate — and anything it accepts must be a structurally valid
-// table. Runs under ASan/UBSan in CI.
+// Corruption corpus for deserialize_table (v2, the engine's reader) and
+// deserialize_table_v1 (the legacy reader kept in tests/support):
+// whatever bytes arrive, the parser must return a clean Status — never
+// crash, throw, or over-allocate — and anything it accepts must be a
+// structurally valid table. Runs under ASan/UBSan in CI.
 #include <cstring>
 #include <string>
 #include <vector>
@@ -10,6 +11,7 @@
 
 #include "exec/serde.h"
 #include "support/serde_v1.h"
+#include "support/tables.h"
 
 namespace ditto::exec {
 namespace {
@@ -21,6 +23,12 @@ storage::Payload serialize_as(int version, const Table& t) {
 
 storage::Payload payload_of(std::string bytes) {
   return std::make_shared<const std::string>(std::move(bytes));
+}
+
+/// Parses with the reader of wire version 1 or 2.
+Result<Table> deserialize_as(int version, std::string bytes) {
+  const storage::Payload p = payload_of(std::move(bytes));
+  return version == 1 ? deserialize_table_v1(p) : deserialize_table(p);
 }
 
 Table must_make(Schema schema, std::vector<Column> cols) {
@@ -51,8 +59,8 @@ std::vector<Table> corpus() {
   return out;
 }
 
-void expect_clean_parse(std::string bytes) {
-  const Result<Table> r = deserialize_table(payload_of(std::move(bytes)));
+void expect_clean_parse(int version, std::string bytes) {
+  const Result<Table> r = deserialize_as(version, std::move(bytes));
   if (r.ok()) {
     // Accepting mutated bytes is fine (a value flip is undetectable);
     // producing a structurally broken table is not.
@@ -65,8 +73,7 @@ void expect_clean_parse(std::string bytes) {
 TEST(SerdeCorruptionTest, RoundTripBothVersions) {
   for (int version : {1, 2}) {
     for (const Table& t : corpus()) {
-      const storage::Payload bytes = serialize_as(version, t);
-      const auto back = deserialize_table(bytes);
+      const auto back = deserialize_as(version, *serialize_as(version, t));
       ASSERT_TRUE(back.ok()) << "version " << version << ": " << back.status().to_string();
       EXPECT_EQ(*back, t) << "version " << version;
     }
@@ -78,7 +85,7 @@ TEST(SerdeCorruptionTest, TruncationAtEveryOffsetFailsCleanly) {
     for (const Table& t : corpus()) {
       const std::string full = *serialize_as(version, t);
       for (std::size_t len = 0; len < full.size(); ++len) {
-        const Result<Table> r = deserialize_table(payload_of(full.substr(0, len)));
+        const Result<Table> r = deserialize_as(version, full.substr(0, len));
         EXPECT_FALSE(r.ok()) << "version " << version << " accepted a " << len
                              << "-byte prefix of " << full.size() << " bytes";
       }
@@ -94,7 +101,7 @@ TEST(SerdeCorruptionTest, BitFlipSweepNeverCrashes) {
         for (unsigned char mask : {0x01, 0x80, 0xff}) {
           std::string mutated = full;
           mutated[pos] = static_cast<char>(mutated[pos] ^ mask);
-          expect_clean_parse(std::move(mutated));
+          expect_clean_parse(version, std::move(mutated));
         }
       }
     }
@@ -118,7 +125,7 @@ TEST(SerdeCorruptionTest, TrailingBytesRejected) {
   for (int version : {1, 2}) {
     std::string padded = *serialize_as(version, table_of_ints({{"a", {1, 2, 3}}}));
     padded.push_back('\0');
-    EXPECT_FALSE(deserialize_table(payload_of(padded)).ok());
+    EXPECT_FALSE(deserialize_as(version, padded).ok());
   }
 }
 
@@ -127,9 +134,21 @@ TEST(SerdeCorruptionTest, V1PayloadsStillReadable) {
     const storage::Payload v1_bytes = serialize_table_v1(t);
     // v1 writes are stable: re-serializing produces identical bytes.
     EXPECT_EQ(*serialize_table_v1(t), *v1_bytes);
-    const auto back = deserialize_table(v1_bytes);
+    const auto back = deserialize_table_v1(v1_bytes);
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, t);
+  }
+}
+
+TEST(SerdeCorruptionTest, ShippedReaderRejectsV1) {
+  // The engine reads one wire version: a v1 payload is a clean
+  // INVALID_ARGUMENT that names the version, never a parse.
+  for (const Table& t : corpus()) {
+    const Result<Table> r = deserialize_table(serialize_table_v1(t));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("version 1"), std::string::npos)
+        << r.status().message();
   }
 }
 

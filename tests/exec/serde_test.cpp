@@ -4,6 +4,8 @@
 
 #include <cstring>
 
+#include "support/tables.h"
+
 namespace ditto::exec {
 namespace {
 

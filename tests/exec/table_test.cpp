@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/tables.h"
+
 namespace ditto::exec {
 namespace {
 
@@ -86,7 +88,7 @@ TEST(TableTest, ConcatRejectsSchemaMismatch) {
 TEST(TableTest, AppendRowFrom) {
   const Table src = sample();
   Table dst(src.schema());
-  dst.append_row_from(src, 1);
+  append_row_from(dst, src, 1);
   EXPECT_EQ(dst.num_rows(), 1u);
   EXPECT_EQ(dst.column_by_name("name").string_at(0), "b");
 }

@@ -15,6 +15,7 @@
 #include "faults/fault_injector.h"
 #include "faults/flaky_store.h"
 #include "storage/sim_store.h"
+#include "support/tables.h"
 
 namespace ditto::faults {
 namespace {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/json_parse.h"
+
 namespace ditto::obs {
 namespace {
 

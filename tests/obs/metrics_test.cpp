@@ -5,8 +5,8 @@
 #include <thread>
 #include <vector>
 
-#include "obs/json.h"
 #include "obs/trace.h"
+#include "support/json_parse.h"
 
 namespace ditto::obs {
 namespace {

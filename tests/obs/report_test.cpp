@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/json.h"
 #include "scheduler/ditto_scheduler.h"
 #include "sim/job_simulator.h"
 #include "sim/sim_runner.h"
 #include "storage/sim_store.h"
+#include "support/json_parse.h"
 #include "workload/queries.h"
 
 namespace ditto::obs {

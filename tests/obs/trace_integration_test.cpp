@@ -12,13 +12,13 @@
 #include "exec/datagen.h"
 #include "exec/engine.h"
 #include "exec/operators.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "scheduler/ditto_scheduler.h"
 #include "sim/sim_runner.h"
 #include "sim/trace_export.h"
 #include "storage/sim_store.h"
+#include "support/json_parse.h"
 #include "workload/queries.h"
 
 namespace ditto::obs {

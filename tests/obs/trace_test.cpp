@@ -5,7 +5,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/json.h"
+#include "support/json_parse.h"
 
 namespace ditto::obs {
 namespace {
@@ -92,25 +92,6 @@ TEST(TraceCollectorTest, ChromeJsonIsValidAndComplete) {
   const JsonValue& counter = events->as_array()[3];
   EXPECT_EQ(counter.find("ph")->as_string(), "C");
   EXPECT_DOUBLE_EQ(counter.find("args")->find("value")->as_number(), 123.0);
-}
-
-TEST(TraceCollectorTest, JsonlHasOneParsableObjectPerLine) {
-  TraceCollector tc;
-  tc.set_enabled(true);
-  tc.span("a", "x", 0, 1);
-  tc.instant("b", "y", 2);
-  const std::string jsonl = tc.to_jsonl();
-  std::size_t lines = 0, pos = 0;
-  while (pos < jsonl.size()) {
-    const std::size_t nl = jsonl.find('\n', pos);
-    ASSERT_NE(nl, std::string::npos);
-    const auto v = parse_json(jsonl.substr(pos, nl - pos));
-    ASSERT_TRUE(v.ok()) << v.status().to_string();
-    EXPECT_TRUE(v->is_object());
-    ++lines;
-    pos = nl + 1;
-  }
-  EXPECT_EQ(lines, 2u);
 }
 
 TEST(TraceCollectorTest, ClearEmptiesButStaysEnabled) {

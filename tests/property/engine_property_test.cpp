@@ -9,7 +9,6 @@
 #include "exec/engine.h"
 #include "exec/operators.h"
 #include "storage/sim_store.h"
-#include "storage/tiered_store.h"
 
 namespace ditto::exec {
 namespace {
@@ -87,24 +86,6 @@ TEST_P(EngineProperty, AggregateInvariantUnderRandomLayout) {
     EXPECT_NEAR(total_revenue(result->sink_outputs.at(1)), expected, 1e-6)
         << "dop " << dop_scan << "/" << dop_agg << " servers " << servers;
   }
-}
-
-TEST_P(EngineProperty, TieredStoreBacksExchangeCorrectly) {
-  Rng rng(GetParam() * 79 + 43);
-  JobSetup s = make_setup(rng);
-  const double expected = reference_revenue(*s.fact);
-
-  cluster::PlacementPlan plan;
-  plan.dop = {3, 2};
-  plan.task_server = {{0, 1, 2}, {1, 3}};
-  auto store = storage::TieredStore::redis_over_s3(/*fast_threshold=*/4_KiB);
-  MiniEngine engine(s.dag, plan, *store);
-  const auto result = engine.run(s.bindings);
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(total_revenue(result->sink_outputs.at(1)), expected, 1e-6);
-  // Both tiers should have seen traffic: shuffled partitions span sizes
-  // around the threshold.
-  EXPECT_GT(store->stats().puts, 0u);
 }
 
 }  // namespace

@@ -30,79 +30,6 @@ TEST(ExplainTest, MentionsEveryStageAndTheGroups) {
   EXPECT_NE(text.find("Ditto"), std::string::npos);
 }
 
-TEST(PlanDotTest, RendersStagesAndEdgeStyles) {
-  workload::PhysicsParams physics;
-  physics.store = storage::s3_model();
-  const JobDag dag = workload::build_query(workload::QueryId::kQ95, 1000, physics);
-  auto cl = cluster::Cluster::paper_testbed(cluster::zipf_0_9());
-  DittoScheduler sched;
-  const auto plan = sched.schedule(dag, cl, Objective::kJct, storage::s3_model());
-  ASSERT_TRUE(plan.ok());
-  const std::string dot = plan_to_dot(dag, plan->placement);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("DoP"), std::string::npos);
-  // Ditto groups edges on this config: both styles should appear.
-  EXPECT_NE(dot.find("zero-copy"), std::string::npos);
-  EXPECT_NE(dot.find("dashed"), std::string::npos);
-  // One node per stage.
-  for (StageId s = 0; s < dag.num_stages(); ++s) {
-    EXPECT_NE(dot.find("s" + std::to_string(s) + " ["), std::string::npos);
-  }
-}
-
-TEST(PlanDotTest, StructuralInvariantsHold) {
-  workload::PhysicsParams physics;
-  physics.store = storage::s3_model();
-  const JobDag dag = workload::build_query(workload::QueryId::kQ95, 1000, physics);
-  auto cl = cluster::Cluster::paper_testbed(cluster::zipf_0_9());
-  DittoScheduler sched;
-  const auto plan = sched.schedule(dag, cl, Objective::kJct, storage::s3_model());
-  ASSERT_TRUE(plan.ok());
-  const std::string dot = plan_to_dot(dag, plan->placement);
-
-  // Braces balance and the document is a single digraph.
-  EXPECT_EQ(std::count(dot.begin(), dot.end(), '{'),
-            std::count(dot.begin(), dot.end(), '}'));
-  EXPECT_EQ(dot.rfind("digraph", 1), 0u);
-
-  // Exactly one node declaration per stage ("[label=" anchors node
-  // lines; edge lines carry "[color=" / "[style=") and one arrow per
-  // DAG edge.
-  std::size_t nodes = 0;
-  for (StageId s = 0; s < dag.num_stages(); ++s) {
-    const std::string decl = "s" + std::to_string(s) + " [label=";
-    std::size_t count = 0;
-    for (std::size_t pos = dot.find(decl); pos != std::string::npos;
-         pos = dot.find(decl, pos + 1)) {
-      ++count;
-    }
-    EXPECT_EQ(count, 1u) << "stage " << s << " declared " << count << " times";
-    nodes += count;
-  }
-  EXPECT_EQ(nodes, dag.num_stages());
-  std::size_t arrows = 0;
-  for (std::size_t pos = dot.find(" -> "); pos != std::string::npos;
-       pos = dot.find(" -> ", pos + 1)) {
-    ++arrows;
-  }
-  EXPECT_EQ(arrows, dag.edges().size());
-
-  // Every zero-copy group edge — and only those — is marked zero-copy.
-  std::size_t marked = 0;
-  for (std::size_t pos = dot.find("zero-copy"); pos != std::string::npos;
-       pos = dot.find("zero-copy", pos + 1)) {
-    ++marked;
-  }
-  std::size_t colocated_edges = 0;
-  for (const Edge& e : dag.edges()) {
-    if (plan->placement.edge_colocated(e.src, e.dst)) ++colocated_edges;
-  }
-  EXPECT_EQ(marked, colocated_edges);
-  EXPECT_GT(marked, 0u);  // Ditto groups on this config
-  // Quote characters pair up, so graphviz can actually lex the labels.
-  EXPECT_EQ(std::count(dot.begin(), dot.end(), '"') % 2, 0);
-}
-
 TEST(ExplainTest, NoGroupsReadsExplicitly) {
   workload::PhysicsParams physics;
   physics.store = storage::s3_model();

@@ -15,10 +15,10 @@
 
 #include "exec/datagen.h"
 #include "exec/operators.h"
-#include "obs/json.h"
 #include "obs/prometheus.h"
 #include "storage/mem_store.h"
 #include "storage/sim_store.h"
+#include "support/json_parse.h"
 #include "workload/physics.h"
 
 namespace ditto::service {

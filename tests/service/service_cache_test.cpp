@@ -21,6 +21,7 @@
 #include "service/job_service.h"
 #include "service/journal.h"
 #include "storage/sim_store.h"
+#include "support/tables.h"
 #include "workload/physics.h"
 
 namespace ditto::service {

@@ -30,14 +30,12 @@ TEST(SimStoreTest, RedisFasterThanS3ForAnySize) {
 }
 
 TEST(SimStoreTest, FactoriesProduceWorkingStores) {
-  auto s3 = make_s3_sim();
   auto redis = make_redis_sim();
   auto instant = make_instant_store();
-  for (MemStore* store : {s3.get(), redis.get(), instant.get()}) {
+  for (MemStore* store : {redis.get(), instant.get()}) {
     ASSERT_TRUE(store->put("k", "v").is_ok());
     EXPECT_EQ(store->get("k").value(), "v");
   }
-  EXPECT_STREQ(s3->kind(), "s3");
   EXPECT_STREQ(redis->kind(), "redis");
 }
 
@@ -58,6 +56,13 @@ TEST(SimStoreTest, RealDelayScaleSleepsProportionally) {
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   EXPECT_GE(elapsed, 0.015);
+}
+
+TEST(DirectNetworkModelTest, FastAndFree) {
+  const StorageModel m = direct_network_model();
+  EXPECT_LT(m.request_latency, s3_model().request_latency);
+  EXPECT_DOUBLE_EQ(m.cost_per_gb_second, 0.0);
+  EXPECT_LT(m.transfer_time(1_GB), s3_model().transfer_time(1_GB));
 }
 
 }  // namespace

@@ -82,17 +82,6 @@ TEST(JobSpecTest, CycleRejectedThroughBuilder) {
       parse_job_spec("job j\nstage a map\nstage b map\nedge a b\nedge b a\n").ok());
 }
 
-TEST(JobSpecTest, RoundTripThroughToJobSpec) {
-  const auto dag = parse_job_spec(kSpec);
-  ASSERT_TRUE(dag.ok());
-  const std::string rendered = to_job_spec(*dag);
-  const auto again = parse_job_spec(rendered);
-  ASSERT_TRUE(again.ok()) << again.status().to_string() << "\n" << rendered;
-  EXPECT_EQ(again->num_stages(), dag->num_stages());
-  EXPECT_EQ(again->num_edges(), dag->num_edges());
-  EXPECT_EQ(again->stage(0).input_bytes(), dag->stage(0).input_bytes());
-}
-
 TEST(ClusterSpecTest, PlainShape) {
   const auto cl = parse_cluster_spec("4x16");
   ASSERT_TRUE(cl.ok());

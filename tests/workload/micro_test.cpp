@@ -4,6 +4,7 @@
 
 #include "dag/dag_algorithms.h"
 #include "storage/sim_store.h"
+#include "support/dag_paths.h"
 
 namespace ditto::workload {
 namespace {

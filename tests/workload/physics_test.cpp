@@ -86,21 +86,6 @@ TEST(PhysicsTest, ComputeRatesVaryByOperator) {
   EXPECT_EQ(rates.rate_for("mystery"), rates.default_bps);
 }
 
-TEST(PhysicsTest, VectorizedPresetIsFasterEverywhereAndRoutesTheSame) {
-  const ComputeRates base;
-  const ComputeRates vec = vectorized_compute_rates();
-  // The kernel refit must strictly dominate the row-at-a-time baseline
-  // in every operator class (that is the point of the kernels), and
-  // keep the class gaps the scheduler reasons about: joins and
-  // group-bys stay slower than maps.
-  for (const char* op : {"map", "scan", "filter", "join", "groupby", "agg",
-                         "reduce", "sort", "mystery"}) {
-    EXPECT_GT(vec.rate_for(op), base.rate_for(op)) << op;
-  }
-  EXPECT_GT(vec.rate_for("map"), vec.rate_for("join"));
-  EXPECT_GT(vec.rate_for("map"), vec.rate_for("groupby"));
-}
-
 TEST(PhysicsTest, FasterStoreShrinksIoSteps) {
   JobDag s3_dag = small_dag();
   apply_physics(s3_dag, s3_physics());

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "storage/sim_store.h"
-#include "storage/tiered_store.h"
 #include "timemodel/predictor.h"
 #include "workload/queries.h"
 

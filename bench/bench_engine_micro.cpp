@@ -27,6 +27,7 @@
 // time-model drift.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -304,33 +305,50 @@ void BM_ExchangeRemoteFlaky(benchmark::State& state) {
 }
 BENCHMARK(BM_ExchangeRemoteFlaky)->Arg(1000)->Arg(100000);
 
+/// Wall time of one run of `fn`, in seconds.
+template <typename F>
+double time_once(F&& fn) {
+  using clock = std::chrono::steady_clock;
+  const auto t0 = clock::now();
+  fn();
+  return std::chrono::duration<double>(clock::now() - t0).count();
+}
+
 /// Best-of-N wall time of `fn` in seconds (one untimed warmup run).
 template <typename F>
 double time_best(int reps, F&& fn) {
-  using clock = std::chrono::steady_clock;
   fn();
   double best = 1e100;
-  for (int i = 0; i < reps; ++i) {
-    const auto t0 = clock::now();
-    fn();
-    const double s = std::chrono::duration<double>(clock::now() - t0).count();
-    if (s < best) best = s;
-  }
+  for (int i = 0; i < reps; ++i) best = std::min(best, time_once(fn));
   return best;
 }
 
-/// Times `base` and `cand` (best-of-`reps` each) with noise-tolerant
-/// retries: if the ratio base/cand lands below `floor`, the pair is
-/// re-measured up to two more times and the best ratio seen is kept.
-/// A real regression misses the floor on every round; a scheduler
-/// hiccup on a busy runner does not.
+/// Best-of-`reps` wall times of `base` and `cand`, one untimed warmup
+/// each, timed alternately within every rep: a noisy neighbour then
+/// slows both sides of the ratio, not whichever ran during the burst.
+template <typename A, typename B>
+std::pair<double, double> time_best_alternating(int reps, A&& base, B&& cand) {
+  base();
+  cand();
+  double tb = 1e100;
+  double tc = 1e100;
+  for (int i = 0; i < reps; ++i) {
+    tb = std::min(tb, time_once(base));
+    tc = std::min(tc, time_once(cand));
+  }
+  return {tb, tc};
+}
+
+/// Times `base` and `cand` (best-of-`reps` each, alternating) with
+/// noise-tolerant retries: if the ratio base/cand lands below `floor`,
+/// the pair is re-measured up to two more times and the best ratio
+/// seen is kept. A real regression misses the floor on every round; a
+/// scheduler hiccup on a busy runner does not.
 template <typename A, typename B>
 std::pair<double, double> timed_ratio(double floor, int reps, A&& base, B&& cand) {
-  double tb = time_best(reps, base);
-  double tc = time_best(reps, cand);
+  auto [tb, tc] = time_best_alternating(reps, base, cand);
   for (int retry = 0; retry < 2 && tb / tc < floor; ++retry) {
-    const double tb2 = time_best(reps, base);
-    const double tc2 = time_best(reps, cand);
+    const auto [tb2, tc2] = time_best_alternating(reps, base, cand);
     if (tb2 / tc2 > tb / tc) {
       tb = tb2;
       tc = tc2;

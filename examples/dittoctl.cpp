@@ -221,15 +221,10 @@ int run_serve(int argc, char** argv) {
   };
   std::vector<ServeEntry> entries;
   if (!state_dir.empty()) {
-    auto records = service::JobJournal::replay(*store, journal_key);
+    journal = std::make_unique<service::JobJournal>(*store, journal_key);
+    auto records = journal->open();
     if (!records.ok()) {
       std::fprintf(stderr, "journal error: %s\n", records.status().to_string().c_str());
-      return 1;
-    }
-    journal = std::make_unique<service::JobJournal>(*store, journal_key);
-    const Status opened = journal->open();
-    if (!opened.is_ok()) {
-      std::fprintf(stderr, "journal error: %s\n", opened.to_string().c_str());
       return 1;
     }
     if (recover) {

@@ -1,154 +1,109 @@
 #include "service/journal.h"
 
-#include <array>
-#include <cstdio>
-#include <sstream>
+#include <algorithm>
+#include <limits>
 
 #include "obs/metrics.h"
 
 namespace ditto::service {
 namespace {
 
-constexpr char kMagic[8] = {'D', 'I', 'T', 'T', 'O', 'J', 'L', '1'};
-constexpr std::size_t kHeaderBytes = 8;  ///< u32 len + u32 crc per record
-
-/// CRC-32 (IEEE, reflected), table-driven — the integrity check that
-/// tells a mangled mid-record from a merely truncated tail.
-std::uint32_t crc32(std::string_view bytes) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xffffffffu;
-  for (const char ch : bytes) {
-    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xffu] ^ (crc >> 8);
-  }
-  return crc ^ 0xffffffffu;
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-std::uint32_t read_u32(std::string_view bytes, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + i])) << (8 * i);
-  }
-  return v;
-}
-
-std::string format_seconds(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-Result<std::uint64_t> parse_u64(const std::string& what, const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return static_cast<std::uint64_t>(v);
-  } catch (const std::exception&) {
-    return Status::invalid_argument("journal: bad " + what + " '" + text + "'");
-  }
-}
-
-/// One record as text. `payload=` (SUBMIT) and `error=` (FINISH) come
-/// last and consume the remainder, so they may contain spaces.
+/// One record as text. `payload` (SUBMIT) and `error` (FINISH) come
+/// last and are tails, so they may contain spaces.
 std::string record_text(const JournalRecord& rec) {
-  std::ostringstream os;
-  os << journal_kind_name(rec.kind) << " jid=" << rec.jid;
+  storage::RecordFields f = {{"kind", journal_kind_name(rec.kind)},
+                             {"jid", std::to_string(rec.jid)}};
   switch (rec.kind) {
     case JournalKind::kSubmit:
-      os << " tier=" << (rec.tier.empty() ? "batch" : rec.tier)
-         << " deadline=" << format_seconds(rec.deadline) << " payload=" << rec.payload;
+      f.emplace_back("tier", rec.tier.empty() ? "batch" : rec.tier);
+      f.emplace_back("deadline", storage::format_double(rec.deadline));
+      f.emplace_back("payload", rec.payload);
       break;
     case JournalKind::kAdmit:
       break;
     case JournalKind::kStart:
-      os << " epoch=" << rec.epoch;
+      f.emplace_back("epoch", std::to_string(rec.epoch));
       break;
     case JournalKind::kFinish:
-      os << " state=" << rec.state << " error=" << rec.error;
+      f.emplace_back("state", rec.state);
+      f.emplace_back("error", rec.error);
       break;
   }
-  return os.str();
+  return storage::format_fields(f);
 }
 
-Result<JournalRecord> parse_record_text(const std::string& text) {
-  JournalRecord rec;
-  std::istringstream in(text);
-  std::string kind;
-  if (!(in >> kind)) return Status::invalid_argument("journal: empty record");
-  if (kind == "submit") {
-    rec.kind = JournalKind::kSubmit;
-  } else if (kind == "admit") {
-    rec.kind = JournalKind::kAdmit;
-  } else if (kind == "start") {
-    rec.kind = JournalKind::kStart;
-  } else if (kind == "finish") {
-    rec.kind = JournalKind::kFinish;
-  } else {
-    return Status::invalid_argument("journal: unknown record kind '" + kind + "'");
+Result<JournalKind> parse_kind(const std::string& kind) {
+  for (const JournalKind k :
+       {JournalKind::kSubmit, JournalKind::kAdmit, JournalKind::kStart, JournalKind::kFinish}) {
+    if (kind == journal_kind_name(k)) return k;
   }
+  return Status::invalid_argument("unknown record kind '" + kind + "'");
+}
 
-  std::string token;
-  bool saw_jid = false;
-  while (in >> token) {
-    const auto eq = token.find('=');
-    if (eq == std::string::npos) {
-      return Status::invalid_argument("journal: expected key=value, got '" + token + "'");
-    }
-    const std::string key = token.substr(0, eq);
-    std::string value = token.substr(eq + 1);
-    if (key == "payload" || key == "error") {
-      // Consumes the remainder of the record verbatim.
-      std::string rest;
-      std::getline(in, rest);
-      value += rest;
-      (key == "payload" ? rec.payload : rec.error) = value;
-      continue;
-    }
-    if (key == "jid") {
-      DITTO_ASSIGN_OR_RETURN(rec.jid, parse_u64("jid", value));
-      saw_jid = true;
+Result<JournalRecord> parse_record_text(std::string_view text) {
+  DITTO_ASSIGN_OR_RETURN(const storage::RecordFields fields,
+                         storage::parse_fields(text, {"payload", "error"}));
+  JournalRecord rec;
+  bool saw_kind = false;
+  for (const auto& [key, value] : fields) {
+    if (key == "kind") {
+      DITTO_ASSIGN_OR_RETURN(rec.kind, parse_kind(value));
+      saw_kind = true;
+    } else if (key == "jid") {
+      DITTO_ASSIGN_OR_RETURN(rec.jid, storage::parse_u64("jid", value));
     } else if (key == "tier") {
       if (value != "latency" && value != "batch") {
-        return Status::invalid_argument("journal: bad tier '" + value + "'");
+        return Status::invalid_argument("bad tier '" + value + "'");
       }
       rec.tier = value;
     } else if (key == "deadline") {
-      try {
-        std::size_t used = 0;
-        rec.deadline = std::stod(value, &used);
-        if (used != value.size() || !(rec.deadline >= 0.0)) throw std::invalid_argument(value);
-      } catch (const std::exception&) {
-        return Status::invalid_argument("journal: bad deadline '" + value + "'");
-      }
+      DITTO_ASSIGN_OR_RETURN(rec.deadline, storage::parse_nonnegative("deadline", value));
     } else if (key == "epoch") {
-      DITTO_ASSIGN_OR_RETURN(const std::uint64_t e, parse_u64("epoch", value));
+      DITTO_ASSIGN_OR_RETURN(const std::uint64_t e, storage::parse_u64("epoch", value));
+      if (e > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+        return Status::invalid_argument("bad epoch '" + value + "'");
+      }
       rec.epoch = static_cast<int>(e);
     } else if (key == "state") {
       rec.state = value;
+    } else if (key == "payload") {
+      rec.payload = value;
+    } else if (key == "error") {
+      rec.error = value;
     } else {
-      return Status::invalid_argument("journal: unknown field '" + key + "'");
+      return Status::invalid_argument("unknown field '" + key + "'");
     }
   }
-  if (!saw_jid || rec.jid == 0) return Status::invalid_argument("journal: record without jid");
+  if (!saw_kind) return Status::invalid_argument("record without kind");
+  if (rec.jid == 0) return Status::invalid_argument("record without jid");
   if (rec.kind == JournalKind::kSubmit && rec.payload.empty()) {
-    return Status::invalid_argument("journal: submit record without payload");
+    return Status::invalid_argument("submit record without payload");
   }
   if (rec.kind == JournalKind::kFinish && rec.state.empty()) {
-    return Status::invalid_argument("journal: finish record without state");
+    return Status::invalid_argument("finish record without state");
   }
   return rec;
+}
+
+/// A record log's payloads as journal records. Errors keep their code
+/// and name the journal.
+Result<std::vector<JournalRecord>> parse_records(const std::string& key,
+                                                 const Result<std::vector<std::string>>& texts) {
+  if (!texts.ok()) {
+    return Status(texts.status().code(), "journal '" + key + "': " + texts.status().message());
+  }
+  std::vector<JournalRecord> records;
+  records.reserve(texts->size());
+  for (const std::string& text : *texts) {
+    auto rec = parse_record_text(text);
+    if (!rec.ok()) {
+      return Status::invalid_argument("journal '" + key + "': record " +
+                                      std::to_string(records.size()) + ": " +
+                                      rec.status().message());
+    }
+    records.push_back(std::move(*rec));
+  }
+  return records;
 }
 
 void note_append(bool ok) {
@@ -169,60 +124,9 @@ const char* journal_kind_name(JournalKind k) {
   return "unknown";
 }
 
-std::string JobJournal::encode(const JournalRecord& rec) {
-  const std::string text = record_text(rec);
-  std::string out;
-  out.reserve(kHeaderBytes + text.size());
-  put_u32(out, static_cast<std::uint32_t>(text.size()));
-  put_u32(out, crc32(text));
-  out += text;
-  return out;
-}
-
-Result<std::vector<JournalRecord>> JobJournal::parse(std::string_view bytes) {
-  std::vector<JournalRecord> records;
-  if (bytes.empty()) return records;
-  if (bytes.size() < sizeof(kMagic)) {
-    // Crash during the very first append, mid-magic: an empty journal.
-    return records;
-  }
-  if (bytes.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0) {
-    return Status::invalid_argument("journal: bad magic");
-  }
-  std::size_t at = sizeof(kMagic);
-  while (at < bytes.size()) {
-    if (bytes.size() - at < kHeaderBytes) break;  // torn header: truncated tail
-    const std::uint32_t len = read_u32(bytes, at);
-    const std::uint32_t crc = read_u32(bytes, at + 4);
-    if (bytes.size() - at - kHeaderBytes < len) break;  // torn payload: truncated tail
-    const std::string_view payload = bytes.substr(at + kHeaderBytes, len);
-    if (crc32(payload) != crc) {
-      return Status::invalid_argument("journal: CRC mismatch in record " +
-                                      std::to_string(records.size()));
-    }
-    auto rec = parse_record_text(std::string(payload));
-    if (!rec.ok()) {
-      return Status::invalid_argument("journal: record " + std::to_string(records.size()) +
-                                      ": " + rec.status().message());
-    }
-    records.push_back(std::move(*rec));
-    at += kHeaderBytes + len;
-  }
-  return records;
-}
-
 Result<std::vector<JournalRecord>> JobJournal::replay(const storage::ObjectStore& store,
                                                       const std::string& key) {
-  auto bytes = store.get(key);
-  if (!bytes.ok()) {
-    if (bytes.status().code() == StatusCode::kNotFound) return std::vector<JournalRecord>{};
-    return bytes.status();
-  }
-  auto parsed = parse(*bytes);
-  if (!parsed.ok()) {
-    return Status::invalid_argument("journal '" + key + "': " + parsed.status().message());
-  }
-  return parsed;
+  return parse_records(key, storage::RecordLog::read(store, key));
 }
 
 RecoveryPlan build_recovery(const std::vector<JournalRecord>& records) {
@@ -278,7 +182,7 @@ RecoveryPlan build_recovery(const std::vector<JournalRecord>& records) {
 
 JobJournal::JobJournal(storage::ObjectStore& store, std::string key,
                        faults::FaultInjector* injector)
-    : store_(&store), key_(std::move(key)), injector_(injector) {
+    : injector_(injector), log_(store, std::move(key)) {
   retry_.max_attempts = 3;
   retry_.initial_backoff = 1e-3;
   retry_.max_backoff = 0.02;
@@ -290,32 +194,23 @@ void JobJournal::set_retry_policy(faults::RetryPolicy policy) {
   retry_ = policy;
 }
 
-Status JobJournal::open() {
-  DITTO_ASSIGN_OR_RETURN(const std::vector<JournalRecord> records, replay(*store_, key_));
+Result<std::vector<JournalRecord>> JobJournal::open() {
   std::lock_guard<std::mutex> lk(mu_);
-  // Rebuild the valid byte prefix from the replayed records (encode is
-  // canonical), dropping any torn tail the crash left behind.
-  log_.assign(kMagic, sizeof(kMagic));
-  for (const JournalRecord& rec : records) {
-    log_ += encode(rec);
-    next_jid_ = std::max(next_jid_, rec.jid + 1);
-  }
-  if (records.empty()) log_.clear();  // fresh journal: write magic on first append
-  return Status::ok();
+  DITTO_ASSIGN_OR_RETURN(std::vector<JournalRecord> records, parse_records(log_.key(), log_.open()));
+  for (const JournalRecord& rec : records) next_jid_ = std::max(next_jid_, rec.jid + 1);
+  return records;
 }
 
 Status JobJournal::append_locked(const JournalRecord& rec) {
-  std::string next = log_.empty() ? std::string(kMagic, sizeof(kMagic)) : log_;
-  next += encode(rec);
+  const std::string text = record_text(rec);
   const Status st = faults::retry_status(retry_, "journal.append", [&] {
-    if (injector_ != nullptr && injector_->should_fail_journal(key_)) {
-      return Status::unavailable("injected journal-append failure (" + key_ + ")");
+    if (injector_ != nullptr && injector_->should_fail_journal(log_.key())) {
+      return Status::unavailable("injected journal-append failure (" + log_.key() + ")");
     }
-    return store_->put(key_, next);
+    return log_.append(text);
   });
   note_append(st.is_ok());
   if (!st.is_ok()) return st;
-  log_ = std::move(next);
   ++appended_;
   return Status::ok();
 }

@@ -12,23 +12,19 @@
 //   START   jid epoch                    engine run began under `epoch`
 //   FINISH  jid state error              exactly-one terminal transition
 //
-// Wire format: an 8-byte magic ("DITTOJL1") then length-prefixed
-// records `[u32 len][u32 crc32][payload]` (little-endian). The log is
-// rewritten whole on each append (journals hold tens of jobs, not
-// millions), so a crash mid-put leaves a PREFIX of the intended bytes.
-// Replay's contract mirrors that failure model:
-//
-//   * a truncated tail (incomplete header or short payload) is the
-//     mid-append crash signature — tolerated: replay returns every
-//     complete record before it;
-//   * a mangled mid-record (bad magic, CRC mismatch, unparsable
-//     payload) is real corruption — INVALID_ARGUMENT, corpus-tested
-//     like the serde and profile-store parsers.
+// Each record is one text payload (`kind=start jid=3 epoch=0`, written
+// with storage::format_fields) on a storage::RecordLog at the journal's
+// key: CRC-framed records in bounded segments `<key>/<seq>`, so an
+// append rewrites one segment of at most a few KiB, not the whole log.
+// Puts are atomic (ObjectStore::put), so a crash loses at most the
+// append in flight and never leaves a torn record; replay therefore
+// treats any bad segment, unparsable record or single object at `key`
+// (the pre-segment format) as INVALID_ARGUMENT.
 //
 // Recovery: build_recovery() folds replayed records into one
 // disposition per jid — completed jobs are skipped, jobs that never
 // started are re-enqueued, and jobs caught RUNNING are re-run under a
-// FRESH exchange epoch (epoch = last started + 1; PR 2's idempotent,
+// FRESH exchange epoch (epoch = last started + 1; idempotent,
 // epoch-namespaced exchange publishes make that re-execution
 // byte-safe). `dittoctl serve --recover` turns the plan back into
 // submissions.
@@ -50,6 +46,7 @@
 #include "faults/fault_injector.h"
 #include "faults/retry_policy.h"
 #include "storage/object_store.h"
+#include "storage/record_log.h"
 
 namespace ditto::service {
 
@@ -108,25 +105,17 @@ class JobJournal {
   JobJournal(storage::ObjectStore& store, std::string key,
              faults::FaultInjector* injector = nullptr);
 
-  /// Opens an existing log: replays `key` from `store`, keeps the valid
-  /// byte prefix as the append base, and continues jid numbering past
-  /// the highest replayed id. A missing object is an empty journal; a
-  /// mangled one is INVALID_ARGUMENT.
+  /// Every record journaled at `key` in `store`, oldest first. No
+  /// segment is an empty journal; a corrupt segment or record, or an
+  /// object at exactly `key`, is INVALID_ARGUMENT.
   static Result<std::vector<JournalRecord>> replay(const storage::ObjectStore& store,
                                                    const std::string& key);
 
-  /// Parses raw log bytes (what replay does after the get). Truncated
-  /// tails are tolerated; mid-record corruption is INVALID_ARGUMENT.
-  static Result<std::vector<JournalRecord>> parse(std::string_view bytes);
-
-  /// Serializes one record as it would appear in the log (header +
-  /// CRC + payload) — corpus tests build logs from these.
-  static std::string encode(const JournalRecord& rec);
-
-  /// Loads the existing log (if any) so appends extend it instead of
-  /// clobbering it, and advances jid numbering. Call once before the
-  /// first append when recovering; a fresh key is a no-op.
-  Status open();
+  /// Replays the existing log (if any), returns its records, and
+  /// positions appends after them with jid numbering past the highest
+  /// replayed id. Call once before the first append when recovering; a
+  /// fresh key replays nothing.
+  Result<std::vector<JournalRecord>> open();
 
   /// Appends SUBMIT and returns the assigned jid. When `jid` is
   /// non-zero (a recovered job) it is reused and no numbering advances.
@@ -139,7 +128,7 @@ class JobJournal {
   /// Records appended (not replayed) through this instance.
   std::size_t appended() const;
 
-  const std::string& key() const { return key_; }
+  const std::string& key() const { return log_.key(); }
 
   /// Retry policy for the underlying put (default: 3 quick attempts).
   void set_retry_policy(faults::RetryPolicy policy);
@@ -147,13 +136,11 @@ class JobJournal {
  private:
   Status append_locked(const JournalRecord& rec);
 
-  storage::ObjectStore* store_;
-  const std::string key_;
   faults::FaultInjector* injector_;
   faults::RetryPolicy retry_;
 
   mutable std::mutex mu_;
-  std::string log_;  ///< serialized log, mirrors the stored object
+  storage::RecordLog log_;
   std::uint64_t next_jid_ = 1;
   std::size_t appended_ = 0;
 };

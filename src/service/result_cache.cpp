@@ -1,10 +1,11 @@
 #include "service/result_cache.h"
 
-#include <sstream>
+#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/profile_store.h"
+#include "storage/record_log.h"
 
 namespace ditto::service {
 namespace {
@@ -21,7 +22,44 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-constexpr char kIndexMagic[] = "DITTOCACHE1";
+/// One cache-index record: an entry's identity, size and slot-seconds.
+struct IndexEntry {
+  CacheIdentity id;
+  StageId stage = kNoStage;
+  std::uint64_t size = 0;
+  double slot_seconds = 0.0;
+};
+
+std::string index_record(const CacheIdentity& id, StageId stage, std::uint64_t size,
+                         double slot_seconds) {
+  return storage::format_fields({{"stage", std::to_string(stage)},
+                                 {"bytes", std::to_string(size)},
+                                 {"slot_seconds", storage::format_double(slot_seconds)},
+                                 {"fp", obs::fingerprint_hex(id.plan_fingerprint)},
+                                 {"version", std::to_string(id.input_version)},
+                                 {"signature", id.input_signature}});
+}
+
+Result<IndexEntry> parse_index_record(std::string_view text) {
+  DITTO_ASSIGN_OR_RETURN(const storage::RecordFields f,
+                         storage::parse_fields(text, {"signature"}));
+  std::string names;
+  for (const auto& field : f) names += field.first + " ";
+  if (names != "stage bytes slot_seconds fp version signature ") {
+    return Status::invalid_argument("expected fields stage bytes slot_seconds fp version signature");
+  }
+  IndexEntry e;
+  DITTO_ASSIGN_OR_RETURN(const std::uint64_t stage, storage::parse_u64("stage", f[0].second));
+  if (stage >= kNoStage) return Status::invalid_argument("bad stage '" + f[0].second + "'");
+  e.stage = static_cast<StageId>(stage);
+  DITTO_ASSIGN_OR_RETURN(e.size, storage::parse_u64("bytes", f[1].second));
+  DITTO_ASSIGN_OR_RETURN(e.slot_seconds, storage::parse_nonnegative("slot_seconds", f[2].second));
+  DITTO_ASSIGN_OR_RETURN(e.id.plan_fingerprint, obs::parse_fingerprint_hex(f[3].second));
+  DITTO_ASSIGN_OR_RETURN(e.id.input_version, storage::parse_u64("version", f[4].second));
+  e.id.input_signature = f[5].second;
+  if (!e.id.enabled()) return Status::invalid_argument("disabled identity");
+  return e;
+}
 
 }  // namespace
 
@@ -100,7 +138,6 @@ void ResultCache::evict_to_capacity_locked() {
     stats_.bytes -= it->second.bytes->size();
     --stats_.entries;
     ++stats_.evictions;
-    if (it->second.persisted) evicted_persisted_.push_back(victim);
     entries_.erase(it);
   }
 }
@@ -111,7 +148,6 @@ void ResultCache::remove(const CacheIdentity& id, StageId stage) {
   if (it == entries_.end()) return;
   stats_.bytes -= it->second.bytes->size();
   --stats_.entries;
-  if (it->second.persisted) evicted_persisted_.push_back(it->first);
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
   publish_metrics_locked();
@@ -163,95 +199,84 @@ Bytes ResultCache::used_bytes() const {
 }
 
 Status ResultCache::save(storage::ObjectStore& store, const std::string& prefix) {
-  std::lock_guard<std::mutex> lk(mu_);
-  // Remove evicted-but-persisted entry objects first, then write new
-  // entry objects, then rewrite the index last: a crash anywhere in
-  // between leaves an index whose dangling entries load() skips.
-  for (const Key& key : evicted_persisted_) {
-    if (entries_.count(key) != 0) continue;  // re-inserted since eviction
-    const Status removed = store.remove(object_key(prefix, key.first, key.second));
+  // Saves run one at a time, so the index written last is always the
+  // newest snapshot. The store I/O runs outside mu_: lookups and
+  // inserts never wait on it.
+  std::lock_guard<std::mutex> saving(save_mu_);
+  std::vector<Key> live;  // sorted: entries_ iterates in key order
+  std::vector<std::pair<Key, storage::Payload>> puts;
+  std::vector<std::string> index;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    live.reserve(entries_.size());
+    for (const auto& [key, entry] : entries_) {
+      live.push_back(key);
+      if (!entry.persisted) puts.emplace_back(key, entry.bytes);
+    }
+    index.reserve(lru_.size());
+    for (const Key& key : lru_) {
+      const Entry& e = entries_.at(key);
+      index.push_back(index_record(key.first, key.second, e.bytes->size(), e.slot_seconds));
+    }
+  }
+  // Removals first, then new entry objects, then the index last: a
+  // crash anywhere in between leaves an index whose dangling entries
+  // load() skips.
+  for (auto it = stored_.begin(); it != stored_.end();) {
+    if (std::binary_search(live.begin(), live.end(), *it)) {
+      ++it;
+      continue;
+    }
+    const Status removed = store.remove(object_key(prefix, it->first, it->second));
     (void)removed;  // best effort; a leaked object is unreachable anyway
+    it = stored_.erase(it);
   }
-  evicted_persisted_.clear();
-  for (auto& [key, entry] : entries_) {
-    if (entry.persisted) continue;
-    DITTO_RETURN_IF_ERROR(
-        store.put_payload(object_key(prefix, key.first, key.second), entry.bytes));
-    entry.persisted = true;
+  for (const auto& [key, bytes] : puts) {
+    DITTO_RETURN_IF_ERROR(store.put_payload(object_key(prefix, key.first, key.second), bytes));
+    stored_.insert(key);
+    std::lock_guard<std::mutex> lk(mu_);
+    const auto it = entries_.find(key);
+    if (it != entries_.end() && it->second.bytes == bytes) it->second.persisted = true;
   }
-  std::ostringstream index;
-  index << kIndexMagic << "\n";
-  for (const Key& key : lru_) {  // oldest first: load preserves recency
-    const Entry& e = entries_.at(key);
-    index << "entry " << key.second << " " << e.bytes->size() << " " << e.slot_seconds << " "
-          << obs::fingerprint_hex(key.first.plan_fingerprint) << " "
-          << key.first.input_version << " " << key.first.input_signature << "\n";
-  }
-  return store.put(prefix + "/index", index.str());
+  return store.put(prefix + "/index", storage::RecordLog::encode_segment(index));
 }
 
 Status ResultCache::load(storage::ObjectStore& store, const std::string& prefix) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (!store.contains(prefix + "/index")) return Status::ok();  // fresh store
-  auto payload = store.get(prefix + "/index");
-  if (!payload.ok()) return payload.status();
+  std::lock_guard<std::mutex> saving(save_mu_);
+  const std::string index_key = prefix + "/index";
+  if (!store.contains(index_key)) return Status::ok();  // fresh store
+  DITTO_ASSIGN_OR_RETURN(const std::string bytes, store.get(index_key));
+  auto records = storage::RecordLog::decode_segment(bytes);
+  if (!records.ok()) {
+    return Status::invalid_argument("corrupt cache index '" + index_key +
+                                    "': " + records.status().message());
+  }
 
   // Stage everything before touching the cache: a corrupt index or
   // entry leaves the in-memory state exactly as it was.
-  struct Loaded {
-    CacheIdentity id;
-    StageId stage = kNoStage;
-    double slot_seconds = 0.0;
-    storage::Payload bytes;
-  };
-  std::vector<Loaded> loaded;
-
-  std::istringstream lines(*payload);
-  std::string line;
-  if (!std::getline(lines, line) || line != kIndexMagic) {
-    return Status::invalid_argument("corrupt cache index '" + prefix + "/index': bad magic");
-  }
-  int line_no = 1;
-  while (std::getline(lines, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    std::istringstream tokens(line);
-    std::string head, fp_hex;
-    Loaded l;
-    std::uint64_t size = 0;
-    std::string extra;
-    if (!(tokens >> head >> l.stage >> size >> l.slot_seconds >> fp_hex >>
-          l.id.input_version >> l.id.input_signature) ||
-        head != "entry" || (tokens >> extra)) {
-      return Status::invalid_argument("corrupt cache index '" + prefix + "/index' line " +
-                                      std::to_string(line_no));
+  std::vector<std::pair<IndexEntry, storage::Payload>> loaded;
+  for (std::size_t i = 0; i < records->size(); ++i) {
+    auto entry = parse_index_record((*records)[i]);
+    if (!entry.ok()) {
+      return Status::invalid_argument("corrupt cache index '" + index_key + "' record " +
+                                      std::to_string(i) + ": " + entry.status().message());
     }
-    auto fp = obs::parse_fingerprint_hex(fp_hex);
-    if (!fp.ok()) {
-      return Status::invalid_argument("corrupt cache index '" + prefix + "/index' line " +
-                                      std::to_string(line_no) + ": " + fp.status().message());
-    }
-    l.id.plan_fingerprint = *fp;
-    if (!l.id.enabled()) {
-      return Status::invalid_argument("corrupt cache index '" + prefix + "/index' line " +
-                                      std::to_string(line_no) + ": disabled identity");
-    }
-    const std::string okey = object_key(prefix, l.id, l.stage);
-    if (!store.contains(okey)) continue;  // torn save: entry never landed
-    auto bytes = store.get_payload(okey);
-    if (!bytes.ok()) return bytes.status();
-    if ((*bytes)->size() != size) {
+    const std::string okey = object_key(prefix, entry->id, entry->stage);
+    if (!store.contains(okey)) continue;  // interrupted save: entry never landed
+    DITTO_ASSIGN_OR_RETURN(storage::Payload bytes, store.get_payload(okey));
+    if (bytes->size() != entry->size) {
       return Status::invalid_argument("corrupt cache entry '" + okey + "': size " +
-                                      std::to_string((*bytes)->size()) + " != indexed " +
-                                      std::to_string(size));
+                                      std::to_string(bytes->size()) + " != indexed " +
+                                      std::to_string(entry->size));
     }
-    l.bytes = std::move(*bytes);
-    loaded.push_back(std::move(l));
+    loaded.emplace_back(std::move(*entry), std::move(bytes));
   }
 
-  for (Loaded& l : loaded) {
-    if (capacity_ > 0 && l.bytes->size() > capacity_) continue;
-    insert_locked(l.id, l.stage, std::move(l.bytes), l.slot_seconds, /*persisted=*/true);
+  std::lock_guard<std::mutex> lk(mu_);
+  for (auto& [e, bytes] : loaded) {
+    stored_.emplace(e.id, e.stage);  // on the store even if it does not fit
+    if (capacity_ > 0 && bytes->size() > capacity_) continue;
+    insert_locked(e.id, e.stage, std::move(bytes), e.slot_seconds, /*persisted=*/true);
     --stats_.insertions;  // loading history is not a fresh insertion
   }
   publish_metrics_locked();

@@ -26,12 +26,15 @@
 //
 // Capacity is byte-bounded with LRU eviction (lookup refreshes
 // recency). Entries persist through any ObjectStore — one raw-bytes
-// object per entry plus a strict text index, following the
-// StageProfileStore idiom: a corrupt index fails INVALID_ARGUMENT and
-// leaves the in-memory cache untouched; an index entry whose bytes
-// object is missing (crash between entry and index writes) is skipped.
+// object per entry plus an index object in the service's one durable
+// record format (storage/record_log.h): a single CRC-framed segment
+// with one `key=value` record per entry, oldest first. A corrupt index
+// fails INVALID_ARGUMENT and leaves the in-memory cache untouched; an
+// index entry whose bytes object is missing (crash between entry and
+// index writes) is skipped.
 //
-// Thread-safe; all methods may be called concurrently.
+// Thread-safe; all methods may be called concurrently. save() does its
+// store I/O outside the lock that lookups and inserts take.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +43,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -57,8 +61,7 @@ namespace ditto::service {
 struct CacheIdentity {
   std::uint64_t plan_fingerprint = 0;
   /// Canonical description of the input data (engine_jobs.h
-  /// engine_query_signature). MUST contain no whitespace — it is
-  /// embedded in the persisted index's space-separated lines.
+  /// engine_query_signature).
   std::string input_signature;
   /// Explicit invalidation handle (serve spec `input_version=N`).
   std::uint64_t input_version = 0;
@@ -133,9 +136,12 @@ class ResultCache {
 
   /// Persists the cache: one `<prefix>/<key>/stage-<N>` object per
   /// entry (its Payload, shared through put_payload) plus a
-  /// `<prefix>/index` text object written last, so a torn save
+  /// `<prefix>/index` object written last, so an interrupted save
   /// degrades to skipped entries at load. Already-persisted entries
-  /// are not rewritten; evicted persisted entries are removed.
+  /// are not rewritten; objects of entries no longer cached are
+  /// removed. Saves run one at a time, each writing a snapshot taken
+  /// under the cache lock without holding it; an entry counts as
+  /// persisted only once its put has succeeded.
   Status save(storage::ObjectStore& store, const std::string& prefix = "cache");
 
   /// Loads entries under `prefix` through get_payload, merging into
@@ -162,12 +168,14 @@ class ResultCache {
   void publish_metrics_locked() const;
 
   const Bytes capacity_;
+  /// Serializes save() and load(); always taken before mu_.
+  std::mutex save_mu_;
+  /// Entries whose objects this cache put on (or loaded from) the
+  /// store; save() removes those no longer cached.
+  std::set<Key> stored_;
   mutable std::mutex mu_;
   std::map<Key, Entry> entries_;
   std::list<Key> lru_;  ///< front = oldest, back = most recent
-  /// Object keys of evicted entries that were persisted (removed on
-  /// the next save so the on-store index never dangles forever).
-  std::vector<Key> evicted_persisted_;
   CacheStats stats_;
 };
 

@@ -4,15 +4,19 @@
 // The service tier's crash story (journal + recovered sink outputs)
 // needs an object store whose contents outlive the process, which the
 // in-memory stores cannot provide. Keys map to files under a root
-// directory (a '/' in the key becomes a subdirectory), so `journal/log`
-// and `sinks/<label>/<stage>` land where a human can inspect them.
+// directory (a '/' in the key becomes a subdirectory), so the journal's
+// segments `journal/serve.log/<seq>` and `sinks/<label>/<stage>` land
+// where a human can inspect them.
 //
-// Writes are deliberately NOT atomic (no write-to-temp + rename): a
-// put truncates the target file and streams the new value, so a
-// SIGKILL mid-put leaves a torn prefix on disk — exactly the failure
-// the journal's replay is built to tolerate (truncated tail = crash
-// mid-append). Making puts atomic here would hide the failure mode the
-// chaos-restart harness exists to exercise.
+// A put replaces the value atomically: it writes a staging file
+// `.<name>.tmp<N>` next to the target, then renames it over the
+// target, so a reader or a SIGKILL sees the old value or the new one,
+// never a prefix (no fsync: a machine crash, as opposed to a process
+// kill, can still lose recent puts). Key segments may not start with
+// '.', so staging names never collide with keys; list, get and
+// used_bytes never show them. A FileStore opening a root deletes the
+// staging files and empty directories a killed process left behind
+// (one FileStore per root).
 //
 // remove() also deletes the parent directories the removal emptied,
 // up to but never including the root, so removed keys leave no empty
@@ -20,13 +24,15 @@
 //
 // Thread-safe: a single mutex serializes metadata; values stream
 // outside the byte-counting bookkeeping. A second, reader-writer lock
-// orders the directory tree: puts (directory creation and open) and
-// directory walks share it, and remove's prune holds it alone, so a
-// prune never deletes a directory a concurrent put is about to write
-// into. Intended for journal/sink traffic (tens of objects), not the
-// exchange hot path.
+// orders the directory tree: puts (directory creation and opening the
+// staging file) and directory walks share it, and remove's prune holds
+// it alone, so a prune never deletes a directory a concurrent put is
+// about to write into. Intended for journal/sink traffic (tens of
+// objects), not the exchange hot path.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
@@ -37,7 +43,8 @@ namespace ditto::storage {
 
 class FileStore final : public ObjectStore {
  public:
-  /// `root` is created (recursively) if missing. The model is used only
+  /// `root` is created (recursively) if missing; staging files and
+  /// empty directories under it are deleted. The model is used only
   /// for simulator pricing; FileStore never sleeps.
   explicit FileStore(std::string root, StorageModel model = {});
 
@@ -57,7 +64,8 @@ class FileStore final : public ObjectStore {
 
  private:
   /// Root-relative filesystem path for `key`; INVALID_ARGUMENT when the
-  /// key would escape the root (empty, absolute, or '..' segments).
+  /// key would escape the root or name a staging file (empty, absolute,
+  /// or a segment that is empty or starts with '.').
   Result<std::string> path_of(const std::string& key) const;
 
   std::string root_;
@@ -67,6 +75,7 @@ class FileStore final : public ObjectStore {
   /// Shared: creating directories and opening in put, list, used_bytes.
   /// Exclusive: remove's prune of emptied directories.
   mutable std::shared_mutex tree_mu_;
+  std::atomic<std::uint64_t> staging_seq_{0};  ///< unique staging names
 };
 
 }  // namespace ditto::storage

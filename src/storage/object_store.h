@@ -8,7 +8,9 @@
 // a Redis-like in-memory store (sub-ms latency, bounded capacity,
 // memory-priced). Both are fully functional key-value stores; their
 // timing model feeds the simulator and can optionally be applied as
-// real delays in engine mode.
+// real delays in engine mode. Every store's put is atomic (below): the
+// service's durable state, the job journal and the cache index, is
+// written through puts and never has to recover a torn value.
 #pragma once
 
 #include <cstddef>
@@ -80,8 +82,11 @@ class ObjectStore {
   virtual const char* kind() const = 0;
   virtual const StorageModel& model() const = 0;
 
-  /// Stores a value (overwrites). Fails with RESOURCE_EXHAUSTED when a
-  /// bounded store would exceed capacity.
+  /// Stores a value, replacing any old one atomically: a concurrent
+  /// get, or a process killed mid-put, sees the old value or the new
+  /// one, never part of either. Durable state (storage/record_log.h)
+  /// relies on this. Fails with RESOURCE_EXHAUSTED when a bounded store
+  /// would exceed capacity.
   virtual Status put(const std::string& key, std::string_view value) = 0;
 
   /// Fetches a copy of the value; NOT_FOUND if missing.

@@ -141,7 +141,7 @@ TEST(JobServiceTest, RejectsPipeliningAnnotatedModelWithoutARecord) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(svc.jobs_snapshot().empty());
   EXPECT_EQ(svc.summary().submitted, 0u);
-  EXPECT_FALSE(store->contains("journal/serve.log"));
+  EXPECT_TRUE(store->list("journal/").empty());
 
   // The unannotated model is accepted and takes the first id.
   const auto id = svc.submit(make_sleep_job("plain", 0.0));

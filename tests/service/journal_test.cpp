@@ -1,24 +1,31 @@
-// JobJournal: wire format round-trips, the replay contract (truncated
-// tail tolerated, mid-record corruption rejected — corpus-swept like
-// the serde parsers), recovery-plan folding, and the kill-point
-// property: from ANY byte prefix of the log, replay + recovery
-// converges to the same completed-job set as the uninterrupted run.
+// JobJournal: records round-trip through the store, replay rejects a
+// corrupt segment or record and the pre-segment single-object format,
+// appends write bounded bytes however long the journal grows,
+// recovery-plan folding, and the kill-point property: stopped after ANY
+// append (puts are atomic, so that is every crash point), replay +
+// recovery converges to the same completed-job set as the
+// uninterrupted run. The frame-level corruption corpus is
+// RecordLogTest's (tests/storage/record_log_test.cpp).
 #include "service/journal.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "faults/fault_injector.h"
 #include "storage/mem_store.h"
+#include "storage/record_log.h"
+#include "support/gated_store.h"
 
 namespace ditto::service {
 namespace {
 
 constexpr char kKey[] = "journal/serve.log";
-constexpr char kMagic[] = "DITTOJL1";
+const std::string kSegments = std::string(kKey) + "/";
 
 JournalRecord submit_rec(std::uint64_t jid, const std::string& payload,
                          const std::string& tier = "batch", Seconds deadline = 0.0) {
@@ -76,10 +83,19 @@ std::vector<JournalRecord> sample_history() {
   };
 }
 
-std::string log_bytes(const std::vector<JournalRecord>& records) {
-  std::string bytes = kMagic;
-  for (const auto& r : records) bytes += JobJournal::encode(r);
-  return bytes;
+/// Appends `rec` as-is (its own jid) through the journal's API.
+Status append(JobJournal& journal, const JournalRecord& rec) {
+  switch (rec.kind) {
+    case JournalKind::kSubmit:
+      return journal.append_submit(rec.payload, rec.tier, rec.deadline, rec.jid).status();
+    case JournalKind::kAdmit:
+      return journal.append_admit(rec.jid);
+    case JournalKind::kStart:
+      return journal.append_start(rec.jid, rec.epoch);
+    case JournalKind::kFinish:
+      return journal.append_finish(rec.jid, rec.state, rec.error);
+  }
+  return Status::internal("unknown kind");
 }
 
 void expect_equal(const JournalRecord& a, const JournalRecord& b) {
@@ -93,9 +109,14 @@ void expect_equal(const JournalRecord& a, const JournalRecord& b) {
   EXPECT_EQ(a.error, b.error);
 }
 
+// The record text codec round-trips every field, spaces in the tail
+// fields included, through the store.
 TEST(JournalTest, EncodeParseRoundTrip) {
   const auto history = sample_history();
-  const auto parsed = JobJournal::parse(log_bytes(history));
+  storage::MemStore store;
+  JobJournal journal(store, kKey);
+  for (const auto& rec : history) ASSERT_TRUE(append(journal, rec).is_ok());
+  const auto parsed = JobJournal::replay(store, kKey);
   ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
   ASSERT_EQ(parsed->size(), history.size());
   for (std::size_t i = 0; i < history.size(); ++i) {
@@ -146,7 +167,10 @@ TEST(JournalTest, OpenContinuesJidNumberingAndExtendsLog) {
   // "Restart": a fresh journal over the same key must extend, not
   // clobber, and must number past the highest replayed jid.
   JobJournal second(store, kKey);
-  ASSERT_TRUE(second.open().is_ok());
+  const auto opened = second.open();
+  ASSERT_TRUE(opened.ok());
+  ASSERT_EQ(opened->size(), 2u);
+  EXPECT_EQ((*opened)[1].payload, "job q16 label=b");
   const auto jid = second.append_submit("job q94 label=c", "batch", 0.0);
   ASSERT_TRUE(jid.ok());
   EXPECT_EQ(*jid, 3u);
@@ -170,84 +194,113 @@ TEST(JournalTest, RecoveredSubmitReusesJid) {
   EXPECT_EQ(*next, 8u);
 }
 
-TEST(JournalTest, EmptyAndMagicOnlyBytesParseEmpty) {
-  for (const std::string& bytes : {std::string(), std::string("DIT"), std::string(kMagic)}) {
-    const auto parsed = JobJournal::parse(bytes);
-    ASSERT_TRUE(parsed.ok()) << "prefix of " << bytes.size() << " bytes";
-    EXPECT_TRUE(parsed->empty());
-  }
+// A journal written before segmented logs is one object at the key:
+// replay refuses it rather than reading it as an empty journal.
+TEST(JournalTest, OldSingleObjectFormatIsRejected) {
+  storage::MemStore store;
+  ASSERT_TRUE(store.put(kKey, std::string("DITTOJL1") + std::string(24, '\x01')).is_ok());
+  const auto replayed = JobJournal::replay(store, kKey);
+  ASSERT_FALSE(replayed.ok());
+  EXPECT_EQ(replayed.status().code(), StatusCode::kInvalidArgument);
+  JobJournal journal(store, kKey);
+  EXPECT_EQ(journal.open().status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(JournalTest, BadMagicIsCorruption) {
-  std::string bytes = log_bytes(sample_history());
-  bytes[0] = 'X';
-  const auto parsed = JobJournal::parse(bytes);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-}
-
-// Corpus sweep 1: every byte-prefix of a valid log is a possible
-// crash-mid-put artifact and must parse as a (possibly shorter) prefix
-// of the record sequence — never an error, never a crash.
-TEST(JournalTest, TruncationSweepToleratesEveryTornTail) {
-  const auto history = sample_history();
-  const std::string bytes = log_bytes(history);
-
-  // Record end offsets, to know how many complete records a prefix holds.
-  std::vector<std::size_t> ends;
-  std::size_t off = 8;
-  for (const auto& r : history) {
-    off += JobJournal::encode(r).size();
-    ends.push_back(off);
-  }
-
-  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
-    const auto parsed = JobJournal::parse(bytes.substr(0, cut));
-    ASSERT_TRUE(parsed.ok()) << "cut at byte " << cut << ": "
-                             << parsed.status().to_string();
-    std::size_t expect = 0;
-    while (expect < ends.size() && ends[expect] <= cut) ++expect;
-    ASSERT_EQ(parsed->size(), expect) << "cut at byte " << cut;
-    for (std::size_t i = 0; i < expect; ++i) {
-      SCOPED_TRACE(cut);
-      expect_equal((*parsed)[i], history[i]);
-    }
-  }
-}
-
-// Corpus sweep 2: flipping any single bit of a complete log must never
-// yield the original record sequence — it is either detected corruption
-// (INVALID_ARGUMENT) or, when the flip manufactures a torn tail (e.g.
-// growing a length field past the end), a strictly shorter replay.
+// Flipping any single bit of any stored segment of a journal is
+// INVALID_ARGUMENT at replay, never a shorter or different history.
 TEST(JournalTest, BitFlipSweepNeverParsesCleanly) {
-  const auto history = sample_history();
-  const std::string bytes = log_bytes(history);
-  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string mangled = bytes;
-      mangled[pos] = static_cast<char>(mangled[pos] ^ (1 << bit));
-      const auto parsed = JobJournal::parse(mangled);
-      if (parsed.ok()) {
-        EXPECT_LT(parsed->size(), history.size())
-            << "flip at byte " << pos << " bit " << bit
-            << " parsed as a full-length record sequence";
-      } else {
-        EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
-            << "flip at byte " << pos << " bit " << bit;
+  storage::MemStore store;
+  {
+    JobJournal journal(store, kKey);
+    for (const auto& rec : sample_history()) ASSERT_TRUE(append(journal, rec).is_ok());
+  }
+  for (const std::string& segment : store.list(kSegments)) {
+    const std::string bytes = *store.get(segment);
+    for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string mangled = bytes;
+        mangled[pos] = static_cast<char>(mangled[pos] ^ (1 << bit));
+        ASSERT_TRUE(store.put(segment, mangled).is_ok());
+        EXPECT_EQ(JobJournal::replay(store, kKey).status().code(),
+                  StatusCode::kInvalidArgument)
+            << segment << ": flip at byte " << pos << " bit " << bit;
       }
     }
+    ASSERT_TRUE(store.put(segment, bytes).is_ok());
+  }
+  EXPECT_TRUE(JobJournal::replay(store, kKey).ok());
+}
+
+// A well-framed record whose text is not a journal record is
+// corruption too, wherever it sits in the log.
+TEST(JournalTest, MidRecordCorruptionIsRejectedNotTruncated) {
+  for (const std::string bad : {"submit jid=1", "kind=submit jid=1 tier=batch deadline=0",
+                                "kind=launch jid=1", "kind=admit jid=0",
+                                "kind=start jid=2 epoch=-1", "kind=finish jid=2 colour=red"}) {
+    storage::MemStore store;
+    storage::RecordLog log(store, kKey);
+    ASSERT_TRUE(log.append("kind=admit jid=1").is_ok());
+    ASSERT_TRUE(log.append(bad).is_ok());
+    ASSERT_TRUE(log.append("kind=admit jid=3").is_ok());
+    const auto replayed = JobJournal::replay(store, kKey);
+    ASSERT_FALSE(replayed.ok()) << bad;
+    EXPECT_EQ(replayed.status().code(), StatusCode::kInvalidArgument) << bad;
   }
 }
 
-TEST(JournalTest, MidRecordCorruptionIsRejectedNotTruncated) {
-  const auto history = sample_history();
-  std::string bytes = log_bytes(history);
-  // Corrupt one payload byte of the FIRST record: later records are
-  // intact, so this cannot be a torn tail.
-  bytes[8 + 8 + 2] = static_cast<char>(bytes[8 + 8 + 2] ^ 0x40);
-  const auto parsed = JobJournal::parse(bytes);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+// The bytes an append writes stay bounded as the journal grows: each
+// put rewrites one segment of at most RecordLog::kSegmentBytes (plus
+// the record, when one record alone exceeds it), not the whole log.
+TEST(JournalTest, AppendBytesStayBoundedAsTheJournalGrows) {
+  storage::MemStore store;
+  JobJournal journal(store, kKey);
+  const std::string payload = "job q95 rows=300000 orders=60000 seed=1 label=bounded";
+  Bytes worst = 0;
+  const auto bounded = [&](const auto& append_one) {
+    const Bytes before = store.stats().bytes_written;
+    ASSERT_TRUE(append_one());
+    worst = std::max(worst, store.stats().bytes_written - before);
+  };
+  for (std::uint64_t jid = 1; jid <= 1250; ++jid) {  // 5,000 records
+    bounded([&] { return journal.append_submit(payload, "batch", 0.0).ok(); });
+    bounded([&] { return journal.append_admit(jid).is_ok(); });
+    bounded([&] { return journal.append_start(jid, 0).is_ok(); });
+    bounded([&] { return journal.append_finish(jid, "DONE", "").is_ok(); });
+  }
+  // A record here is under 128 bytes with its frame.
+  EXPECT_LE(worst, storage::RecordLog::kSegmentBytes + 128);
+  const auto replayed = JobJournal::replay(store, kKey);
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_EQ(replayed->size(), 5000u);
+  EXPECT_EQ(build_recovery(*replayed).completed, 1250u);
+}
+
+// A put that fails, at a segment roll or anywhere else, leaves the
+// journal as it was: the retried append lands where the failed one
+// would have, and replay sees no gap.
+TEST(JournalTest, FailedPutDoesNotAdvanceTheSegment) {
+  storage::MemStore inner;
+  storage::GatedStore store(inner);
+  JobJournal journal(store, kKey);
+  faults::RetryPolicy once;
+  once.max_attempts = 1;
+  journal.set_retry_policy(once);
+  for (std::uint64_t jid = 1; jid <= 60; ++jid) {
+    store.fail_puts(true);
+    ASSERT_FALSE(journal.append_submit("job q1 label=j" + std::to_string(jid), "batch", 0.0,
+                                       jid)
+                     .ok());
+    store.fail_puts(false);
+    ASSERT_TRUE(journal.append_submit("job q1 label=j" + std::to_string(jid), "batch", 0.0,
+                                      jid)
+                    .ok());
+  }
+  EXPECT_EQ(journal.appended(), 60u);
+  ASSERT_GE(inner.list(kSegments).size(), 2u);
+  const auto replayed = JobJournal::replay(inner, kKey);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().to_string();
+  ASSERT_EQ(replayed->size(), 60u);
+  EXPECT_EQ(replayed->back().payload, "job q1 label=j60");
 }
 
 TEST(JournalTest, BuildRecoveryFoldsOneDispositionPerJob) {
@@ -286,47 +339,59 @@ TEST(JournalTest, RerunEpochAdvancesPastEveryObservedStart) {
   EXPECT_EQ(plan.jobs[0].next_epoch, 2);
 }
 
-// The kill-point property behind the chaos-restart harness: cut the log
-// at EVERY byte offset (= every possible SIGKILL point, since appends
-// rewrite old-log + record and a torn put leaves a byte prefix), run
-// the recovery protocol that `dittoctl serve --recover` implements —
-// journaled non-terminal jobs re-run, journaled terminal jobs skipped,
-// never-journaled spec jobs merged back in — and assert the journal
-// converges to the SAME completed-job set as the uninterrupted run.
+// The kill-point property behind the chaos-restart harness: stop the
+// journal after EVERY append (puts are atomic, so a SIGKILL leaves the
+// store exactly as some append left it; the history is long enough to
+// cross a segment roll), run the recovery protocol that `dittoctl
+// serve --recover` implements — journaled non-terminal jobs re-run,
+// journaled terminal jobs skipped, never-journaled spec jobs merged
+// back in — and assert the journal converges to the SAME completed-job
+// set as the uninterrupted run.
 TEST(JournalTest, KillPointSweepConvergesToSameCompletedJobSet) {
-  const std::vector<std::string> spec_payloads = {
-      "job q95 label=a tier=latency",
-      "job q1 label=b rows=5000",
-      "job q16 label=c",
-      "job q94 label=d",
-  };
+  std::vector<std::string> spec_payloads;
+  for (int i = 0; i < 10; ++i) {
+    spec_payloads.push_back("job q95 label=j" + std::to_string(i) + " note=" +
+                            std::string(360, static_cast<char>('a' + i)));
+  }
 
-  // The uninterrupted history (every job submitted, run, finished).
+  // The uninterrupted history (every job submitted, run, finished),
+  // and the store as a kill after each append would leave it.
+  using Snapshot = std::map<std::string, std::string>;
   storage::MemStore store;
+  std::vector<Snapshot> cuts = {Snapshot{}};
+  const auto snapshot = [&] {
+    Snapshot snap;
+    for (const std::string& key : store.list("")) snap[key] = *store.get(key);
+    cuts.push_back(std::move(snap));
+  };
   {
     JobJournal journal(store, kKey);
-    for (const auto& p : spec_payloads) ASSERT_TRUE(journal.append_submit(p, "batch", 0.0).ok());
+    for (const auto& p : spec_payloads) {
+      ASSERT_TRUE(journal.append_submit(p, "batch", 0.0).ok());
+      snapshot();
+    }
     for (std::uint64_t jid = 1; jid <= spec_payloads.size(); ++jid) {
       ASSERT_TRUE(journal.append_admit(jid).is_ok());
+      snapshot();
       ASSERT_TRUE(journal.append_start(jid, 0).is_ok());
+      snapshot();
       ASSERT_TRUE(journal.append_finish(jid, "DONE", "").is_ok());
+      snapshot();
     }
   }
-  const auto full = store.get(kKey);
-  ASSERT_TRUE(full.ok());
+  ASSERT_GE(store.list(kSegments).size(), 2u) << "the sweep must cross a segment roll";
   const std::set<std::string> want(spec_payloads.begin(), spec_payloads.end());
 
-  for (std::size_t cut = 0; cut <= full->size(); ++cut) {
-    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+  for (std::size_t cut = 0; cut < cuts.size(); ++cut) {
+    SCOPED_TRACE("killed after append " + std::to_string(cut));
     storage::MemStore crashed;
-    ASSERT_TRUE(crashed.put(kKey, full->substr(0, cut)).is_ok());
-
-    const auto replayed = JobJournal::replay(crashed, kKey);
-    ASSERT_TRUE(replayed.ok()) << replayed.status().to_string();
-    const auto plan = build_recovery(*replayed);
+    for (const auto& [key, bytes] : cuts[cut]) ASSERT_TRUE(crashed.put(key, bytes).is_ok());
 
     JobJournal journal(crashed, kKey);
-    ASSERT_TRUE(journal.open().is_ok());
+    const auto replayed = journal.open();
+    ASSERT_TRUE(replayed.ok()) << replayed.status().to_string();
+    ASSERT_EQ(replayed->size(), cut);
+    const auto plan = build_recovery(*replayed);
 
     // Journaled jobs: finish the non-terminal ones (under the fresh
     // epoch the plan mandates for interrupted runs).
@@ -401,7 +466,7 @@ TEST(JournalTest, ExhaustedSubmitAppendSurfacesToCaller) {
   EXPECT_EQ(jid.status().code(), StatusCode::kUnavailable);
   // The failed append committed nothing.
   EXPECT_EQ(journal.appended(), 0u);
-  EXPECT_FALSE(store.contains(kKey));
+  EXPECT_TRUE(store.list(kSegments).empty());
 }
 
 }  // namespace

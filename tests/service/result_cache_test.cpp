@@ -1,15 +1,23 @@
 // ResultCache unit behavior: keying, LRU byte-bounded eviction,
 // idempotent insert, job-level accounting, and ObjectStore persistence
-// (round-trip, torn save, corrupt index).
+// (round-trip, torn save, corrupt index, saves that do their store I/O
+// off the cache lock).
 #include "service/result_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "storage/mem_store.h"
+#include "storage/record_log.h"
 #include "storage/sim_store.h"
+#include "support/gated_store.h"
 
 namespace ditto::service {
 namespace {
@@ -245,6 +253,145 @@ TEST(ResultCachePersistTest, SaveRemovesEvictedPersistedEntries) {
   EXPECT_FALSE(warm.contains(id, 0));
   EXPECT_TRUE(warm.contains(id, 1));
   EXPECT_TRUE(warm.contains(id, 2));
+}
+
+TEST(ResultCachePersistTest, IndexKeepsRecencyAndSignaturesWithSpaces) {
+  auto store = storage::make_instant_store();
+  const CacheIdentity spaced = ident(9, "rows=100 seed=1", 2);
+  {
+    ResultCache cache(1_MB);
+    cache.insert(spaced, 0, shared(payload('a', 10)), 0.25);
+    cache.insert(spaced, 1, shared(payload('b', 10)));
+    ASSERT_TRUE(cache.lookup(spaced, 0).has_value());  // stage 1 is now the oldest
+    ASSERT_TRUE(cache.save(*store, "cache").is_ok());
+  }
+  const auto index = store->get("cache/index");
+  ASSERT_TRUE(index.ok());
+  const auto records = storage::RecordLog::decode_segment(*index);
+  ASSERT_TRUE(records.ok()) << records.status().to_string();
+  ASSERT_EQ(records->size(), 2u);
+  EXPECT_EQ((*records)[0].rfind("stage=1 ", 0), 0u) << (*records)[0];
+
+  ResultCache warm(24);  // room for the two entries; a third evicts the oldest
+  ASSERT_TRUE(warm.load(*store, "cache").is_ok());
+  const auto hit = warm.lookup(spaced, 0);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_DOUBLE_EQ(hit->slot_seconds, 0.25);
+  warm.insert(ident(3, "other"), 0, shared(payload('c', 5)));
+  EXPECT_FALSE(warm.contains(spaced, 1));
+  EXPECT_TRUE(warm.contains(spaced, 0));
+}
+
+TEST(ResultCachePersistTest, MangledIndexRecordsAreCorruption) {
+  auto store = storage::make_instant_store();
+  const CacheIdentity id = ident(9, "sig");
+  {
+    ResultCache cache(1_MB);
+    cache.insert(id, 0, shared(payload('x', 8)));
+    ASSERT_TRUE(cache.save(*store, "cache").is_ok());
+  }
+  const std::string good = *store->get("cache/index");
+  const std::string record = (*storage::RecordLog::decode_segment(good))[0];
+  std::vector<std::string> bad_indexes = {good.substr(0, good.size() - 1), good + "x"};
+  for (const std::string& bad_record : std::vector<std::string>{
+           "stage=0", "extra=1 " + record, "bytes=8 " + record,
+        "stage=x bytes=8 slot_seconds=0 fp=0000000000000009 version=0 signature=sig",
+        "stage=0 bytes=8 slot_seconds=0 fp=0000000000000000 version=0 signature=sig"}) {
+    bad_indexes.push_back(storage::RecordLog::encode_segment({bad_record}));
+  }
+  for (const std::string& bad : bad_indexes) {
+    ASSERT_TRUE(store->put("cache/index", bad).is_ok());
+    ResultCache cache(1_MB);
+    cache.insert(ident(1, "keep"), 0, shared(payload('k', 8)));
+    EXPECT_EQ(cache.load(*store, "cache").code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(cache.stats().entries, 1u);
+  }
+}
+
+// Admission probes the cache while the service saves it after a job:
+// a save blocked in its store put must not hold the cache lock.
+TEST(ResultCachePersistTest, LookupCompletesWhileASaveIsBlockedInAPut) {
+  storage::MemStore inner;
+  storage::GatedStore store(inner);
+  ResultCache cache(1_MB);
+  const CacheIdentity id = ident(9, "sig");
+  cache.insert(id, 0, shared(payload('x', 64)));
+  store.hold_puts();
+  std::thread saver([&] { EXPECT_TRUE(cache.save(store, "cache").is_ok()); });
+  store.wait_for_held_put();
+  auto probe = std::async(std::launch::async, [&] {
+    const bool hit = cache.lookup(id, 0).has_value() && cache.contains(id, 0);
+    cache.insert(id, 1, shared(payload('y', 64)));
+    return hit;
+  });
+  const bool finished = probe.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  store.release_puts();
+  saver.join();
+  EXPECT_TRUE(finished) << "lookup waited for the save's put";
+  EXPECT_TRUE(probe.get());
+}
+
+TEST(ResultCachePersistTest, EntryWhosePutFailedIsWrittenByTheNextSave) {
+  storage::MemStore inner;
+  storage::GatedStore store(inner);
+  ResultCache cache(1_MB);
+  const CacheIdentity id = ident(9, "sig");
+  cache.insert(id, 0, shared(payload('x', 64)));
+  store.fail_puts(true);
+  EXPECT_EQ(cache.save(store, "cache").code(), StatusCode::kUnavailable);
+  store.fail_puts(false);
+  ASSERT_TRUE(cache.save(store, "cache").is_ok());
+  ResultCache warm(1_MB);
+  ASSERT_TRUE(warm.load(inner, "cache").is_ok());
+  EXPECT_TRUE(warm.contains(id, 0));
+}
+
+// A persisted entry replaced by new bytes and then evicted still has
+// its old object on the store; the next save removes it.
+TEST(ResultCachePersistTest, ReplacedThenEvictedEntryLeavesNoObject) {
+  auto store = storage::make_instant_store();
+  ResultCache cache(150);
+  const CacheIdentity id = ident(9, "sig");
+  cache.insert(id, 0, shared(payload('a', 100)));
+  ASSERT_TRUE(cache.save(*store, "cache").is_ok());
+  cache.insert(id, 0, shared(payload('b', 100)));  // replaced, not yet persisted
+  cache.insert(id, 1, shared(payload('c', 100)));  // evicts stage 0
+  ASSERT_FALSE(cache.contains(id, 0));
+  ASSERT_TRUE(cache.save(*store, "cache").is_ok());
+  EXPECT_FALSE(store->contains("cache/" + id.key() + "/stage-0"));
+  EXPECT_TRUE(store->contains("cache/" + id.key() + "/stage-1"));
+}
+
+// Inserts and evictions racing repeated saves: after a final save the
+// store holds exactly the cache's entries, nothing leaked.
+TEST(ResultCachePersistTest, SavesRacingInsertsLeaveNoLeakedObjects) {
+  auto store = storage::make_instant_store();
+  ResultCache cache(16 * 64);
+  std::atomic<bool> done{false};
+  std::thread saver([&] {
+    while (!done.load()) EXPECT_TRUE(cache.save(*store, "cache").is_ok());
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 3; ++t) {
+    writers.emplace_back([&cache, t] {
+      for (int i = 0; i < 300; ++i) {
+        const CacheIdentity id = ident(static_cast<std::uint64_t>(t + 1), "sig");
+        cache.insert(id, static_cast<StageId>(i % 40), shared(payload('a', 64)));
+        if (i % 7 == 0) cache.remove(id, static_cast<StageId>((i + 3) % 40));
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  done.store(true);
+  saver.join();
+  ASSERT_TRUE(cache.save(*store, "cache").is_ok());
+
+  ResultCache warm(0);
+  ASSERT_TRUE(warm.load(*store, "cache").is_ok());
+  EXPECT_EQ(warm.stats().entries, cache.stats().entries);
+  std::size_t objects = 0;
+  for (const std::string& key : store->list("cache/")) objects += key != "cache/index";
+  EXPECT_EQ(objects, cache.stats().entries);
 }
 
 TEST(ResultCacheTest, ConcurrentMixedOperations) {

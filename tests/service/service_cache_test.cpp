@@ -528,7 +528,7 @@ TEST(ServiceCacheTest, CacheHitJobsJournalAndRecoveryConverges) {
   auto cl = cluster::Cluster::uniform(2, 4);
   auto store = storage::make_instant_store();
   JobJournal journal(*store, "journal/cache-test.log");
-  ASSERT_TRUE(journal.open().is_ok());
+  ASSERT_TRUE(journal.open().ok());
 
   ServiceOptions opt = cached_options();
   opt.journal = &journal;

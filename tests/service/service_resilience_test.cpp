@@ -382,7 +382,7 @@ TEST(ServiceResilienceTest, CrashRecoveryConvergesToByteIdenticalSinks) {
 
   {
     JobJournal journal(*store, kJournalKey);
-    ASSERT_TRUE(journal.open().is_ok());
+    ASSERT_TRUE(journal.open().ok());
     auto cl = cluster::Cluster::uniform(2, 4);
     ServiceOptions options;
     options.admission.policy = AdmissionPolicy::kFifoExclusive;

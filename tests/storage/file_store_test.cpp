@@ -1,8 +1,8 @@
 // FileStore: the durable ObjectStore behind the service tier's crash
 // story. Round-trips, subdirectory keys, root-escape rejection, and the
-// property the journal depends on: contents persist across instances
-// (process restarts), and a torn value is readable as the bytes that
-// made it to disk.
+// properties the journal depends on: contents persist across instances
+// (process restarts), and a put replaces a value whole — a concurrent
+// reader never sees a prefix, and staging files never show as keys.
 #include "storage/file_store.h"
 
 #include <gtest/gtest.h>
@@ -45,7 +45,7 @@ TEST(FileStoreTest, OverwriteReplacesWhole) {
   ASSERT_TRUE(store.put("k", "short").is_ok());
   const auto got = store.get("k");
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, "short");  // truncated, not merged with the old tail
+  EXPECT_EQ(*got, "short");  // replaced whole, not merged with the old tail
 }
 
 TEST(FileStoreTest, SlashKeysBecomeSubdirectories) {
@@ -76,7 +76,7 @@ TEST(FileStoreTest, PersistsAcrossInstances) {
   const std::string root = fresh_root("persist");
   {
     FileStore first(root);
-    ASSERT_TRUE(first.put("journal/serve.log", "DITTOJL1...").is_ok());
+    ASSERT_TRUE(first.put("journal/serve.log", "journal bytes").is_ok());
     ASSERT_TRUE(first.put("sinks/a/stage-1", "bytes").is_ok());
   }
   // A new instance over the same root — the restart in miniature.
@@ -84,7 +84,7 @@ TEST(FileStoreTest, PersistsAcrossInstances) {
   EXPECT_TRUE(second.contains("journal/serve.log"));
   const auto log = second.get("journal/serve.log");
   ASSERT_TRUE(log.ok());
-  EXPECT_EQ(*log, "DITTOJL1...");
+  EXPECT_EQ(*log, "journal bytes");
   EXPECT_EQ(second.list("").size(), 2u);
 }
 
@@ -150,6 +150,96 @@ TEST(FileStoreTest, PutRacingRemovesInOneDirectoryNeverFails) {
   remover.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_FALSE(std::filesystem::exists(root + "/d"));
+}
+
+TEST(FileStoreTest, RejectsKeysThatStartASegmentWithADot) {
+  FileStore store(fresh_root("dot"));
+  for (const std::string key : {".hidden", "a/.b", ".a/b", "a/.b.tmp0"}) {
+    EXPECT_EQ(store.put(key, "x").code(), StatusCode::kInvalidArgument) << "key: '" << key << "'";
+    EXPECT_EQ(store.get(key).status().code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_FALSE(store.contains(key)) << key;
+  }
+  // A dot inside a segment is an ordinary name.
+  EXPECT_TRUE(store.put("a/b.c", "x").is_ok());
+}
+
+// A put replaces the value atomically: a reader racing a stream of puts
+// of one key sees one whole value or the other, never a prefix.
+TEST(FileStoreTest, ReaderRacingPutsNeverSeesAPrefix) {
+  FileStore store(fresh_root("atomic"));
+  constexpr std::size_t kBytes = 256 * 1024;
+  const std::string a(kBytes, 'a');
+  const std::string b(kBytes, 'b');
+  ASSERT_TRUE(store.put("d/k", a).is_ok());
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < 200; ++i) {
+      EXPECT_TRUE(store.put("d/k", i % 2 == 0 ? b : a).is_ok());
+    }
+    done.store(true);
+  });
+  int reads = 0;
+  int bad = 0;
+  while (!done.load()) {
+    const auto got = store.get("d/k");
+    ++reads;
+    if (!got.ok() || (*got != a && *got != b)) ++bad;
+  }
+  writer.join();
+  EXPECT_GT(reads, 0);
+  EXPECT_EQ(bad, 0) << "of " << reads << " reads";
+}
+
+// Staging files never show: not in list or used_bytes while puts run,
+// not when a killed process left one behind, and a new FileStore over
+// the root deletes the leftovers, and any empty directories.
+TEST(FileStoreTest, StagingFilesNeverShowAndLeftoversAreDeleted) {
+  const std::string root = fresh_root("staging");
+  {
+    FileStore store(root);
+    const std::string value(64 * 1024, 'v');
+    ASSERT_TRUE(store.put("d/k", value).is_ok());
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+      for (int i = 0; i < 200; ++i) EXPECT_TRUE(store.put("d/k", value).is_ok());
+      done.store(true);
+    });
+    int bad = 0;
+    while (!done.load()) {
+      for (const std::string& key : store.list("")) bad += key != "d/k";
+      bad += store.used_bytes() > value.size();
+    }
+    writer.join();
+    EXPECT_EQ(bad, 0);
+  }
+  // Staging files as puts killed before their rename leave them, one
+  // next to a key and one alone in its directories.
+  const auto leave = [](const std::string& path) {
+    std::filesystem::create_directories(std::filesystem::path(path).parent_path());
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("half a value", f);
+    std::fclose(f);
+  };
+  const std::string leftover = root + "/d/.k.tmp7";
+  leave(leftover);
+  leave(root + "/s/t/.u.tmp9");
+  std::filesystem::create_directories(root + "/e/f");  // a put killed before its open
+  {
+    FileStore reopened(root);
+    EXPECT_FALSE(std::filesystem::exists(leftover));
+    EXPECT_FALSE(std::filesystem::exists(root + "/s"));  // emptied directories pruned
+    EXPECT_FALSE(std::filesystem::exists(root + "/e"));
+    EXPECT_EQ(reopened.list(""), std::vector<std::string>{"d/k"});
+  }
+  // Created behind an open store's back, it still never shows.
+  {
+    FileStore store(root);
+    leave(leftover);
+    EXPECT_EQ(store.list(""), std::vector<std::string>{"d/k"});
+    EXPECT_EQ(store.used_bytes(), 64u * 1024u);
+    EXPECT_EQ(store.get("d/.k.tmp7").status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

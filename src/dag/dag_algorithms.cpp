@@ -27,41 +27,66 @@ std::vector<StageId> topological_order(const JobDag& dag) {
   return order;
 }
 
-CriticalPath critical_path(const JobDag& dag, const NodeWeightFn& node_weight,
-                           const EdgeWeightFn& edge_weight) {
-  const auto order = topological_order(dag);
+DagTopology::DagTopology(const JobDag& dag)
+    : dag_(&dag), order_(topological_order(dag)), sinks_(dag.sinks()) {
   const std::size_t n = dag.num_stages();
-  std::vector<double> best(n, 0.0);
-  std::vector<StageId> pred(n, kNoStage);
+  const std::vector<Edge>& edges = dag.edges();
+  out_edges_.resize(n);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    out_edges_[edges[i].src].push_back(static_cast<int>(i));
+  }
+  in_edges_.resize(n);
+  for (StageId s = 0; s < n; ++s) {
+    for (StageId p : dag.parents(s)) in_edges_[s].push_back(edge_index(p, s));
+  }
+}
 
-  for (StageId s : order) {
+int DagTopology::edge_index(StageId src, StageId dst) const {
+  if (src >= out_edges_.size()) return -1;
+  for (int e : out_edges_[src]) {
+    if (dag_->edges()[e].dst == dst) return e;
+  }
+  return -1;
+}
+
+EdgeFlags DagTopology::flags_of(const std::vector<EdgeRef>& edges) const {
+  EdgeFlags flags(dag_->num_edges(), 0);
+  for (const auto& [src, dst] : edges) {
+    const int e = edge_index(src, dst);
+    if (e >= 0) flags[e] = 1;
+  }
+  return flags;
+}
+
+void DagTopology::critical_path(const std::vector<double>& node_w,
+                                const std::vector<double>& edge_w, CriticalPath& out) const {
+  const JobDag& dag = *dag_;
+  assert(dag.num_stages() > 0);
+  out.best.resize(dag.num_stages());
+  out.via.resize(dag.num_stages());
+  for (StageId s : order_) {
+    const std::vector<StageId>& parents = dag.parents(s);
+    const std::vector<int>& in = in_edges_[s];
     double incoming = 0.0;
-    StageId from = kNoStage;
-    for (StageId p : dag.parents(s)) {
-      const Edge* e = dag.find_edge(p, s);
-      assert(e != nullptr);
-      const double cand = best[p] + edge_weight(*e);
-      if (cand > incoming || from == kNoStage) {
+    int from = -1;
+    for (std::size_t k = 0; k < parents.size(); ++k) {
+      const double cand = out.best[parents[k]] + edge_w[in[k]];
+      if (cand > incoming || from < 0) {
         incoming = cand;
-        from = p;
+        from = in[k];
       }
     }
-    best[s] = incoming + node_weight(s);
-    pred[s] = from;
+    out.best[s] = incoming + node_w[s];
+    out.via[s] = from;
   }
-
-  CriticalPath cp;
-  if (n == 0) return cp;
-  const auto sinks = dag.sinks();
-  assert(!sinks.empty());
-  StageId tail = sinks.front();
-  for (StageId s : sinks) {
-    if (best[s] > best[tail]) tail = s;
+  out.tail = sinks_.front();
+  for (StageId s : sinks_) {
+    if (out.best[s] > out.best[out.tail]) out.tail = s;
   }
-  cp.length = best[tail];
-  for (StageId s = tail; s != kNoStage; s = pred[s]) cp.stages.push_back(s);
-  std::reverse(cp.stages.begin(), cp.stages.end());
-  return cp;
+  out.length = out.best[out.tail];
+  out.edges.clear();
+  for (int e = out.via[out.tail]; e >= 0; e = out.via[dag.edges()[e].src]) out.edges.push_back(e);
+  std::reverse(out.edges.begin(), out.edges.end());
 }
 
 namespace {

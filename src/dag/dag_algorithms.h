@@ -1,9 +1,10 @@
 // Graph algorithms over JobDag used by the scheduler and the service:
-// topological order, weighted critical path (paper §4.3), pruning of
-// cached stages, and the plan-shape fingerprint.
+// topological order, a flat index of the edges, the weighted critical
+// path (paper §4.3), pruning of cached stages, and the plan-shape
+// fingerprint.
 #pragma once
 
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "dag/job_dag.h"
@@ -13,20 +14,55 @@ namespace ditto {
 /// Topological order (sources first). The DAG must be valid.
 std::vector<StageId> topological_order(const JobDag& dag);
 
-/// Weight callbacks: the grouping objective decides these (paper §4.3).
-/// For JCT:   node = C(s),            edge = W(src) + R(dst)
-/// For cost:  node = M(s)C(s),        edge = M(src)W(src) + M(dst)R(dst)
-using NodeWeightFn = std::function<double(StageId)>;
-using EdgeWeightFn = std::function<double(const Edge&)>;
+/// An edge named by its endpoints (src, dst).
+using EdgeRef = std::pair<StageId, StageId>;
 
+/// A set of edges as one flag per index of dag.edges(): flags[e] != 0
+/// means edge e is in the set.
+using EdgeFlags = std::vector<char>;
+
+/// A maximum-weight source-to-sink path. Passing the same object to
+/// DagTopology::critical_path() again reuses its storage.
 struct CriticalPath {
-  std::vector<StageId> stages;  ///< source..sink order
-  double length = 0.0;          ///< sum of node + edge weights along it
+  std::vector<int> edges;   ///< edge indices, source..sink order
+  StageId tail = kNoStage;  ///< the sink it ends at
+  double length = 0.0;      ///< sum of node + edge weights along it
+  std::vector<double> best;  ///< scratch: heaviest path weight into each stage
+  std::vector<int> via;      ///< scratch: last edge of that path (-1 at sources)
 };
 
-/// Maximum-weight source-to-sink path.
-CriticalPath critical_path(const JobDag& dag, const NodeWeightFn& node_weight,
-                           const EdgeWeightFn& edge_weight);
+/// A DAG's topology as flat indices, for code that walks one DAG many
+/// times: edge e is dag.edges()[e]. Built from a snapshot of the DAG;
+/// the DAG must be valid and must not gain stages or edges afterwards.
+class DagTopology {
+ public:
+  explicit DagTopology(const JobDag& dag);
+
+  /// topological_order(dag).
+  const std::vector<StageId>& order() const { return order_; }
+
+  /// Index of edge (src, dst), or -1 if there is none.
+  int edge_index(StageId src, StageId dst) const;
+
+  /// `edges` as flags (pairs that are not edges of the DAG are ignored).
+  EdgeFlags flags_of(const std::vector<EdgeRef>& edges) const;
+
+  /// Maximum-weight source-to-sink path into `out`, weighing stage s
+  /// by node_w[s] and edge e by edge_w[e]. The grouping objective
+  /// decides the weights (paper §4.3): for JCT node = C(s) and edge =
+  /// W(src) + R(dst); for cost node = M(s)C(s) and edge = M(src)W(src)
+  /// + M(dst)R(dst). Ties go to the first parent, then to the first
+  /// sink. The DAG must have at least one stage.
+  void critical_path(const std::vector<double>& node_w, const std::vector<double>& edge_w,
+                     CriticalPath& out) const;
+
+ private:
+  const JobDag* dag_;
+  std::vector<StageId> order_;
+  std::vector<StageId> sinks_;
+  std::vector<std::vector<int>> in_edges_;  ///< edges into s, aligned with dag.parents(s)
+  std::vector<std::vector<int>> out_edges_;
+};
 
 /// Result of pruning already-completed stages from a DAG (the service
 /// result cache's stage-granular reuse): `dag` holds the stages that

@@ -47,13 +47,13 @@ Result<cluster::PlacementPlan> scatter_placement(const JobDag& dag, const std::v
   return checker.place(dop, /*grouped=*/{}, free_slots);
 }
 
-SchedulePlan finish_plan(const JobDag& dag, const ExecTimePredictor& predictor,
-                         cluster::PlacementPlan placement, const storage::StorageModel& external,
-                         const Stopwatch& clock, const char* name) {
+SchedulePlan finish_plan(const ExecTimePredictor& predictor, cluster::PlacementPlan placement,
+                         const storage::StorageModel& external, const Stopwatch& clock,
+                         const char* name) {
   SchedulePlan plan;
   plan.placement = std::move(placement);
-  plan.placement.launch_time = compute_launch_times(dag, predictor, plan.placement);
-  plan.predicted = evaluate_plan(dag, predictor, plan.placement, external);
+  plan.predicted = evaluate_plan(predictor, plan.placement, external);
+  plan.placement.launch_time = plan.predicted.stage_start;
   plan.scheduling_seconds = clock.elapsed_seconds();
   plan.scheduler_name = name;
   return plan;
@@ -93,7 +93,7 @@ Result<SchedulePlan> NimbleScheduler::schedule(const JobDag& dag,
   DITTO_ASSIGN_OR_RETURN(cluster::PlacementPlan placement,
                          random_placement(dag, dops, free_slots, seed_));
   const ExecTimePredictor predictor(dag);
-  return finish_plan(dag, predictor, std::move(placement), external, clock, name());
+  return finish_plan(predictor, std::move(placement), external, clock, name());
 }
 
 Result<SchedulePlan> FixedDopScheduler::schedule(const JobDag& dag,
@@ -114,7 +114,7 @@ Result<SchedulePlan> FixedDopScheduler::schedule(const JobDag& dag,
   DITTO_ASSIGN_OR_RETURN(cluster::PlacementPlan placement,
                          scatter_placement(dag, dops, free_slots));
   const ExecTimePredictor predictor(dag);
-  return finish_plan(dag, predictor, std::move(placement), external, clock, name());
+  return finish_plan(predictor, std::move(placement), external, clock, name());
 }
 
 Result<SchedulePlan> NimblePlusGroupScheduler::schedule(const JobDag& dag,
@@ -143,11 +143,11 @@ Result<SchedulePlan> NimblePlusGroupScheduler::schedule(const JobDag& dag,
   const std::vector<EdgeRef> order = grouper.traversal_order(candidates, dops, grouped);
   for (const EdgeRef& e : order) {
     grouped.push_back(e);
-    if (!checker.can_place(dops, grouped, free_slots)) grouped.pop_back();
+    if (!checker.fits(dops, grouped, free_slots)) grouped.pop_back();
   }
   DITTO_ASSIGN_OR_RETURN(cluster::PlacementPlan placement,
                          checker.place(dops, grouped, free_slots));
-  return finish_plan(dag, predictor, std::move(placement), external, clock, name());
+  return finish_plan(predictor, std::move(placement), external, clock, name());
 }
 
 Result<SchedulePlan> NimblePlusDopScheduler::schedule(const JobDag& dag,
@@ -159,13 +159,13 @@ Result<SchedulePlan> NimblePlusDopScheduler::schedule(const JobDag& dag,
   const std::vector<int> free_slots = cluster.free_slot_snapshot();
   const int total_slots = std::accumulate(free_slots.begin(), free_slots.end(), 0);
   const ExecTimePredictor predictor(dag);
-  const DoPRatioComputer computer(predictor, nothing_colocated());
-  DITTO_ASSIGN_OR_RETURN(DopResult dops, objective == Objective::kJct
-                                             ? computer.compute_jct(total_slots)
-                                             : computer.compute_cost(total_slots));
+  DITTO_ASSIGN_OR_RETURN(DopResult dops,
+                         optimal_dops(dag, merge_order(dag),
+                                      predictor.stage_models(predictor.topology().flags_of({})),
+                                      objective, total_slots));
   DITTO_ASSIGN_OR_RETURN(cluster::PlacementPlan placement,
                          scatter_placement(dag, dops.dop, free_slots));
-  return finish_plan(dag, predictor, std::move(placement), external, clock, name());
+  return finish_plan(predictor, std::move(placement), external, clock, name());
 }
 
 }  // namespace ditto::scheduler

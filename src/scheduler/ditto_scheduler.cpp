@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <numeric>
 
 #include "common/stopwatch.h"
@@ -15,29 +14,53 @@ namespace ditto::scheduler {
 
 namespace {
 
-ColocatedFn view_of(const std::vector<EdgeRef>& grouped) {
-  return [&grouped](StageId a, StageId b) {
-    for (const EdgeRef& e : grouped) {
-      if (e.first == a && e.second == b) return true;
-    }
-    return false;
-  };
-}
+/// What every trial of one schedule() call is computed and checked
+/// against.
+struct Search {
+  const ExecTimePredictor& predictor;
+  const std::vector<Merge>& merges;  ///< merge_order(dag), for every DoP computation
+  const PlacementChecker& checker;
+  Objective objective;
+  const storage::StorageModel& external;
+  const std::vector<int>& free_slots;
+  int total_slots;
 
-Result<DopResult> compute_dops(const ExecTimePredictor& predictor,
-                               const std::vector<EdgeRef>& grouped, Objective objective,
-                               int total_slots) {
-  const DoPRatioComputer computer(predictor, view_of(grouped));
-  return objective == Objective::kJct ? computer.compute_jct(total_slots)
-                                      : computer.compute_cost(total_slots);
-}
+  Result<DopResult> dops(const EdgeFlags& grouped) const {
+    return optimal_dops(predictor.dag(), merges, predictor.stage_models(grouped), objective,
+                        total_slots);
+  }
+  bool fits(const std::vector<int>& dop, const std::vector<EdgeRef>& grouped) const {
+    return checker.fits(dop, grouped, free_slots);
+  }
+  double value(const std::vector<int>& dop, const EdgeFlags& grouped) const {
+    return objective_value(predictor, dop, grouped, objective, external);
+  }
+};
 
-double objective_value(const JobDag& dag, const ExecTimePredictor& predictor,
-                       const cluster::PlacementPlan& plan, Objective objective,
-                       const storage::StorageModel& external) {
-  return objective == Objective::kJct ? predict_jct(dag, predictor, plan)
-                                      : predict_cost(dag, predictor, plan, external);
-}
+/// Grouped edges in the order they were grouped (the plan's
+/// zero_copy_edges), and the same set as flags.
+struct Grouping {
+  const DagTopology* topology;
+  std::vector<EdgeRef> edges;
+  EdgeFlags flags;
+
+  explicit Grouping(const DagTopology& t) : topology(&t), flags(t.flags_of({})) {}
+  void push(const EdgeRef& e) {
+    edges.push_back(e);
+    flags[topology->edge_index(e.first, e.second)] = 1;
+  }
+  void pop() {
+    flags[topology->edge_index(edges.back().first, edges.back().second)] = 0;
+    edges.pop_back();
+  }
+};
+
+/// A searched configuration; only the winner is placed.
+struct Candidate {
+  std::vector<int> dop;
+  std::vector<EdgeRef> grouped;
+  double value = 0.0;
+};
 
 /// Figure-2 fallback: when a stage group's combined DoP exceeds every
 /// server, a LOWER DoP with co-location can still beat a higher DoP
@@ -51,20 +74,10 @@ std::vector<int> shrink_groups_to_fit(const JobDag& dag, std::vector<int> dop,
   if (free_slots.empty()) return dop;
   const int cap = *std::max_element(free_slots.begin(), free_slots.end());
 
-  // Union-find over grouped edges.
-  std::vector<std::size_t> parent(dag.num_stages());
-  std::iota(parent.begin(), parent.end(), 0);
-  const std::function<std::size_t(std::size_t)> find = [&](std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (const EdgeRef& e : grouped) parent[find(e.first)] = find(e.second);
-
+  DisjointSets sets(dag.num_stages());
+  for (const EdgeRef& e : grouped) sets.unite(e.first, e.second);
   std::vector<std::vector<StageId>> members(dag.num_stages());
-  for (StageId s = 0; s < dag.num_stages(); ++s) members[find(s)].push_back(s);
+  for (StageId s = 0; s < dag.num_stages(); ++s) members[sets.find(s)].push_back(s);
 
   for (const auto& group : members) {
     if (group.size() < 2) continue;
@@ -92,82 +105,69 @@ std::vector<int> shrink_groups_to_fit(const JobDag& dag, std::vector<int> dop,
   return dop;
 }
 
-}  // namespace
-
-namespace {
-struct Candidate {
-  cluster::PlacementPlan plan;
-  double value = 0.0;
-};
-}  // namespace
-
 /// Algorithm 3 (joint iterative optimization), optionally with the
 /// Figure-2 shrink fallback when a trial group fits no server.
-Result<cluster::PlacementPlan> DittoScheduler::run_joint(
-    const JobDag& dag, const ExecTimePredictor& predictor, Objective objective,
-    const storage::StorageModel& external, const std::vector<int>& free_slots,
-    bool shrink, const char* variant) {
-  const int total_slots = std::accumulate(free_slots.begin(), free_slots.end(), 0);
-  const GreedyGrouper grouper(predictor, objective);
-  const PlacementChecker checker(dag);
+Result<Candidate> run_joint(const Search& search, const DittoOptions& options, bool shrink,
+                            const char* variant, std::vector<TraceStep>& trace) {
+  const JobDag& dag = search.predictor.dag();
+  const GreedyGrouper grouper(search.predictor, search.objective);
 
   // Initialization: every stage its own group; optimal ungrouped DoPs.
-  std::vector<EdgeRef> grouped;
+  Grouping grouped(search.predictor.topology());
   std::vector<EdgeRef> ungrouped;
   for (const Edge& e : dag.edges()) ungrouped.emplace_back(e.src, e.dst);
 
-  DITTO_ASSIGN_OR_RETURN(DopResult dops, compute_dops(predictor, grouped, objective, total_slots));
-  DITTO_ASSIGN_OR_RETURN(cluster::PlacementPlan best_plan,
-                         checker.place(dops.dop, grouped, free_slots));
-  double best_value = objective_value(dag, predictor, best_plan, objective, external);
+  DITTO_ASSIGN_OR_RETURN(DopResult dops, search.dops(grouped.flags));
+  if (!search.fits(dops.dop, grouped.edges)) {
+    return Status::resource_exhausted("the ungrouped configuration does not fit");
+  }
+  double best_value = search.value(dops.dop, grouped.flags);
 
   int iterations = 0;
-  while (!ungrouped.empty() && iterations++ < options_.max_iterations) {
-    const std::vector<EdgeRef> order = grouper.traversal_order(ungrouped, dops.dop, grouped);
+  while (!ungrouped.empty() && iterations++ < options.max_iterations) {
+    const std::vector<EdgeRef> order =
+        grouper.traversal_order(ungrouped, dops.dop, grouped.edges);
     bool progressed = false;
     for (const EdgeRef& e : order) {
       // Try grouping e: its shuffle becomes zero-copy.
-      grouped.push_back(e);
+      grouped.push(e);
       TraceStep step;
       step.src = e.first;
       step.dst = e.second;
       step.variant = variant;
-      Result<DopResult> trial_dops = compute_dops(predictor, grouped, objective, total_slots);
+      Result<DopResult> trial_dops = search.dops(grouped.flags);
       if (trial_dops.ok()) {
-        Result<cluster::PlacementPlan> trial_plan =
-            checker.place(trial_dops.value().dop, grouped, free_slots);
-        if (!trial_plan.ok() && shrink) {
+        bool placed = search.fits(trial_dops.value().dop, grouped.edges);
+        if (!placed && shrink) {
           // Figure-2 trade: lower the group's DoP to make co-location
           // possible; the objective guard below rejects bad trades.
-          trial_dops.value().dop =
-              shrink_groups_to_fit(dag, trial_dops.value().dop, grouped, free_slots);
-          trial_plan = checker.place(trial_dops.value().dop, grouped, free_slots);
-          step.used_shrink = trial_plan.ok();
+          trial_dops.value().dop = shrink_groups_to_fit(dag, trial_dops.value().dop,
+                                                        grouped.edges, search.free_slots);
+          placed = search.fits(trial_dops.value().dop, grouped.edges);
+          step.used_shrink = placed;
         }
-        if (trial_plan.ok()) {
-          const double trial_value =
-              objective_value(dag, predictor, trial_plan.value(), objective, external);
+        if (placed) {
+          const double trial_value = search.value(trial_dops.value().dop, grouped.flags);
           step.objective = trial_value;
-          if (!options_.enforce_monotone || trial_value <= best_value + 1e-12) {
+          if (!options.enforce_monotone || trial_value <= best_value + 1e-12) {
             // Keep the group.
             dops = trial_dops.value();
-            best_plan = trial_plan.value();
             best_value = trial_value;
             ungrouped.erase(std::find(ungrouped.begin(), ungrouped.end(), e));
             progressed = true;
             step.accepted = true;
-            if (options_.record_trace) trace_.push_back(step);
+            if (options.record_trace) trace.push_back(step);
             break;
           }
         }
       }
-      if (options_.record_trace) trace_.push_back(step);
+      if (options.record_trace) trace.push_back(step);
       // Backtrack: abandon grouping this edge for now.
-      grouped.pop_back();
+      grouped.pop();
     }
     if (!progressed) break;  // no edge in E_u could be grouped
   }
-  return best_plan;
+  return Candidate{std::move(dops.dop), std::move(grouped.edges), best_value};
 }
 
 /// Group-first variant: decide groups under a neutral (data-
@@ -175,35 +175,37 @@ Result<cluster::PlacementPlan> DittoScheduler::run_joint(
 /// to DoP ratio computing and shrink them to fit. Escapes the local
 /// minimum where the joint loop's own large tail DoPs block the big
 /// tail group that a smaller configuration could co-locate.
-Result<cluster::PlacementPlan> DittoScheduler::run_group_first(
-    const JobDag& dag, const ExecTimePredictor& predictor, Objective objective,
-    const storage::StorageModel& external, const std::vector<int>& free_slots) const {
-  (void)external;
-  const int total_slots = std::accumulate(free_slots.begin(), free_slots.end(), 0);
-  const GreedyGrouper grouper(predictor, objective);
-  const PlacementChecker checker(dag);
+Result<Candidate> run_group_first(const Search& search) {
+  const JobDag& dag = search.predictor.dag();
+  const GreedyGrouper grouper(search.predictor, search.objective);
 
-  const std::vector<int> seed_dops = data_proportional_dops(dag, total_slots);
-  std::vector<EdgeRef> grouped;
+  const std::vector<int> seed_dops = data_proportional_dops(dag, search.total_slots);
+  Grouping grouped(search.predictor.topology());
   std::vector<EdgeRef> candidates;
   for (const Edge& e : dag.edges()) candidates.emplace_back(e.src, e.dst);
-  const std::vector<EdgeRef> order = grouper.traversal_order(candidates, seed_dops, grouped);
+  const std::vector<EdgeRef> order = grouper.traversal_order(candidates, seed_dops, {});
   for (const EdgeRef& e : order) {
-    grouped.push_back(e);
-    if (!checker.can_place(seed_dops, grouped, free_slots)) grouped.pop_back();
+    grouped.push(e);
+    if (!search.fits(seed_dops, grouped.edges)) grouped.pop();
   }
 
   // Re-optimize parallelism for the chosen groups, shrinking oversized
   // groups back into the largest server if the re-optimization grew them.
-  DITTO_ASSIGN_OR_RETURN(DopResult dops, compute_dops(predictor, grouped, objective, total_slots));
-  std::vector<int> fitted = shrink_groups_to_fit(dag, dops.dop, grouped, free_slots);
-  Result<cluster::PlacementPlan> plan = checker.place(fitted, grouped, free_slots);
-  if (!plan.ok()) {
+  DITTO_ASSIGN_OR_RETURN(DopResult dops, search.dops(grouped.flags));
+  std::vector<int> dop =
+      shrink_groups_to_fit(dag, dops.dop, grouped.edges, search.free_slots);
+  if (!search.fits(dop, grouped.edges)) {
     // Fall back to the seed configuration that was known to place.
-    plan = checker.place(seed_dops, grouped, free_slots);
+    if (!search.fits(seed_dops, grouped.edges)) {
+      return Status::resource_exhausted("no grouped configuration fits");
+    }
+    dop = seed_dops;
   }
-  return plan;
+  const double value = search.value(dop, grouped.flags);
+  return Candidate{std::move(dop), std::move(grouped.edges), value};
 }
+
+}  // namespace
 
 Result<SchedulePlan> DittoScheduler::schedule(const JobDag& dag,
                                               const cluster::Cluster& cluster,
@@ -217,25 +219,24 @@ Result<SchedulePlan> DittoScheduler::schedule(const JobDag& dag,
 
   const std::vector<int> free_slots = cluster.free_slot_snapshot();
   const ExecTimePredictor predictor(dag);
+  const std::vector<Merge> merges = merge_order(dag);
+  const PlacementChecker checker(dag);
+  const Search search{predictor,  merges,     checker,
+                      objective,  external,   free_slots,
+                      std::accumulate(free_slots.begin(), free_slots.end(), 0)};
 
   // Multi-start greedy: the joint loop (Algorithm 3) with and without
   // the Figure-2 shrink fallback, plus the group-first variant. All
   // are microsecond-scale; keep the best plan by predicted objective.
   std::vector<Candidate> candidates;
-  const auto consider = [&](Result<cluster::PlacementPlan> plan) {
-    if (!plan.ok()) return;
-    candidates.push_back(Candidate{
-        std::move(plan).value(), 0.0});
-    candidates.back().value =
-        objective_value(dag, predictor, candidates.back().plan, objective, external);
+  const auto consider = [&](Result<Candidate> candidate) {
+    if (candidate.ok()) candidates.push_back(std::move(candidate).value());
   };
   trace_.clear();
-  consider(run_joint(dag, predictor, objective, external, free_slots, /*shrink=*/false,
-                     "algorithm-3"));
+  consider(run_joint(search, options_, /*shrink=*/false, "algorithm-3", trace_));
   if (options_.shrink_oversized_groups) {
-    consider(run_joint(dag, predictor, objective, external, free_slots, /*shrink=*/true,
-                       "figure-2-shrink"));
-    consider(run_group_first(dag, predictor, objective, external, free_slots));
+    consider(run_joint(search, options_, /*shrink=*/true, "figure-2-shrink", trace_));
+    consider(run_group_first(search));
   }
   if (candidates.empty()) {
     return Status::resource_exhausted("no feasible plan for the available resources");
@@ -245,10 +246,14 @@ Result<SchedulePlan> DittoScheduler::schedule(const JobDag& dag,
     if (candidates[i].value < candidates[best].value) best = i;
   }
 
+  // Place and evaluate the winner only; NIMBLE launch times are its
+  // predicted stage starts.
+  const Candidate& winner = candidates[best];
   SchedulePlan plan;
-  plan.placement = std::move(candidates[best].plan);
-  plan.placement.launch_time = compute_launch_times(dag, predictor, plan.placement);
-  plan.predicted = evaluate_plan(dag, predictor, plan.placement, external);
+  DITTO_ASSIGN_OR_RETURN(plan.placement, checker.place(winner.dop, winner.grouped, free_slots));
+  plan.predicted =
+      evaluate(predictor, winner.dop, predictor.topology().flags_of(winner.grouped), external);
+  plan.placement.launch_time = plan.predicted.stage_start;
   plan.scheduling_seconds = clock.elapsed_seconds();
   plan.scheduler_name = name();
 

@@ -10,6 +10,10 @@
 // until a full pass groups nothing. The objective value is
 // non-increasing across accepted iterations (paper Eq. 6); an explicit
 // guard also rejects groupings that regress due to integer rounding.
+//
+// The search reads one ExecTimePredictor per schedule() call, with each
+// grouping as flags over the DAG's edges; it checks placement without
+// recording assignments, and places and evaluates only the winner.
 #pragma once
 
 #include <vector>
@@ -61,18 +65,6 @@ class DittoScheduler final : public Scheduler {
   const std::vector<TraceStep>& last_trace() const { return trace_; }
 
  private:
-  Result<cluster::PlacementPlan> run_joint(const JobDag& dag,
-                                           const ExecTimePredictor& predictor,
-                                           Objective objective,
-                                           const storage::StorageModel& external,
-                                           const std::vector<int>& free_slots,
-                                           bool shrink, const char* variant);
-  Result<cluster::PlacementPlan> run_group_first(const JobDag& dag,
-                                                 const ExecTimePredictor& predictor,
-                                                 Objective objective,
-                                                 const storage::StorageModel& external,
-                                                 const std::vector<int>& free_slots) const;
-
   DittoOptions options_;
   std::vector<TraceStep> trace_;
 };

@@ -17,12 +17,11 @@
 // treating the DAG as a single path (paper §4.2 "Optimizing cost").
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
 #include "dag/job_dag.h"
-#include "timemodel/predictor.h"
+#include "timemodel/step_model.h"
 
 namespace ditto::scheduler {
 
@@ -33,23 +32,28 @@ struct DopResult {
   std::vector<double> continuous;
 };
 
-class DoPRatioComputer {
- public:
-  /// `predictor` supplies effective (alpha, beta) per stage under the
-  /// `colocated` placement view (grouped edges shuffle for free).
-  DoPRatioComputer(const ExecTimePredictor& predictor, ColocatedFn colocated)
-      : predictor_(&predictor), colocated_(std::move(colocated)) {}
-
-  /// Optimal DoPs for JCT with `total_slots` available (Algorithm 1).
-  Result<DopResult> compute_jct(int total_slots) const;
-
-  /// Optimal DoPs for cost: d_i/d_j = sqrt(rho_i alpha_i)/sqrt(rho_j alpha_j).
-  Result<DopResult> compute_cost(int total_slots) const;
-
- private:
-  const ExecTimePredictor* predictor_;
-  ColocatedFn colocated_;
+/// One merge of Algorithm 1: virtual stages `left` and `right` become
+/// one, by the intra-path (parent-child) or the inter-path (sibling)
+/// rule. Ids 0..n-1 are the stages; merge k creates id n + k.
+struct Merge {
+  int left = -1;
+  int right = -1;
+  bool intra = false;
 };
+
+/// Algorithm 1's merges for `dag`, in order. Which virtual stages merge,
+/// when, and by which rule depends only on the DAG's shape (depths, ids,
+/// reachability), never on the stage models, so one order serves every
+/// placement view of the DAG.
+std::vector<Merge> merge_order(const JobDag& dag);
+
+/// Optimal DoPs from per-stage models: `models[s]` is stage s's
+/// effective (alpha, beta) under the placement view being optimized.
+/// JCT replays `merges` (merge_order(dag)); cost uses the single-path
+/// rule above and ignores them.
+Result<DopResult> optimal_dops(const JobDag& dag, const std::vector<Merge>& merges,
+                               const std::vector<StepModel>& models, Objective objective,
+                               int total_slots);
 
 /// Round a continuous DoP vector down to integers (min 1), repairing any
 /// overshoot of `total_slots` caused by the min-1 floor by shrinking the

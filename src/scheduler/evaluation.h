@@ -1,5 +1,8 @@
-// Plan evaluation: predicted JCT, predicted cost, and NIMBLE-style
-// launch times for a (DoP, placement) plan.
+// Plan evaluation: predicted JCT, predicted cost, and the stage
+// timeline for a (DoP, placement) plan. A stage's start is also its
+// NIMBLE launch time (paper §5 "Task launch time"): each stage launches
+// exactly when its last input finishes, so functions never idle
+// waiting for upstream data.
 //
 // JCT follows the DAG recurrence
 //   start(s)  = max_{p in parents(s)} finish(p)        (sources: 0)
@@ -40,26 +43,22 @@ struct PlanEvaluation {
 /// Price of shared memory relative to function memory (same DRAM).
 inline constexpr double kShmGbSecondPrice = 1.0;
 
-/// Evaluate a plan. `external` is the store model used by non-grouped
+/// Evaluate a DoP configuration of the predictor's DAG under the
+/// `grouped` edges. `external` is the store model used by non-grouped
 /// edges (its cost_per_gb_second is normalized against function-memory
 /// price internally; S3's rounds to ~0 as in the paper).
-PlanEvaluation evaluate_plan(const JobDag& dag, const ExecTimePredictor& predictor,
+PlanEvaluation evaluate(const ExecTimePredictor& predictor, const std::vector<int>& dop,
+                        const EdgeFlags& grouped, const storage::StorageModel& external);
+
+/// The objective's value of a configuration: evaluate()'s jct (its
+/// persistence pass skipped) or its cost.total().
+double objective_value(const ExecTimePredictor& predictor, const std::vector<int>& dop,
+                       const EdgeFlags& grouped, Objective objective,
+                       const storage::StorageModel& external);
+
+/// evaluate() of a plan's DoPs and zero-copy edges.
+PlanEvaluation evaluate_plan(const ExecTimePredictor& predictor,
                              const cluster::PlacementPlan& plan,
                              const storage::StorageModel& external);
-
-/// Predicted JCT only.
-double predict_jct(const JobDag& dag, const ExecTimePredictor& predictor,
-                   const cluster::PlacementPlan& plan);
-
-/// Predicted total cost only.
-double predict_cost(const JobDag& dag, const ExecTimePredictor& predictor,
-                    const cluster::PlacementPlan& plan, const storage::StorageModel& external);
-
-/// NIMBLE launch-time algorithm (paper §5 "Task launch time"): each
-/// stage launches exactly when its last input finishes, so functions
-/// never idle waiting for upstream data. Returns per-stage launch
-/// offsets from job submission.
-std::vector<double> compute_launch_times(const JobDag& dag, const ExecTimePredictor& predictor,
-                                         const cluster::PlacementPlan& plan);
 
 }  // namespace ditto::scheduler

@@ -5,15 +5,20 @@
 
 namespace ditto::scheduler {
 
+double GreedyGrouper::ungrouped_weight(int e, const std::vector<int>& dop) const {
+  const ExecTimePredictor& p = *predictor_;
+  const Edge& edge = p.dag().edges()[e];
+  const int ds = dop[edge.src], dd = dop[edge.dst];
+  if (objective_ == Objective::kJct) return p.edge_write_time(e, ds) + p.edge_read_time(e, dd);
+  return p.resource_usage(edge.src, ds) * p.edge_write_time(e, ds) +
+         p.resource_usage(edge.dst, dd) * p.edge_read_time(e, dd);
+}
+
 double GreedyGrouper::edge_weight(const Edge& e, const std::vector<int>& dop,
                                   const std::vector<EdgeRef>& grouped) const {
-  if (contains(grouped, {e.src, e.dst})) return 0.0;  // zero-copy
-  const int ds = dop[e.src], dd = dop[e.dst];
-  if (objective_ == Objective::kJct) {
-    return predictor_->edge_io_time(e.src, e.dst, ds, dd);
-  }
-  return predictor_->resource_usage(e.src, ds) * predictor_->edge_write_time(e.src, e.dst, ds) +
-         predictor_->resource_usage(e.dst, dd) * predictor_->edge_read_time(e.src, e.dst, dd);
+  const EdgeRef ref{e.src, e.dst};
+  if (std::find(grouped.begin(), grouped.end(), ref) != grouped.end()) return 0.0;  // zero-copy
+  return ungrouped_weight(predictor_->topology().edge_index(e.src, e.dst), dop);
 }
 
 double GreedyGrouper::node_weight(StageId s, const std::vector<int>& dop) const {
@@ -26,16 +31,28 @@ std::vector<EdgeRef> GreedyGrouper::traversal_order(const std::vector<EdgeRef>& 
                                                     const std::vector<int>& dop,
                                                     const std::vector<EdgeRef>& grouped) const {
   const JobDag& dag = predictor_->dag();
+  const DagTopology& topology = predictor_->topology();
+  // Edge weights at these DoPs. The grouped set, and then each edge
+  // once it is ordered, weighs zero before the next critical path.
+  std::vector<double> edge_w(dag.num_edges());
+  const EdgeFlags zero = topology.flags_of(grouped);
+  for (std::size_t e = 0; e < edge_w.size(); ++e) {
+    edge_w[e] = zero[e] ? 0.0 : ungrouped_weight(static_cast<int>(e), dop);
+  }
+  std::vector<int> remaining;
+  remaining.reserve(candidates.size());
+  for (const auto& [src, dst] : candidates) {
+    remaining.push_back(topology.edge_index(src, dst));
+    assert(remaining.back() >= 0);
+  }
   std::vector<EdgeRef> order;
   order.reserve(candidates.size());
 
   if (objective_ == Objective::kCost) {
     // Cost: all candidate edges in descending weight (ties: stable).
     std::vector<std::pair<double, EdgeRef>> weighted;
-    for (const EdgeRef& er : candidates) {
-      const Edge* e = dag.find_edge(er.first, er.second);
-      assert(e != nullptr);
-      weighted.emplace_back(edge_weight(*e, dop, grouped), er);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      weighted.emplace_back(edge_w[remaining[i]], candidates[i]);
     }
     std::stable_sort(weighted.begin(), weighted.end(),
                      [](const auto& a, const auto& b) { return a.first > b.first; });
@@ -43,43 +60,38 @@ std::vector<EdgeRef> GreedyGrouper::traversal_order(const std::vector<EdgeRef>& 
     return order;
   }
 
-  // JCT: critical-path-driven ordering. Track a virtual grouped set so
-  // each chosen edge's weight drops to zero before recomputing the CP.
-  std::vector<EdgeRef> virt = grouped;
-  std::vector<EdgeRef> remaining = candidates;
+  // JCT: critical-path-driven ordering.
+  std::vector<double> node_w(dag.num_stages());
+  for (StageId s = 0; s < node_w.size(); ++s) node_w[s] = node_weight(s, dop);
+  EdgeFlags open(dag.num_edges(), 0);
+  for (int e : remaining) open[e] = 1;
+  CriticalPath cp;
   while (!remaining.empty()) {
-    const auto nw = [&](StageId s) { return node_weight(s, dop); };
-    const auto ew = [&](const Edge& e) { return edge_weight(e, dop, virt); };
-    const CriticalPath cp = critical_path(dag, nw, ew);
-
-    // Heaviest remaining edge on the critical path.
-    EdgeRef best{kNoStage, kNoStage};
-    double best_w = -1.0;
-    for (std::size_t i = 0; i + 1 < cp.stages.size(); ++i) {
-      const EdgeRef er{cp.stages[i], cp.stages[i + 1]};
-      if (std::find(remaining.begin(), remaining.end(), er) == remaining.end()) continue;
-      const Edge* e = dag.find_edge(er.first, er.second);
-      const double w = edge_weight(*e, dop, virt);
-      if (w > best_w) {
-        best_w = w;
-        best = er;
+    topology.critical_path(node_w, edge_w, cp);
+    // Heaviest remaining edge on the critical path, source first.
+    int pick = -1;
+    double pick_w = -1.0;
+    for (int e : cp.edges) {
+      if (open[e] && edge_w[e] > pick_w) {
+        pick_w = edge_w[e];
+        pick = e;
       }
     }
-    if (best.first == kNoStage) {
+    if (pick < 0) {
       // No remaining candidate on the CP (all its edges grouped or the
       // CP moved off them): fall back to the globally heaviest edge.
-      for (const EdgeRef& er : remaining) {
-        const Edge* e = dag.find_edge(er.first, er.second);
-        const double w = edge_weight(*e, dop, virt);
-        if (w > best_w) {
-          best_w = w;
-          best = er;
+      for (int e : remaining) {
+        if (edge_w[e] > pick_w) {
+          pick_w = edge_w[e];
+          pick = e;
         }
       }
     }
-    order.push_back(best);
-    virt.push_back(best);
-    remaining.erase(std::find(remaining.begin(), remaining.end(), best));
+    const Edge& chosen = dag.edges()[pick];
+    order.emplace_back(chosen.src, chosen.dst);
+    edge_w[pick] = 0.0;
+    open[pick] = 0;
+    remaining.erase(std::find(remaining.begin(), remaining.end(), pick));
   }
   return order;
 }

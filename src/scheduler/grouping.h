@@ -15,7 +15,6 @@
 // descending weight.
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "dag/dag_algorithms.h"
@@ -24,10 +23,9 @@
 
 namespace ditto::scheduler {
 
-using EdgeRef = std::pair<StageId, StageId>;
-
 class GreedyGrouper {
  public:
+  /// Borrows the predictor; it must outlive the grouper.
   GreedyGrouper(const ExecTimePredictor& predictor, Objective objective)
       : predictor_(&predictor), objective_(objective) {}
 
@@ -44,15 +42,9 @@ class GreedyGrouper {
                                        const std::vector<int>& dop,
                                        const std::vector<EdgeRef>& grouped) const;
 
-  Objective objective() const { return objective_; }
-
  private:
-  static bool contains(const std::vector<EdgeRef>& v, const EdgeRef& e) {
-    for (const EdgeRef& x : v) {
-      if (x == e) return true;
-    }
-    return false;
-  }
+  /// Weight of edge `e` (an index of dag().edges()) when it is not grouped.
+  double ungrouped_weight(int e, const std::vector<int>& dop) const;
 
   const ExecTimePredictor* predictor_;
   Objective objective_;

@@ -17,9 +17,20 @@
 #include "cluster/placement.h"
 #include "common/status.h"
 #include "dag/job_dag.h"
-#include "scheduler/grouping.h"
+#include "dag/dag_algorithms.h"
 
 namespace ditto::scheduler {
+
+/// Union-find over stage ids (path halving).
+class DisjointSets {
+ public:
+  explicit DisjointSets(std::size_t n);
+  std::size_t find(std::size_t x);
+  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
+
+ private:
+  std::vector<std::size_t> parent_;
+};
 
 class PlacementChecker {
  public:
@@ -32,11 +43,10 @@ class PlacementChecker {
                                        const std::vector<EdgeRef>& grouped,
                                        const std::vector<int>& free_slots) const;
 
-  /// Boolean form used inside the optimization loop.
-  bool can_place(const std::vector<int>& dop, const std::vector<EdgeRef>& grouped,
-                 const std::vector<int>& free_slots) const {
-    return place(dop, grouped, free_slots).ok();
-  }
+  /// CAN_PLACE alone, for the optimization loop: the same best fit as
+  /// place(), without recording where the tasks go.
+  bool fits(const std::vector<int>& dop, const std::vector<EdgeRef>& grouped,
+            const std::vector<int>& free_slots) const;
 
  private:
   const JobDag* dag_;

@@ -1,5 +1,6 @@
 #include "timemodel/predictor.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ditto {
@@ -12,24 +13,94 @@ ColocatedFn everything_colocated() {
   return [](StageId, StageId) { return true; };
 }
 
-bool ExecTimePredictor::step_is_zero_copy(StageId s, const Step& step,
-                                          const ColocatedFn& colocated) const {
-  if (step.kind == StepKind::kCompute) return false;
-  if (step.dep == kNoStage) return false;  // external storage IO is never free
-  if (step.kind == StepKind::kRead) return colocated(step.dep, s);
-  return colocated(s, step.dep);  // write step feeding a downstream stage
+ExecTimePredictor::ExecTimePredictor(const JobDag& dag) : dag_(&dag), topology_(dag) {
+  row_begin_.reserve(dag.num_stages() + 1);
+  for (StageId s = 0; s < dag.num_stages(); ++s) {
+    row_begin_.push_back(rows_.size());
+    for (const Step& step : dag.stage(s).steps()) {
+      if (step.pipelined) continue;  // overlapped with the producer (paper §4.5)
+      StepRow row{step.kind, kNoStage, -1, step.alpha, step.beta};
+      // External storage IO and compute are never zero-copy.
+      if (step.kind != StepKind::kCompute && step.dep != kNoStage) {
+        row.dep = step.dep;
+        row.edge = step.kind == StepKind::kRead ? topology_.edge_index(step.dep, s)
+                                                : topology_.edge_index(s, step.dep);
+      }
+      rows_.push_back(row);
+    }
+  }
+  row_begin_.push_back(rows_.size());
+
+  compute_.resize(dag.num_stages());
+  for (StageId s = 0; s < dag.num_stages(); ++s) {
+    compute_[s] = sum_rows(s, [](const StepRow& row) { return row.kind == StepKind::kCompute; });
+  }
+  for (const Edge& e : dag.edges()) {
+    edge_write_.push_back(edge_write_sum(e.src, e.dst));
+    edge_read_.push_back(edge_read_sum(e.src, e.dst));
+  }
 }
 
-StepModel ExecTimePredictor::stage_model(StageId s, const ColocatedFn& colocated) const {
+template <class Keep>
+StepModel ExecTimePredictor::sum_rows(StageId s, Keep keep) const {
   StepModel m;
-  for (const Step& step : dag_->stage(s).steps()) {
-    if (step.pipelined) continue;  // overlapped with the producer (paper §4.5)
-    if (step_is_zero_copy(s, step, colocated)) continue;  // alpha = beta = 0
-    m.alpha += step.alpha;
-    m.beta += step.beta;
+  for (std::size_t i = row_begin_[s]; i < row_begin_[s + 1]; ++i) {
+    const StepRow& row = rows_[i];
+    if (!keep(row)) continue;  // zero-copy steps cost alpha = beta = 0
+    m.alpha += row.alpha;
+    m.beta += row.beta;
   }
+  return m;
+}
+
+StepModel ExecTimePredictor::scaled(StageId s, StepModel m) const {
   m.alpha *= straggler_factor(s);
   return m;
+}
+
+StepModel ExecTimePredictor::edge_write_sum(StageId src, StageId dst) const {
+  return sum_rows(src, [dst](const StepRow& row) {
+    return row.kind == StepKind::kWrite && row.dep == dst;
+  });
+}
+
+StepModel ExecTimePredictor::edge_read_sum(StageId src, StageId dst) const {
+  return sum_rows(dst, [src](const StepRow& row) {
+    return row.kind == StepKind::kRead && row.dep == src;
+  });
+}
+
+namespace {
+
+/// Whether `colocated` makes row's IO zero-copy: a read step of stage
+/// s reads from (dep, s), a write step feeds (s, dep).
+template <class Row>
+bool colocated_row(StageId s, const Row& row, const ColocatedFn& colocated) {
+  if (row.dep == kNoStage) return false;
+  return row.kind == StepKind::kRead ? colocated(row.dep, s) : colocated(s, row.dep);
+}
+
+template <class Row>
+bool grouped_row(const Row& row, const EdgeFlags& grouped) {
+  return row.edge >= 0 && grouped[row.edge];
+}
+
+}  // namespace
+
+StepModel ExecTimePredictor::stage_model(StageId s, const ColocatedFn& colocated) const {
+  return scaled(s, sum_rows(s, [&](const StepRow& row) {
+                  return !colocated_row(s, row, colocated);
+                }));
+}
+
+StepModel ExecTimePredictor::stage_model(StageId s, const EdgeFlags& grouped) const {
+  return scaled(s, sum_rows(s, [&](const StepRow& row) { return !grouped_row(row, grouped); }));
+}
+
+std::vector<StepModel> ExecTimePredictor::stage_models(const EdgeFlags& grouped) const {
+  std::vector<StepModel> models(dag_->num_stages());
+  for (StageId s = 0; s < models.size(); ++s) models[s] = stage_model(s, grouped);
+  return models;
 }
 
 double ExecTimePredictor::stage_time(StageId s, int dop, const ColocatedFn& colocated) const {
@@ -37,30 +108,29 @@ double ExecTimePredictor::stage_time(StageId s, int dop, const ColocatedFn& colo
   return stage_model(s, colocated).eval(dop);
 }
 
-double ExecTimePredictor::kind_time(StageId s, int dop, StepKind kind,
-                                    const ColocatedFn& colocated) const {
-  assert(dop >= 1);
-  StepModel m;
-  for (const Step& step : dag_->stage(s).steps()) {
-    if (step.kind != kind || step.pipelined) continue;
-    if (step_is_zero_copy(s, step, colocated)) continue;
-    m.alpha += step.alpha;
-    m.beta += step.beta;
-  }
-  m.alpha *= straggler_factor(s);
-  return m.eval(dop);
+double ExecTimePredictor::read_time(StageId s, int dop, const ColocatedFn& colocated) const {
+  const StepModel m = sum_rows(s, [&](const StepRow& row) {
+    return row.kind == StepKind::kRead && !colocated_row(s, row, colocated);
+  });
+  return scaled(s, m).eval(dop);
 }
 
-double ExecTimePredictor::read_time(StageId s, int dop, const ColocatedFn& colocated) const {
-  return kind_time(s, dop, StepKind::kRead, colocated);
+double ExecTimePredictor::read_time(StageId s, int dop, const EdgeFlags& grouped) const {
+  const StepModel m = sum_rows(s, [&](const StepRow& row) {
+    return row.kind == StepKind::kRead && !grouped_row(row, grouped);
+  });
+  return scaled(s, m).eval(dop);
 }
 
 double ExecTimePredictor::compute_time(StageId s, int dop) const {
-  return kind_time(s, dop, StepKind::kCompute, nothing_colocated());
+  return scaled(s, compute_[s]).eval(dop);
 }
 
 double ExecTimePredictor::write_time(StageId s, int dop, const ColocatedFn& colocated) const {
-  return kind_time(s, dop, StepKind::kWrite, colocated);
+  const StepModel m = sum_rows(s, [&](const StepRow& row) {
+    return row.kind == StepKind::kWrite && !colocated_row(s, row, colocated);
+  });
+  return scaled(s, m).eval(dop);
 }
 
 void ExecTimePredictor::set_straggler_factor(StageId s, double factor) {
@@ -86,25 +156,19 @@ double ExecTimePredictor::resource_usage(StageId s, int dop) const {
 }
 
 double ExecTimePredictor::edge_write_time(StageId src, StageId dst, int dop_src) const {
-  StepModel m;
-  for (const Step& step : dag_->stage(src).steps()) {
-    if (step.kind == StepKind::kWrite && step.dep == dst && !step.pipelined) {
-      m += StepModel{step.alpha, step.beta};
-    }
-  }
-  m.alpha *= straggler_factor(src);
-  return m.eval(std::max(dop_src, 1));
+  return scaled(src, edge_write_sum(src, dst)).eval(std::max(dop_src, 1));
 }
 
 double ExecTimePredictor::edge_read_time(StageId src, StageId dst, int dop_dst) const {
-  StepModel m;
-  for (const Step& step : dag_->stage(dst).steps()) {
-    if (step.kind == StepKind::kRead && step.dep == src && !step.pipelined) {
-      m += StepModel{step.alpha, step.beta};
-    }
-  }
-  m.alpha *= straggler_factor(dst);
-  return m.eval(std::max(dop_dst, 1));
+  return scaled(dst, edge_read_sum(src, dst)).eval(std::max(dop_dst, 1));
+}
+
+double ExecTimePredictor::edge_write_time(int e, int dop_src) const {
+  return scaled(dag_->edges()[e].src, edge_write_[e]).eval(std::max(dop_src, 1));
+}
+
+double ExecTimePredictor::edge_read_time(int e, int dop_dst) const {
+  return scaled(dag_->edges()[e].dst, edge_read_[e]).eval(std::max(dop_dst, 1));
 }
 
 double ExecTimePredictor::edge_io_time(StageId src, StageId dst, int dop_src,

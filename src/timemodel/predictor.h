@@ -7,11 +7,18 @@
 // shared memory, "Modeling the shared memory"); compute steps never
 // depend on placement. A per-stage straggler scaling factor inflates
 // the parallelized term to account for skew ("Modeling stragglers").
+//
+// The predictor flattens each stage's non-pipelined steps into rows
+// once, when it is built; every query sums those rows in step order.
+// A placement view is either a ColocatedFn or, for the scheduler's
+// search, the set of co-located edges as EdgeFlags. Both forms read
+// the same rows, so they give the same bits.
 #pragma once
 
 #include <functional>
 #include <vector>
 
+#include "dag/dag_algorithms.h"
 #include "dag/job_dag.h"
 #include "timemodel/step_model.h"
 
@@ -31,19 +38,30 @@ ColocatedFn everything_colocated();
 
 class ExecTimePredictor {
  public:
-  /// The predictor borrows the DAG; it must outlive the predictor.
-  explicit ExecTimePredictor(const JobDag& dag) : dag_(&dag) {}
+  /// The predictor borrows the DAG, which must outlive it, and reads
+  /// its steps and edges once, here: build a new predictor after
+  /// changing them. Stage rho, sigma and straggler scale are read when
+  /// queried.
+  explicit ExecTimePredictor(const JobDag& dag);
 
   /// Effective stage-level (alpha, beta) under the placement view:
   /// sums non-pipelined steps, zeroing IO steps whose dependency is
   /// co-located, and applies the straggler factor to alpha.
   StepModel stage_model(StageId s, const ColocatedFn& colocated) const;
 
+  /// The same with the co-located edges given as flags over
+  /// dag().edges() (grouped[e] != 0: edge e shuffles zero-copy).
+  StepModel stage_model(StageId s, const EdgeFlags& grouped) const;
+
+  /// stage_model(s, grouped) of every stage, indexed by StageId.
+  std::vector<StepModel> stage_models(const EdgeFlags& grouped) const;
+
   /// Predicted total stage time at DoP d (Eq. 1).
   double stage_time(StageId s, int dop, const ColocatedFn& colocated) const;
 
   /// Per-step-kind components (for breakdown figures).
   double read_time(StageId s, int dop, const ColocatedFn& colocated) const;
+  double read_time(StageId s, int dop, const EdgeFlags& grouped) const;
   double compute_time(StageId s, int dop) const;
   double write_time(StageId s, int dop, const ColocatedFn& colocated) const;
 
@@ -70,13 +88,47 @@ class ExecTimePredictor {
   double edge_write_time(StageId src, StageId dst, int dop_src) const;
   double edge_read_time(StageId src, StageId dst, int dop_dst) const;
 
+  /// The same for edge `e` of dag().edges().
+  double edge_write_time(int e, int dop_src) const;
+  double edge_read_time(int e, int dop_dst) const;
+
   const JobDag& dag() const { return *dag_; }
 
+  /// The DAG's topology as of construction.
+  const DagTopology& topology() const { return topology_; }
+
  private:
-  double kind_time(StageId s, int dop, StepKind kind, const ColocatedFn& colocated) const;
-  bool step_is_zero_copy(StageId s, const Step& step, const ColocatedFn& colocated) const;
+  /// A non-pipelined step. `dep` is the stage on the other side of an
+  /// IO step (kNoStage for compute and external IO); `edge` is the
+  /// index of that dependency's edge (-1 if there is none).
+  struct StepRow {
+    StepKind kind;
+    StageId dep;
+    int edge;
+    double alpha;
+    double beta;
+  };
+
+  /// Sum of stage s's rows that `keep` accepts, in step order.
+  template <class Keep>
+  StepModel sum_rows(StageId s, Keep keep) const;
+
+  /// `m` with stage s's straggler factor applied to alpha.
+  StepModel scaled(StageId s, StepModel m) const;
+
+  /// Sums of src's write steps toward dst and of dst's reads from src.
+  StepModel edge_write_sum(StageId src, StageId dst) const;
+  StepModel edge_read_sum(StageId src, StageId dst) const;
 
   const JobDag* dag_;
+  DagTopology topology_;
+  std::vector<std::size_t> row_begin_;  ///< stage s owns rows_[row_begin_[s], row_begin_[s + 1])
+  std::vector<StepRow> rows_;
+  // Sums the grouping weights read for every stage and edge, before
+  // the straggler factor.
+  std::vector<StepModel> compute_;     ///< by stage
+  std::vector<StepModel> edge_write_;  ///< by edge: edge_write_sum
+  std::vector<StepModel> edge_read_;   ///< by edge: edge_read_sum
   std::vector<double> straggler_;  // indexed by StageId; empty entries = 1.0
 };
 

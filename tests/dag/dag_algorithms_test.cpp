@@ -52,21 +52,33 @@ TEST(DepthTest, UnevenBranches) {
 
 TEST(CriticalPathTest, PicksHeavierBranch) {
   JobDag dag = diamond();
-  const auto node_w = [](StageId s) { return s == 2 ? 10.0 : 1.0; };
-  const auto edge_w = [](const Edge&) { return 0.5; };
-  const CriticalPath cp = critical_path(dag, node_w, edge_w);
+  const DagTopology topology(dag);
+  const std::vector<double> node_w = {1.0, 1.0, 10.0, 1.0};
+  const std::vector<double> edge_w(dag.num_edges(), 0.5);
+  CriticalPath cp;
+  topology.critical_path(node_w, edge_w, cp);
   // Path a -> c -> d: 1 + 0.5 + 10 + 0.5 + 1 = 13.
   EXPECT_DOUBLE_EQ(cp.length, 13.0);
-  EXPECT_EQ(cp.stages, (std::vector<StageId>{0, 2, 3}));
+  EXPECT_EQ(cp.edges, (std::vector<int>{topology.edge_index(0, 2), topology.edge_index(2, 3)}));
+  EXPECT_EQ(cp.tail, 3u);
 }
 
 TEST(CriticalPathTest, EdgeWeightsCanDecide) {
   JobDag dag = diamond();
-  const auto node_w = [](StageId) { return 1.0; };
-  const auto edge_w = [](const Edge& e) { return e.src == 0 && e.dst == 1 ? 100.0 : 1.0; };
-  const CriticalPath cp = critical_path(dag, node_w, edge_w);
-  EXPECT_EQ(cp.stages, (std::vector<StageId>{0, 1, 3}));
+  const DagTopology topology(dag);
+  const std::vector<double> node_w(dag.num_stages(), 1.0);
+  std::vector<double> edge_w(dag.num_edges(), 1.0);
+  edge_w[topology.edge_index(0, 1)] = 100.0;
+  CriticalPath cp;
+  topology.critical_path(node_w, edge_w, cp);
+  EXPECT_EQ(cp.edges, (std::vector<int>{topology.edge_index(0, 1), topology.edge_index(1, 3)}));
   EXPECT_DOUBLE_EQ(cp.length, 1 + 100 + 1 + 1 + 1);
+  // Reusing the result recomputes the path from scratch.
+  edge_w[topology.edge_index(0, 1)] = 1.0;
+  edge_w[topology.edge_index(2, 3)] = 50.0;
+  topology.critical_path(node_w, edge_w, cp);
+  EXPECT_EQ(cp.edges, (std::vector<int>{topology.edge_index(0, 2), topology.edge_index(2, 3)}));
+  EXPECT_DOUBLE_EQ(cp.length, 1 + 1 + 1 + 50 + 1);
 }
 
 TEST(CriticalPathTest, MultipleSinksPicksHeaviest) {
@@ -74,10 +86,12 @@ TEST(CriticalPathTest, MultipleSinksPicksHeaviest) {
   for (int i = 0; i < 3; ++i) dag.add_stage("s");
   EXPECT_TRUE(dag.add_edge(0, 1).is_ok());
   EXPECT_TRUE(dag.add_edge(0, 2).is_ok());
-  const auto node_w = [](StageId s) { return s == 2 ? 5.0 : 1.0; };
-  const auto edge_w = [](const Edge&) { return 0.0; };
-  const CriticalPath cp = critical_path(dag, node_w, edge_w);
-  EXPECT_EQ(cp.stages.back(), 2u);
+  const DagTopology topology(dag);
+  const std::vector<double> node_w = {1.0, 1.0, 5.0};
+  const std::vector<double> edge_w(dag.num_edges(), 0.0);
+  CriticalPath cp;
+  topology.critical_path(node_w, edge_w, cp);
+  EXPECT_EQ(cp.tail, 2u);
   EXPECT_DOUBLE_EQ(cp.length, 6.0);
 }
 

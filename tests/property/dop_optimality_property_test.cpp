@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "scheduler/dop_ratio.h"
+#include "timemodel/predictor.h"
 
 namespace ditto::scheduler {
 namespace {
@@ -126,8 +127,9 @@ TEST_P(ChainComputerOptimality, ComputerMatchesClosedFormOnChains) {
   }
   const int c = 200;
   const ExecTimePredictor pred(dag);
-  const DoPRatioComputer computer(pred, nothing_colocated());
-  const auto result = computer.compute_jct(c);
+  const auto result = optimal_dops(dag, merge_order(dag),
+                                   pred.stage_models(EdgeFlags(dag.num_edges(), 0)),
+                                   Objective::kJct, c);
   ASSERT_TRUE(result.ok());
 
   double norm = 0.0;

@@ -5,8 +5,20 @@
 #include <cmath>
 #include <numeric>
 
+#include "timemodel/predictor.h"
+
 namespace ditto::scheduler {
 namespace {
+
+/// Optimal DoPs of `dag` with the `grouped` edges zero-copy (default:
+/// none), from the stage models the scheduler's search uses.
+Result<DopResult> dops_of(const JobDag& dag, Objective objective, int total_slots,
+                          EdgeFlags grouped = {}) {
+  if (grouped.empty()) grouped.assign(dag.num_edges(), 0);
+  const ExecTimePredictor pred(dag);
+  return optimal_dops(dag, merge_order(dag), pred.stage_models(grouped), objective,
+                      total_slots);
+}
 
 /// Stage with a single compute step of the given alpha/beta.
 void set_alpha(JobDag& dag, StageId s, double alpha, double beta = 0.0) {
@@ -40,9 +52,7 @@ TEST(DopRatioTest, IntraPathRatioIsSqrtAlpha) {
   ASSERT_TRUE(dag.add_edge(s1, s2).is_ok());
   set_alpha(dag, s1, 60.0);
   set_alpha(dag, s2, 15.0);
-  const ExecTimePredictor pred(dag);
-  const DoPRatioComputer computer(pred, nothing_colocated());
-  const auto result = computer.compute_jct(15);
+  const auto result = dops_of(dag, Objective::kJct, 15);
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->continuous[s1], 10.0, 1e-9);
   EXPECT_NEAR(result->continuous[s2], 5.0, 1e-9);
@@ -61,9 +71,7 @@ TEST(DopRatioTest, InterPathRatioIsLinearAlpha) {
   set_alpha(dag, s1, 24.0);
   set_alpha(dag, s2, 12.0);
   set_alpha(dag, sink, 1e-6);  // negligible sink work
-  const ExecTimePredictor pred(dag);
-  const DoPRatioComputer computer(pred, nothing_colocated());
-  const auto result = computer.compute_jct(6);
+  const auto result = dops_of(dag, Objective::kJct, 6);
   ASSERT_TRUE(result.ok());
   // Siblings split their share 2:1.
   EXPECT_NEAR(result->continuous[s1] / result->continuous[s2], 2.0, 1e-6);
@@ -80,9 +88,7 @@ TEST(DopRatioTest, ChainRatiosFollowSqrtPairwise) {
   set_alpha(dag, a, 100.0);
   set_alpha(dag, b, 25.0);
   set_alpha(dag, c, 4.0);
-  const ExecTimePredictor pred(dag);
-  const DoPRatioComputer computer(pred, nothing_colocated());
-  const auto result = computer.compute_jct(100);
+  const auto result = dops_of(dag, Objective::kJct, 100);
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->continuous[a] / result->continuous[b], std::sqrt(100.0 / 25.0), 1e-6);
   EXPECT_NEAR(result->continuous[b] / result->continuous[c], std::sqrt(25.0 / 4.0), 1e-6);
@@ -98,9 +104,7 @@ TEST(DopRatioTest, ContinuousSumEqualsSlots) {
   set_alpha(dag, a, 7.0);
   set_alpha(dag, b, 13.0);
   set_alpha(dag, c, 29.0);
-  const ExecTimePredictor pred(dag);
-  const DoPRatioComputer computer(pred, nothing_colocated());
-  const auto result = computer.compute_jct(42);
+  const auto result = dops_of(dag, Objective::kJct, 42);
   ASSERT_TRUE(result.ok());
   const double sum =
       std::accumulate(result->continuous.begin(), result->continuous.end(), 0.0);
@@ -113,9 +117,7 @@ TEST(DopRatioTest, FailsWithFewerSlotsThanStages) {
   dag.add_stage("b");
   set_alpha(dag, 0, 1.0);
   set_alpha(dag, 1, 1.0);
-  const ExecTimePredictor pred(dag);
-  const DoPRatioComputer computer(pred, nothing_colocated());
-  EXPECT_FALSE(computer.compute_jct(1).ok());
+  EXPECT_FALSE(dops_of(dag, Objective::kJct, 1).ok());
 }
 
 TEST(DopRatioTest, ColocationShiftsSlotsTowardRemainingWork) {
@@ -129,12 +131,8 @@ TEST(DopRatioTest, ColocationShiftsSlotsTowardRemainingWork) {
   dag.stage(a).add_step({StepKind::kWrite, b, 5.0, 0.0, false});
   dag.stage(b).add_step({StepKind::kRead, a, 40.0, 0.0, false});
   dag.stage(b).add_step({StepKind::kCompute, kNoStage, 10.0, 0.0, false});
-  const ExecTimePredictor pred(dag);
-
-  const DoPRatioComputer apart(pred, nothing_colocated());
-  const DoPRatioComputer together(pred, everything_colocated());
-  const auto d_apart = apart.compute_jct(60);
-  const auto d_together = together.compute_jct(60);
+  const auto d_apart = dops_of(dag, Objective::kJct, 60);
+  const auto d_together = dops_of(dag, Objective::kJct, 60, /*grouped=*/{1});
   ASSERT_TRUE(d_apart.ok());
   ASSERT_TRUE(d_together.ok());
   EXPECT_LT(d_together->continuous[b], d_apart->continuous[b]);
@@ -150,9 +148,7 @@ TEST(DopRatioCostTest, RatioIsSqrtRhoAlpha) {
   set_alpha(dag, b, 4.0);
   dag.stage(a).set_rho(1.0);
   dag.stage(b).set_rho(4.0);
-  const ExecTimePredictor pred(dag);
-  const DoPRatioComputer computer(pred, nothing_colocated());
-  const auto result = computer.compute_cost(30);
+  const auto result = dops_of(dag, Objective::kCost, 30);
   ASSERT_TRUE(result.ok());
   // d_a/d_b = sqrt(1*16)/sqrt(4*4) = 1.
   EXPECT_NEAR(result->continuous[a], result->continuous[b], 1e-9);
@@ -167,9 +163,7 @@ TEST(DopRatioCostTest, HigherRhoDrawsMoreSlots) {
   set_alpha(dag, b, 10.0);
   dag.stage(a).set_rho(9.0);
   dag.stage(b).set_rho(1.0);
-  const ExecTimePredictor pred(dag);
-  const DoPRatioComputer computer(pred, nothing_colocated());
-  const auto result = computer.compute_cost(40);
+  const auto result = dops_of(dag, Objective::kCost, 40);
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->continuous[a] / result->continuous[b], 3.0, 1e-9);
 }
@@ -183,9 +177,7 @@ TEST(DopRatioTest, GeneralDagMultiParentDoesNotCrash) {
   ASSERT_TRUE(dag.add_edge(1, 3).is_ok());
   ASSERT_TRUE(dag.add_edge(2, 3).is_ok());
   for (StageId s = 0; s < 4; ++s) set_alpha(dag, s, 10.0 + s);
-  const ExecTimePredictor pred(dag);
-  const DoPRatioComputer computer(pred, nothing_colocated());
-  const auto result = computer.compute_jct(64);
+  const auto result = dops_of(dag, Objective::kJct, 64);
   ASSERT_TRUE(result.ok());
   int sum = 0;
   for (int d : result->dop) {
@@ -202,9 +194,7 @@ TEST(DopRatioTest, DisconnectedComponentsShareSlots) {
   ASSERT_TRUE(dag.add_edge(0, 1).is_ok());
   ASSERT_TRUE(dag.add_edge(2, 3).is_ok());
   for (StageId s = 0; s < 4; ++s) set_alpha(dag, s, 10.0);
-  const ExecTimePredictor pred(dag);
-  const DoPRatioComputer computer(pred, nothing_colocated());
-  const auto result = computer.compute_jct(40);
+  const auto result = dops_of(dag, Objective::kJct, 40);
   ASSERT_TRUE(result.ok());
   const double sum =
       std::accumulate(result->continuous.begin(), result->continuous.end(), 0.0);

@@ -39,7 +39,7 @@ TEST(EvaluationTest, JctIsChainOfStageTimes) {
   const ExecTimePredictor pred(dag);
   const auto plan = make_plan(dag, {2, 2});
   // a: (12+6)/2 + 1.5 = 10.5;  b: (6+4)/2 + 1.5 = 6.5; JCT = 17.
-  EXPECT_NEAR(predict_jct(dag, pred, plan), 17.0, 1e-9);
+  EXPECT_NEAR(evaluate_plan(pred, plan, storage::s3_model()).jct, 17.0, 1e-9);
 }
 
 TEST(EvaluationTest, ZeroCopyEdgeShortensJct) {
@@ -48,7 +48,8 @@ TEST(EvaluationTest, ZeroCopyEdgeShortensJct) {
   const auto apart = make_plan(dag, {2, 2});
   const auto together = make_plan(dag, {2, 2}, {{0, 1}});
   // Grouping removes both the write (6/2+0.5) and read (6/2+0.5): -7.
-  EXPECT_NEAR(predict_jct(dag, pred, apart) - predict_jct(dag, pred, together), 7.0, 1e-9);
+  EXPECT_NEAR(evaluate_plan(pred, apart, storage::s3_model()).jct -
+                  evaluate_plan(pred, together, storage::s3_model()).jct, 7.0, 1e-9);
 }
 
 TEST(EvaluationTest, ParallelSiblingsOverlap) {
@@ -64,14 +65,14 @@ TEST(EvaluationTest, ParallelSiblingsOverlap) {
   const ExecTimePredictor pred(dag);
   const auto plan = make_plan(dag, {1, 1, 1});
   // c starts at max(10, 30) = 30; JCT = 35.
-  EXPECT_NEAR(predict_jct(dag, pred, plan), 35.0, 1e-9);
+  EXPECT_NEAR(evaluate_plan(pred, plan, storage::s3_model()).jct, 35.0, 1e-9);
 }
 
 TEST(EvaluationTest, FunctionCostSumsStages) {
   const JobDag dag = chain();
   const ExecTimePredictor pred(dag);
   const auto plan = make_plan(dag, {2, 2});
-  const auto ev = evaluate_plan(dag, pred, plan, storage::s3_model());
+  const auto ev = evaluate_plan(pred, plan, storage::s3_model());
   EXPECT_NEAR(ev.cost.function_gbs, 2.0 * 10.5 + 1.0 * 6.5, 1e-9);
 }
 
@@ -79,7 +80,7 @@ TEST(EvaluationTest, S3PersistenceIsNearFree) {
   const JobDag dag = chain();
   const ExecTimePredictor pred(dag);
   const auto plan = make_plan(dag, {2, 2});
-  const auto ev = evaluate_plan(dag, pred, plan, storage::s3_model());
+  const auto ev = evaluate_plan(pred, plan, storage::s3_model());
   EXPECT_LT(ev.cost.storage_gbs, 1e-2);
   EXPECT_DOUBLE_EQ(ev.cost.shm_gbs, 0.0);
 }
@@ -88,7 +89,7 @@ TEST(EvaluationTest, RedisPersistenceCostsLikeMemory) {
   const JobDag dag = chain();
   const ExecTimePredictor pred(dag);
   const auto plan = make_plan(dag, {2, 2});
-  const auto ev = evaluate_plan(dag, pred, plan, storage::redis_model());
+  const auto ev = evaluate_plan(pred, plan, storage::redis_model());
   EXPECT_GT(ev.cost.storage_gbs, 0.1);
 }
 
@@ -96,7 +97,7 @@ TEST(EvaluationTest, ZeroCopyMovesCostToShm) {
   const JobDag dag = chain();
   const ExecTimePredictor pred(dag);
   const auto plan = make_plan(dag, {2, 2}, {{0, 1}});
-  const auto ev = evaluate_plan(dag, pred, plan, storage::redis_model());
+  const auto ev = evaluate_plan(pred, plan, storage::redis_model());
   EXPECT_GT(ev.cost.shm_gbs, 0.0);
   EXPECT_DOUBLE_EQ(ev.cost.storage_gbs, 0.0);
 }
@@ -105,7 +106,7 @@ TEST(EvaluationTest, LaunchTimesEqualReadyTimes) {
   const JobDag dag = chain();
   const ExecTimePredictor pred(dag);
   const auto plan = make_plan(dag, {2, 2});
-  const auto launch = compute_launch_times(dag, pred, plan);
+  const auto launch = evaluate_plan(pred, plan, storage::s3_model()).stage_start;
   ASSERT_EQ(launch.size(), 2u);
   EXPECT_DOUBLE_EQ(launch[0], 0.0);
   EXPECT_NEAR(launch[1], 10.5, 1e-9);  // b launches when a finishes
@@ -115,7 +116,7 @@ TEST(EvaluationTest, EvaluationExposesPerStageTimeline) {
   const JobDag dag = chain();
   const ExecTimePredictor pred(dag);
   const auto plan = make_plan(dag, {1, 1});
-  const auto ev = evaluate_plan(dag, pred, plan, storage::s3_model());
+  const auto ev = evaluate_plan(pred, plan, storage::s3_model());
   EXPECT_DOUBLE_EQ(ev.stage_start[0], 0.0);
   EXPECT_NEAR(ev.stage_finish[0], 19.5, 1e-9);
   EXPECT_NEAR(ev.stage_start[1], 19.5, 1e-9);

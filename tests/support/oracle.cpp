@@ -83,7 +83,7 @@ Result<SchedulePlan> OracleScheduler::schedule(const JobDag& dag,
     for_each_composition(total, n, d, 0, 0, [&](const std::vector<int>& dop) {
       const auto plan = checker.place(dop, grouped, free_slots);
       if (!plan.ok()) return;
-      const auto ev = evaluate_plan(dag, predictor, plan.value(), external);
+      const auto ev = evaluate_plan(predictor, plan.value(), external);
       const double value = objective == Objective::kJct ? ev.jct : ev.cost.total();
       if (!found || value < best_value) {
         found = true;
@@ -96,8 +96,8 @@ Result<SchedulePlan> OracleScheduler::schedule(const JobDag& dag,
 
   SchedulePlan plan;
   plan.placement = std::move(best_plan);
-  plan.placement.launch_time = compute_launch_times(dag, predictor, plan.placement);
-  plan.predicted = evaluate_plan(dag, predictor, plan.placement, external);
+  plan.predicted = evaluate_plan(predictor, plan.placement, external);
+  plan.placement.launch_time = plan.predicted.stage_start;
   plan.scheduling_seconds = clock.elapsed_seconds();
   plan.scheduler_name = name();
   return plan;
